@@ -26,7 +26,12 @@ def _resolve_cap(args) -> int | None:
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("ISRLAB_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise IsrlabError(f"ISRLAB_CAP must be an integer, got {env!r}") from None
 
 
 def _suite_kwargs(args) -> dict:

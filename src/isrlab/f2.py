@@ -12,8 +12,6 @@ bit ``i`` of ``F2Vector.bits`` is coordinate ``i+1``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import IdentityInput, RangeTooLarge, SingularMatrix
 
 DEFAULT_RANGE_CAP = 1 << 16
@@ -21,6 +19,11 @@ DEFAULT_RANGE_CAP = 1 << 16
 
 def _parity(x: int) -> int:
     return bin(x).count("1") & 1
+
+
+def _low_bit(x: int) -> int:
+    """Index of the lowest set bit of a nonzero int."""
+    return (x & -x).bit_length() - 1
 
 
 class F2Vector:
@@ -220,8 +223,7 @@ def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
         r = a.row(i)
         acc = 0
         while r:
-            j = (r & -r).bit_length() - 1
-            acc ^= b.row(j)
+            acc ^= b.row(_low_bit(r))
             r &= r - 1
         out.append(acc)
     return F2Matrix(out)
@@ -305,107 +307,44 @@ def range_subgroup(g: F2Matrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[F2Vec
     return frozenset(F2Vector(x) for x in span)
 
 
-@lru_cache(maxsize=8)
-def _rank1_involutions(r: int) -> tuple[F2Matrix, ...]:
-    """All involutions t in GL(r, F2) with rank(t - I) = 1.
-
-    These are exactly I + v*phi with phi(v) = 0, v, phi nonzero.
-    """
-    out = []
-    for v in range(1, 1 << r):
-        for phi in range(1, 1 << r):
-            if _parity(v & phi):
-                continue
-            rows = []
-            for i in range(r):
-                row = 1 << i
-                if (v >> i) & 1:
-                    row ^= phi
-                rows.append(row)
-            out.append(F2Matrix(rows))
-    return tuple(out)
-
-
-@lru_cache(maxsize=8)
-def _gl_factor_table(r: int) -> dict[tuple[int, ...], tuple[F2Matrix, ...]]:
-    """Shortest factorization of each element of GL(r, F2) into rank-1
-    involutions, found by BFS over the Cayley graph."""
-    gens = _rank1_involutions(r)
-    ident = F2Matrix.identity()
-    table: dict[tuple[int, ...], tuple[F2Matrix, ...]] = {ident.rows: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            word = table[m.rows]
-            for t in gens:
-                p = mat_mul(m, t)
-                if p.rows not in table:
-                    table[p.rows] = word + (t,)
-                    nxt.append(p)
-        frontier = nxt
-    return table
-
-
-def _extend_to_basis(basis: list[int], n: int) -> list[int]:
-    """Extend an independent list of vector bitmasks to a basis of F2^n."""
-    full = list(basis)
-    red_basis = list(basis)
-    for j in range(n):
-        c = 1 << j
-        red = c
-        for b in red_basis:
-            red = min(red, red ^ b)
-        if red:
-            full.append(c)
-            red_basis.append(red)
-            red_basis.sort(reverse=True)
-    return full
-
-
 def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
-    """Write g as an ordered product of rank-1 involutions whose ranges
-    sum to R(g - I).
+    """Write g as an ordered product t1·t2·…·tk of rank-1 involutions
+    whose ranges sum to R(g - I), with exactly k = rank(g - I) factors.
 
-    The construction conjugates R(g - I) onto a leading coordinate
-    block, peels off the off-diagonal column block as commuting
-    transvections, and decomposes the top-left invertible block by
-    shortest-word search over rank-1 involutions.
+    Each step peels one factor: with D = g - I, x = e_j for the lowest
+    nonzero column j of D and v = D·x, it picks phi in the row space of
+    D with phi(v) = 0 and phi(x) = 1.  Then t = I + v·phi is a rank-1
+    involution with range in R(g - I), and t·g - I has rank one less
+    (its kernel gains x).  Such phi always exists over GF(2): D·v = v
+    would force g·v = 0, so some row of D, or a sum of two rows,
+    separates x from v.  Raises SingularMatrix for singular g.
     """
     if g.is_identity():
         raise IdentityInput("cannot factorize the identity")
-    n = g.n
-    rbasis = _range_basis(g)
-    r = len(rbasis)
-    cols = _extend_to_basis(rbasis, n)
-    # M has the chosen basis as columns; h = M^{-1} maps R(g-I) onto F2^r.
-    m_rows = []
-    for i in range(n):
-        row = 0
-        for j, c in enumerate(cols):
-            if (c >> i) & 1:
-                row |= 1 << j
-        m_rows.append(row)
-    m_mat = F2Matrix(m_rows)
-    h = mat_inverse(m_mat)
-    gp = mat_mul(mat_mul(h, g), m_mat)
-    low_mask = (1 << r) - 1
-    factors_p: list[F2Matrix] = []
-    # Column block: entries (i, j) with i < r <= j give commuting
-    # transvections I + E_{i+1, j+1}.
-    for i in range(r):
-        hi = gp.row(i) & ~low_mask
-        while hi:
-            j = (hi & -hi).bit_length() - 1
-            factors_p.append(F2Matrix.transvection(i + 1, j + 1))
-            hi &= hi - 1
-    # Top-left block in GL(r, F2).
-    g1_rows = [gp.row(i) & low_mask for i in range(r)]
-    g1 = F2Matrix(g1_rows)
-    if not g1.is_identity():
-        word = _gl_factor_table(r).get(g1.rows)
-        if word is None:
-            raise SingularMatrix("top-left block is not invertible")
-        factors_p.extend(word)
-    hinv = m_mat
-    return [mat_mul(mat_mul(hinv, s), h) for s in factors_p]
+    if _rank_of_rows(g.rows) != g.n:
+        raise SingularMatrix(f"matrix of dimension {g.n} is singular")
+    rows = list(g.rows)
+    factors: list[F2Matrix] = []
+    while True:
+        diff = [r ^ (1 << i) for i, r in enumerate(rows)]
+        cols = 0
+        for d in diff:
+            cols |= d
+        if not cols:
+            return factors
+        j = _low_bit(cols)
+        v = sum(((d >> j) & 1) << i for i, d in enumerate(diff))
+        dv = sum(_parity(d & v) << i for i, d in enumerate(diff))
+        if v & ~dv:
+            phi = diff[_low_bit(v & ~dv)]
+        else:
+            phi = diff[_low_bit(v)] ^ diff[_low_bit(dv & ~v)]
+        factors.append(
+            F2Matrix([(1 << i) ^ (phi if (v >> i) & 1 else 0) for i in range(len(rows))])
+        )
+        # t·g = g + v·(phi·g): the rows in supp v gain phi·g
+        phi_g = 0
+        for i, r in enumerate(rows):
+            if (phi >> i) & 1:
+                phi_g ^= r
+        rows = [r ^ phi_g if (v >> i) & 1 else r for i, r in enumerate(rows)]

@@ -46,6 +46,12 @@ class TestRun:
         monkeypatch.setenv("ISRLAB_CAP", "10")
         assert main(["run", "--suite", "closures"]) == 2
 
+    def test_cap_env_not_an_int(self, monkeypatch, capsys):
+        monkeypatch.setenv("ISRLAB_CAP", "abc")
+        assert main(["run", "--suite", "closures"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ISRLAB_CAP" in err
+
 
 class TestExpect:
     def test_builtin_mexo_swap(self, capsys):

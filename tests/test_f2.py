@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isrlab.errors import IdentityInput, RangeTooLarge, SingularMatrix
@@ -25,12 +25,17 @@ def all_gl(n):
     out = []
     for rows in itertools.product(range(1, 1 << n), repeat=n):
         m = F2Matrix(rows)
-        try:
-            mat_inverse(F2Matrix(list(rows)))
-        except SingularMatrix:
-            continue
-        out.append(m)
+        if is_invertible(m):
+            out.append(m)
     return out
+
+
+def is_invertible(m):
+    try:
+        mat_inverse(m)
+    except SingularMatrix:
+        return False
+    return True
 
 
 def matrices(n):
@@ -152,6 +157,20 @@ def range_sum(factors):
     return frozenset(acc)
 
 
+def check_factorization(g):
+    """Rank-1 involution factors recomposing to g, ranges summing to
+    R(g - I), and exactly rank(g - I) of them."""
+    factors = transvection_factorize(g)
+    prod = I
+    for s in factors:
+        assert rank_defect(s) == 1
+        assert mat_mul(s, s) == I
+        prod = mat_mul(prod, s)
+    assert prod == g
+    assert range_sum(factors) == range_subgroup(g)
+    assert len(factors) == rank_defect(g)
+
+
 class TestFactorize:
     def test_identity_rejected(self):
         with pytest.raises(IdentityInput):
@@ -176,35 +195,35 @@ class TestFactorize:
         gl3 = all_gl(3)
         assert len(gl3) == 168
         for g in gl3:
-            if g == I:
-                continue
-            factors = transvection_factorize(g)
-            prod = I
-            for s in factors:
-                assert rank_defect(s) == 1
-                assert mat_mul(s, s) == I
-                prod = mat_mul(prod, s)
-            assert prod == g
-            assert range_sum(factors) == range_subgroup(g)
+            if g != I:
+                check_factorization(g)
 
     def test_dim4_samples(self):
         import random
 
         rng = random.Random(7)
         done = 0
-        while done < 20:
-            rows = [rng.randrange(1, 16) for _ in range(4)]
-            g = F2Matrix(rows)
-            try:
-                mat_inverse(g)
-            except SingularMatrix:
+        while done < 500:
+            g = F2Matrix([rng.randrange(1, 16) for _ in range(4)])
+            if g == I or not is_invertible(g):
                 continue
-            if g == I:
-                continue
-            factors = transvection_factorize(g)
-            prod = I
-            for s in factors:
-                prod = mat_mul(prod, s)
-            assert prod == g
-            assert range_sum(factors) == range_subgroup(g)
+            check_factorization(g)
             done += 1
+
+    @given(st.integers(min_value=5, max_value=8).flatmap(matrices).filter(is_invertible))
+    @settings(max_examples=60)
+    def test_large_dims(self, g):
+        assume(g != I)
+        check_factorization(g)
+
+    def test_singular_rejected(self):
+        count = 0
+        for n in (2, 3):
+            for rows in itertools.product(range(1 << n), repeat=n):
+                g = F2Matrix(rows)
+                if is_invertible(g):
+                    continue
+                with pytest.raises(SingularMatrix):
+                    transvection_factorize(g)
+                count += 1
+        assert count == 10 + 344
