@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FamilyMismatch
 from .groups import GroupElement, conjugate, identity_like, inverse, multiply
@@ -205,20 +206,45 @@ def combine(alpha, x: AlgebraElement, beta, y: AlgebraElement) -> AlgebraElement
     return x.scale(alpha) + y.scale(beta)
 
 
+def _scaled(x: AlgebraElement):
+    """(D, [(g, D·Re c_g, D·Im c_g)]): the coefficients as integers over
+    one common denominator D."""
+    den = 1
+    for c in x.terms.values():
+        den = lcm(den, c.re.denominator, c.im.denominator)
+    return den, [
+        (g, c.re.numerator * (den // c.re.denominator),
+         c.im.numerator * (den // c.im.denominator))
+        for g, c in x.terms.items()
+    ]
+
+
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in C[G]: bilinear extension of the group law."""
+    """Product in C[G]: bilinear extension of the group law.
+
+    The sums run over exact integers; each output coefficient becomes a
+    fraction once, over the product of the two common denominators.
+    """
     x._check(y)
-    out: dict = {}
-    for g, c in x.terms.items():
-        for h, d in y.terms.items():
+    dx, xs = _scaled(x)
+    dy, ys = _scaled(y)
+    re: dict = {}
+    im: dict = {}
+    for g, cr, ci in xs:
+        for h, dr, di in ys:
             k = multiply(g, h)
-            prev = out.get(k)
-            out[k] = c * d if prev is None else prev + c * d
-    return AlgebraElement(out)
-
-
-def adjoint(x: AlgebraElement) -> AlgebraElement:
-    return x.adjoint()
+            if ci or di:
+                im[k] = im.get(k, 0) + cr * di + ci * dr
+                re[k] = re.get(k, 0) + cr * dr - ci * di
+            else:
+                re[k] = re.get(k, 0) + cr * dr
+    den = dx * dy
+    return AlgebraElement(
+        {
+            k: GaussianRational(Fraction(r, den), Fraction(im.get(k, 0), den))
+            for k, r in re.items()
+        }
+    )
 
 
 def trace(x: AlgebraElement) -> GaussianRational:

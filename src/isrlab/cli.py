@@ -16,7 +16,7 @@ from .algebra import unit
 from .characters import evaluate, parse_character
 from .errors import IsrlabError
 from .expectation import conditional_expectation, load_spec
-from .groups import enumerate_group
+from .groups import DEFAULT_CAP, enumerate_group
 from .serialize import encode_algebra, encode_group, encode_rational, decode_group
 from .zoo import SUITES, build_mexo, build_mpart, build_mq, report_passed
 from . import zoo
@@ -145,7 +145,7 @@ def cmd_tables(args) -> int:
             ]
         )
     if which in ("fpc", "all"):
-        rep = zoo.fpc_growth_suite()
+        rep = zoo.fpc_growth_suite(cap=_resolve_cap(args) or DEFAULT_CAP)
         print("# fpc orbit growth")
         _print_tsv(
             [("case", "orbit sizes", "pass")]

@@ -85,8 +85,22 @@ def cycle(n: int) -> tuple[int, ...]:
 # the four element types
 
 
+class _Element:
+    """Operations every family derives from its own ``mul`` / ``inv``."""
+
+    __slots__ = ()
+
+    def identity_like(self):
+        return type(self).identity()
+
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}, with the inverse computed once."""
+        mul, inv = self.mul, self.inv()
+        return lambda x: mul(x).mul(inv)
+
+
 @dataclass(frozen=True)
-class Affine:
+class Affine(_Element):
     """Element (g, v) of GL(n,F2) ⋉ F2^n."""
 
     g: F2Matrix
@@ -112,9 +126,20 @@ class Affine:
     def sort_key(self):
         return (self.g.rows, self.v.bits)
 
+    def mul(self, other: "Affine") -> "Affine":
+        if other.g.is_identity():  # vector factors are the common hot path
+            return Affine(self.g, self.v + other.v)
+        g2i = _mat_inverse_cached(other.g)
+        return Affine(mat_mul(self.g, other.g), g2i.apply(self.v) + other.v)
+
+    def inv(self) -> "Affine":
+        if self.g.is_identity():
+            return self
+        return Affine(_mat_inverse_cached(self.g), self.g.apply(self.v))
+
 
 @dataclass(frozen=True)
-class Wreath:
+class Wreath(_Element):
     """Element (σ, v) of S_n ⋉ Z2^n; σ permutes the n lamp coordinates."""
 
     sigma: tuple[int, ...]
@@ -143,9 +168,18 @@ class Wreath:
     def sort_key(self):
         return (self.sigma, self.v.bits)
 
+    def mul(self, other: "Wreath") -> "Wreath":
+        return Wreath(
+            perm_mul(self.sigma, other.sigma),
+            perm_apply_vec(perm_inv(other.sigma), self.v) + other.v,
+        )
+
+    def inv(self) -> "Wreath":
+        return Wreath(perm_inv(self.sigma), perm_apply_vec(self.sigma, self.v))
+
 
 @dataclass(frozen=True)
-class Lamplighter:
+class Lamplighter(_Element):
     """Element (v, t) of Z2 ≀ (Z/m): lamps v indexed by Z/m, shift t."""
 
     m: int
@@ -164,6 +198,9 @@ class Lamplighter:
     def identity(m: int) -> "Lamplighter":
         return Lamplighter(m, 0, 0)
 
+    def identity_like(self) -> "Lamplighter":
+        return Lamplighter(self.m, 0, 0)
+
     @staticmethod
     def lamp(m: int, i: int) -> "Lamplighter":
         """δ at position i (0-indexed mod m)."""
@@ -176,11 +213,15 @@ class Lamplighter:
     def is_identity(self) -> bool:
         return self.v == 0 and self.t == 0
 
-    def support_size(self) -> int:
-        return bin(self.v).count("1")
-
     def sort_key(self):
         return (self.m, self.t, self.v)
+
+    def mul(self, other: "Lamplighter") -> "Lamplighter":
+        m = self.m
+        return Lamplighter(m, _shift_bits(self.v, -other.t, m) ^ other.v, self.t + other.t)
+
+    def inv(self) -> "Lamplighter":
+        return Lamplighter(self.m, _shift_bits(self.v, self.t, self.m), -self.t)
 
 
 def _shift_bits(v: int, t: int, m: int) -> int:
@@ -190,74 +231,179 @@ def _shift_bits(v: int, t: int, m: int) -> int:
     return ((v << t) | (v >> (m - t))) & mask if t else v
 
 
-@dataclass(frozen=True)
-class Cantor:
+def _points(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class Cantor(_Element):
     """Element (σ, A) of S(2^m) ⋉ C̃_m.
 
     Points of the level-m Cantor truncation are ints in [0, 2^m); bit
-    j-1 of a point is its j-th letter.  A is a point set taken modulo
-    complement; the stored representative omits the all-zeros point.
-    The level is minimal under the duplicating embedding s -> (s, s).
+    j-1 of a point is its j-th letter.  σ is a tuple of 2^m point
+    images.  A is a point set taken modulo complement, stored as the
+    int ``mask`` whose bit p is point p; the stored representative
+    omits the all-zeros point, so bit 0 is always clear (a set holding
+    point 0 is replaced by its complement, ``mask ^ full``).  The level
+    is minimal under the duplicating embedding s -> (s, s), which maps
+    point w to the pair {w, w + 2^m}: ``mask | mask << 2^m`` one level
+    up.  ``a`` is the point set as a frozenset.
     """
 
-    m: int
-    sigma: tuple[int, ...]
-    a: frozenset[int]
+    __slots__ = ("m", "sigma", "mask")
 
     family = "cantor"
 
-    def __post_init__(self):
-        m, sigma, a = self.m, tuple(self.sigma), frozenset(self.a)
+    def __new__(cls, m: int, sigma, a=()):
+        sigma = tuple(sigma)
         if len(sigma) != 1 << m:
             raise ValueError("permutation size must be 2^m")
-        if 0 in a:
-            a = frozenset(range(1 << m)) - a
-        # reduce to the minimal level: both halves must act identically
-        # and A must be a union of {w, w + 2^(m-1)} pairs
-        while m > 0:
-            half = 1 << (m - 1)
-            ok = all(
-                sigma[w] < half and sigma[w + half] == sigma[w] + half
-                for w in range(half)
-            )
-            if ok:
-                ok = all((w in a) == ((w ^ half) in a) for w in a)
-            if not ok:
-                break
-            m -= 1
-            sigma = sigma[:half]
-            a = frozenset(w for w in a if w < half)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "a", a)
+        mask = 0
+        for p in a:
+            mask |= 1 << p
+        if mask >> len(sigma):
+            raise ValueError("point outside the level-m truncation")
+        return _cantor(m, sigma, mask)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Cantor is immutable")
+
+    @property
+    def a(self) -> frozenset[int]:
+        return frozenset(_points(self.mask))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cantor):
+            return NotImplemented
+        return self.mask == other.mask and self.sigma == other.sigma
+
+    def __hash__(self):
+        return hash((self.sigma, self.mask))
+
+    def __repr__(self):
+        return f"Cantor(m={self.m!r}, sigma={self.sigma!r}, a={self.a!r})"
 
     @staticmethod
     def identity() -> "Cantor":
-        return Cantor(0, (0,), frozenset())
+        return Cantor(0, (0,))
 
     @staticmethod
     def perm(m: int, sigma) -> "Cantor":
-        return Cantor(m, tuple(sigma), frozenset())
+        return Cantor(m, sigma)
 
     @staticmethod
     def indicator(m: int, a) -> "Cantor":
         """The projection-like involution f̃_A for a point set A."""
-        return Cantor(m, tuple(range(1 << m)), frozenset(a))
+        return Cantor(m, range(1 << m), a)
 
     def is_identity(self) -> bool:
         return self.m == 0
 
-    def at_level(self, m: int) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The (σ, A) payload embedded to level m ≥ self.m."""
-        sigma, a = self.sigma, self.a
+    def _lift(self, m: int) -> tuple[tuple[int, ...], int]:
+        """The (σ, mask) payload embedded to level m ≥ self.m."""
+        sigma, mask = self.sigma, self.mask
         for lvl in range(self.m, m):
             half = 1 << lvl
-            sigma = sigma + tuple(x + half for x in sigma)
-            a = frozenset(a) | {w + half for w in a}
-        return sigma, a
+            sigma = sigma + tuple([x + half for x in sigma])
+            mask |= mask << half
+        return sigma, mask
+
+    def at_level(self, m: int) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The (σ, A) payload embedded to level m ≥ self.m."""
+        sigma, mask = self._lift(m)
+        return sigma, frozenset(_points(mask))
 
     def sort_key(self):
-        return (self.m, self.sigma, tuple(sorted(self.a)))
+        return (self.m, self.sigma, tuple(_points(self.mask)))
+
+    def mul(self, other: "Cantor") -> "Cantor":
+        m = max(self.m, other.m)
+        s1, a1 = self._lift(m)
+        s2, a2 = other._lift(m)
+        # σ2^{-1}(A1) is the set of i with σ2(i) in A1
+        for p in _points(a1):
+            a2 ^= 1 << s2.index(p)
+        return _cantor(m, tuple([s1[j] for j in s2]), a2)
+
+    def inv(self) -> "Cantor":
+        sigma = self.sigma
+        inv = [0] * len(sigma)
+        image = 0
+        for i, j in enumerate(sigma):
+            inv[j] = i
+        for p in _points(self.mask):
+            image |= 1 << sigma[p]
+        return _cantor(self.m, tuple(inv), image)
+
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}, touching only the points of B
+        and the points τ moves.  For x = (σ, A) and self = (τ, B) =
+        τ·f̃_B, conjugation by f̃_B adds B + σ^{-1}(B) to A, and
+        conjugation by τ then maps (σ, A) to (τστ^{-1}, τ(A))."""
+        m, tau, bmask = self.m, self.sigma, self.mask
+        bpts = _points(bmask)
+        moved = [i for i, j in enumerate(tau) if i != j]
+        pmask = sum(1 << i for i in moved)
+
+        def conj(x: "Cantor") -> "Cantor":
+            if x.m > m:  # x lives above self's level: the plain product
+                return self.mul(x).mul(self.inv())
+            sigma, mask = x._lift(m)
+            if bpts:
+                mask ^= bmask
+                for b in bpts:
+                    mask ^= 1 << sigma.index(b)
+            if moved:
+                new = list(sigma)
+                image = mask & ~pmask
+                for i in moved:
+                    new[tau[i]] = tau[sigma[i]]
+                    if mask >> i & 1:
+                        image |= 1 << tau[i]
+                for j in moved:
+                    k = sigma.index(j)
+                    if tau[k] == k:
+                        new[k] = tau[j]
+                sigma, mask = tuple(new), image
+            return _cantor(m, sigma, mask)
+
+        return conj
+
+
+_set_m = Cantor.m.__set__
+_set_sigma = Cantor.sigma.__set__
+_set_mask = Cantor.mask.__set__
+
+
+def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
+    """The canonical element of a level-m payload: bit 0 of the mask
+    clear and the level minimal."""
+    if mask & 1:
+        mask ^= (1 << (1 << m)) - 1
+    # reduce while both halves act identically and A is a union of
+    # {w, w + 2^(m-1)} pairs
+    while m:
+        half = 1 << (m - 1)
+        low = (1 << half) - 1
+        if (
+            mask >> half != mask & low
+            or sigma[half] != sigma[0] + half
+            or sigma[half:] != tuple([x + half for x in sigma[:half]])
+        ):
+            break
+        m -= 1
+        sigma = sigma[:half]
+        mask &= low
+    g = object.__new__(Cantor)
+    _set_m(g, m)
+    _set_sigma(g, sigma)
+    _set_mask(g, mask)
+    return g
 
 
 GroupElement = Affine | Wreath | Lamplighter | Cantor
@@ -289,59 +435,22 @@ def _check_family(a: GroupElement, b: GroupElement):
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """(g1,v1)(g2,v2) = (g1 g2, g2^{-1}(v1) + v2)."""
     _check_family(a, b)
-    if isinstance(a, Affine):
-        if b.g.is_identity():  # vector factors are the common hot path
-            return Affine(a.g, a.v + b.v)
-        g2i = _mat_inverse_cached(b.g)
-        return Affine(mat_mul(a.g, b.g), g2i.apply(a.v) + b.v)
-    if isinstance(a, Wreath):
-        return Wreath(
-            perm_mul(a.sigma, b.sigma),
-            perm_apply_vec(perm_inv(b.sigma), a.v) + b.v,
-        )
-    if isinstance(a, Lamplighter):
-        return Lamplighter(
-            a.m, _shift_bits(a.v, -b.t, a.m) ^ b.v, a.t + b.t
-        )
-    m = max(a.m, b.m)
-    s1, a1 = a.at_level(m)
-    s2, a2 = b.at_level(m)
-    s2_inv = [0] * (1 << m)
-    for i, j in enumerate(s2):
-        s2_inv[j] = i
-    prod = tuple(s1[s2[i]] for i in range(1 << m))
-    moved = frozenset(s2_inv[x] for x in a1)
-    return Cantor(m, prod, moved ^ a2)
+    return a.mul(b)
 
 
 def inverse(a: GroupElement) -> GroupElement:
     """(g, v)^{-1} = (g^{-1}, g(v))."""
-    if isinstance(a, Affine):
-        if a.g.is_identity():
-            return Affine(a.g, a.v)
-        return Affine(_mat_inverse_cached(a.g), a.g.apply(a.v))
-    if isinstance(a, Wreath):
-        return Wreath(perm_inv(a.sigma), perm_apply_vec(a.sigma, a.v))
-    if isinstance(a, Lamplighter):
-        return Lamplighter(a.m, _shift_bits(a.v, a.t, a.m), -a.t)
-    if isinstance(a, Cantor):
-        sigma, sub = a.sigma, a.a
-        inv = [0] * len(sigma)
-        for i, j in enumerate(sigma):
-            inv[j] = i
-        return Cantor(a.m, tuple(inv), frozenset(sigma[x] for x in sub))
-    raise FamilyMismatch(f"not a group element: {a!r}")
+    return a.inv()
 
 
 def identity_like(a: GroupElement) -> GroupElement:
-    if isinstance(a, Lamplighter):
-        return Lamplighter.identity(a.m)
-    return type(a).identity()
+    return a.identity_like()
 
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
     """g · h · g^{-1}."""
-    return multiply(multiply(g, h), inverse(g))
+    _check_family(g, h)
+    return g.conjugation()(h)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +509,7 @@ def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupEl
                 out.append(Lamplighter(n, bits, t))
     elif family == "cantor":
         npts = 1 << n
-        subsets = [frozenset(s) for s in _subset_reps(npts)]
+        subsets = list(_subset_reps(npts))
         for p in itertools.permutations(range(npts)):
             for s in subsets:
                 out.append(Cantor(n, p, s))
@@ -437,15 +546,17 @@ def orbit_under(
     conjugators = list(conjugators)
     cset = set(conjugators)
     for c in conjugators:
+        _check_family(c, h)
         if inverse(c) not in cset:
             raise NotSymmetric(f"conjugator set lacks the inverse of {c!r}")
+    maps = [c.conjugation() for c in conjugators]
     orbit = {h}
     frontier = [h]
     while frontier:
         nxt = []
         for x in frontier:
-            for c in conjugators:
-                y = conjugate(c, x)
+            for conj in maps:
+                y = conj(x)
                 if y not in orbit:
                     if len(orbit) >= cap:
                         raise Overflow(f"conjugation orbit exceeds cap {cap}")
@@ -487,6 +598,8 @@ def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    for g in gens:
+        _check_family(gens[0], g)
     sym = gens + [inverse(g) for g in gens]
     ident = identity_like(gens[0])
     elems = {ident}
@@ -495,7 +608,7 @@ def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
         nxt = []
         for x in frontier:
             for s in sym:
-                y = multiply(x, s)
+                y = x.mul(s)
                 if y not in elems:
                     if len(elems) >= cap:
                         raise Overflow(f"subgroup closure exceeds cap {cap}")
@@ -514,14 +627,16 @@ def normal_closure(
     if not gens:
         raise ValueError("need at least one generator")
     ggens = group_generators(gens[0].family, n)
-    ggens = ggens + [inverse(g) for g in ggens]
+    for t in ggens:
+        _check_family(t, gens[0])
+    maps = [t.conjugation() for t in ggens + [inverse(t) for t in ggens]]
     seed = set(gens)
     while True:
         closure = subgroup_closure(seed, cap)
         extra = set()
         for x in closure:
-            for t in ggens:
-                y = conjugate(t, x)
+            for conj in maps:
+                y = conj(x)
                 if y not in closure:
                     extra.add(y)
         if not extra:

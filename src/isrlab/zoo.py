@@ -31,6 +31,7 @@ from .expectation import (
 )
 from .f2 import F2Matrix, F2Vector, range_subgroup, transvection_factorize
 from .groups import (
+    DEFAULT_CAP,
     Affine,
     Cantor,
     Lamplighter,
@@ -316,10 +317,6 @@ def f_calculus_report(n: int = 3, seed: int = DEFAULT_SEED, pair_sample: int | N
         {"n": n, "pairs": len(pairs)},
         checks,
     )
-
-
-def suite_fcalculus(n: int = 3, seed: int = DEFAULT_SEED, **kw) -> dict:
-    return f_calculus_report(n=n, seed=seed, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -805,10 +802,6 @@ def lamplighter_scenarios(m: int = 4, **_) -> dict:
     )
 
 
-def suite_lamplighter(m: int = 4, **kw) -> dict:
-    return lamplighter_scenarios(m=m, **kw)
-
-
 # ---------------------------------------------------------------------------
 # finite-partial-centralizer (fpc) orbit growth
 
@@ -817,17 +810,18 @@ def _sizes_monotone(sizes: list[int]) -> bool:
     return all(a < b for a, b in zip(sizes, sizes[1:]))
 
 
-def fpc_growth_suite(**_) -> dict:
+def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
     """Orbit sizes under centralizer conjugation, across truncations.
 
     Claimed members of each fpc set must have constant orbit size ≤ 2;
     sampled non-members must grow strictly across three truncations.
+    Every orbit is bounded by cap.
     """
     rows = []
 
     def run(lemma, trunc_label, truncations, gens_of, members, nonmembers):
         for label, el in members:
-            sizes = [len(orbit_under(el, gens_of(t))) for t in truncations]
+            sizes = [len(orbit_under(el, gens_of(t), cap)) for t in truncations]
             rows.append(
                 check_pred(
                     f"{lemma}: member {label} at {trunc_label}={truncations}",
@@ -837,7 +831,7 @@ def fpc_growth_suite(**_) -> dict:
                 )
             )
         for label, el in nonmembers:
-            sizes = [len(orbit_under(el, gens_of(t))) for t in truncations]
+            sizes = [len(orbit_under(el, gens_of(t), cap)) for t in truncations]
             rows.append(
                 check_pred(
                     f"{lemma}: non-member {label} at {trunc_label}={truncations}",
@@ -909,10 +903,6 @@ def fpc_growth_suite(**_) -> dict:
         {"lemmas": 3},
         rows,
     )
-
-
-def suite_fpc(**kw) -> dict:
-    return fpc_growth_suite(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,7 +1073,7 @@ def suite_properties(seed: int = DEFAULT_SEED, **_) -> dict:
 
 
 SUITES = {
-    "fcalculus": suite_fcalculus,
+    "fcalculus": f_calculus_report,
     "cylinder": suite_cylinder,
     "mexo": suite_mexo,
     "mq": suite_mq,
@@ -1091,8 +1081,8 @@ SUITES = {
     "cantor": suite_cantor,
     "e12": suite_e12,
     "closures": suite_closures,
-    "fpc": suite_fpc,
-    "lamplighter": suite_lamplighter,
+    "fpc": fpc_growth_suite,
+    "lamplighter": lamplighter_scenarios,
     "characters": suite_characters,
     "properties": suite_properties,
 }

@@ -103,6 +103,44 @@ class TestConvolve:
             assert (x * y).support() <= prod_support
 
 
+def naive_convolve(x, y):
+    """The product summed term by term in GaussianRational arithmetic."""
+    out = {}
+    for g, c in x.terms.items():
+        for h, d in y.terms.items():
+            k = multiply(g, h)
+            out[k] = out.get(k, GaussianRational()) + c * d
+    return AlgebraElement(out)
+
+
+class TestConvolveExact:
+    def test_matches_naive_product(self):
+        # non-real coefficients with denominators 1, 2, 4
+        for family, n in [("affine", 2), ("wreath", 3), ("cantor", 2)]:
+            xs = random_algebra_elements(family, n, 40, seed=5)
+            for x, y in zip(xs, xs[1:]):
+                got = convolve(x, y)
+                assert got == naive_convolve(x, y)
+                assert all(not c.is_zero() for c in got.terms.values())
+
+    def test_cancelling_terms_are_pruned(self):
+        s = Affine.matrix(S)
+        e = Affine.identity()
+        # (1 + u_s)(1 - u_s) = 1 - u_{s^2} = 0
+        zero = convolve(combine(1, unit(e), 1, unit(s)), combine(1, unit(e), -1, unit(s)))
+        assert zero.is_zero() and zero.terms == {}
+
+    def test_purely_imaginary_result(self):
+        s = Affine.matrix(S)
+        e = Affine.identity()
+        # (1 + i u_s)^2 = 1 + 2i u_s - u_{s^2} = 2i u_s; the identity cancels
+        x = combine(1, unit(e), GR_I, unit(s))
+        got = convolve(x, x)
+        assert got == naive_convolve(x, x)
+        assert got.terms == {s: GaussianRational(0, 2)}
+        assert not got.terms[s].re
+
+
 class TestAdjoint:
     def test_unit(self):
         from isrlab.groups import inverse

@@ -42,6 +42,12 @@ class TestRun:
         # a tiny cap makes the closure BFS overflow, surfaced as exit 2
         assert main(["run", "--suite", "closures", "--cap", "10"]) == 2
 
+    def test_cap_binds_fpc_orbits(self, capsys):
+        # the fpc suite's conjugation orbits reach 3360 elements
+        assert main(["run", "--suite", "fpc", "--cap", "10"]) == 2
+        assert capsys.readouterr().err == "error: conjugation orbit exceeds cap 10\n"
+        assert main(["tables", "--table", "fpc", "--cap", "10"]) == 2
+
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("ISRLAB_CAP", "10")
         assert main(["run", "--suite", "closures"]) == 2

@@ -145,21 +145,26 @@ class TestLamplighter:
         assert isinstance(obs["cap_a_equals_even_support"], bool)
 
 
+@pytest.fixture(scope="module")
+def fpc_report():
+    return zoo.fpc_growth_suite()
+
+
 class TestFpcGrowth:
-    def test_suite(self):
-        rep = zoo.fpc_growth_suite()
+    def test_suite(self, fpc_report):
+        rep = fpc_report
         assert zoo.report_passed(rep)
 
-    def test_member_rows_are_constant(self):
-        rep = zoo.fpc_growth_suite()
+    def test_member_rows_are_constant(self, fpc_report):
+        rep = fpc_report
         members = [c for c in rep["checks"] if "member" in c["description"] and "non-member" not in c["description"]]
         assert members
         for c in members:
             sizes = c["actual"]
             assert len(set(sizes)) == 1 and sizes[0] <= 2
 
-    def test_nonmember_rows_grow(self):
-        rep = zoo.fpc_growth_suite()
+    def test_nonmember_rows_grow(self, fpc_report):
+        rep = fpc_report
         growing = [c for c in rep["checks"] if "non-member" in c["description"]]
         assert len(growing) == 6
         for c in growing:
