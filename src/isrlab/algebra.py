@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FamilyMismatch
-from .groups import GroupElement, conjugate, identity_like, inverse, multiply
+from .groups import GroupElement, _check_family, identity_like, inverse, multiply
 
 
 def _frac(x) -> Fraction:
@@ -241,7 +241,9 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     den = dx * dy
     return AlgebraElement(
         {
-            k: GaussianRational(Fraction(r, den), Fraction(im.get(k, 0), den))
+            k: GaussianRational(
+                Fraction(r, den), Fraction(im.get(k, 0), den) if im else 0
+            )
             for k, r in re.items()
         }
     )
@@ -280,6 +282,8 @@ def norm_sq(x: AlgebraElement) -> Fraction:
 
 def ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     """The adjoint action u_g x u_g^{-1}, applied termwise."""
-    return AlgebraElement(
-        {conjugate(g, h): c for h, c in x.terms.items()}
-    )
+    if not x.terms:
+        return x
+    _check_family(g, next(iter(x.terms)))
+    conj = g.conjugation()
+    return AlgebraElement({conj(h): c for h, c in x.terms.items()})

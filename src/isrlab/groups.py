@@ -349,10 +349,11 @@ class Cantor(_Element):
         bpts = _points(bmask)
         moved = [i for i, j in enumerate(tau) if i != j]
         pmask = sum(1 << i for i in moved)
+        mul, inv = self.mul, self.inv()
 
         def conj(x: "Cantor") -> "Cantor":
             if x.m > m:  # x lives above self's level: the plain product
-                return self.mul(x).mul(self.inv())
+                return mul(x).mul(inv)
             sigma, mask = x._lift(m)
             if bpts:
                 mask ^= bmask

@@ -19,7 +19,7 @@ from isrlab.algebra import (
 )
 from isrlab.errors import FamilyMismatch
 from isrlab.f2 import F2Matrix, F2Vector
-from isrlab.groups import Affine, Wreath, conjugate, enumerate_group, multiply
+from isrlab.groups import Affine, Wreath, conjugate, enumerate_group, inverse, multiply
 
 S = F2Matrix.from_lists([[0, 1], [1, 0]])
 HALF = Fraction(1, 2)
@@ -225,6 +225,16 @@ class TestAd:
         rng = random.Random(14)
         for x in random_algebra_elements("cantor", 2, 6, seed=15):
             g = pool[rng.randrange(len(pool))]
-            from isrlab.groups import inverse
-
             assert ad(g, x) == unit(g) * x * unit(inverse(g))
+
+    def test_terms_above_the_conjugator_level(self):
+        # one conjugation map serves terms above and at g's level
+        low = [g for g in enumerate_group("cantor", 2) if g.m <= 1]
+        for g in low:
+            for x in random_algebra_elements("cantor", 2, 3, seed=16, width=4):
+                assert ad(g, x) == unit(g) * x * unit(inverse(g))
+
+    def test_zero_and_family_mismatch(self):
+        assert ad(Affine.identity(), AlgebraElement({})).is_zero()
+        with pytest.raises(FamilyMismatch):
+            ad(Affine.identity(), unit(Wreath.identity()))
