@@ -17,7 +17,13 @@ from .characters import evaluate, parse_character
 from .errors import IsrlabError
 from .expectation import conditional_expectation, load_spec
 from .groups import DEFAULT_CAP, enumerate_group
-from .serialize import encode_algebra, encode_group, encode_rational, decode_group
+from .serialize import (
+    decode_group,
+    encode_algebra,
+    encode_coefficient,
+    encode_group,
+    encode_rational,
+)
 from .zoo import SUITES, build_mexo, build_mpart, build_mq, report_passed
 from . import zoo
 
@@ -109,10 +115,7 @@ def cmd_expect(args) -> int:
         "element": encode_group(g),
         "expectation": encode_algebra(rep.output),
         "residual_norm_sq": encode_rational(rep.residual_norm_sq),
-        "character": {
-            "re": encode_rational(rep.character_value.re),
-            "im": encode_rational(rep.character_value.im),
-        },
+        "character": encode_coefficient(rep.character_value),
     }
     print(json.dumps(out, sort_keys=True, indent=2, ensure_ascii=False))
     return 0

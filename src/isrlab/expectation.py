@@ -69,42 +69,9 @@ class SubalgebraSpec:
     # -- orthogonal structure ---------------------------------------------
 
     def _orthogonal_basis(self):
-        if self._orth is not None:
-            return self._orth
-        # union-find over window elements, merged along basis supports
-        parent: dict = {}
-
-        def find(x):
-            while parent[x] is not x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.window:
-            parent[g] = g
-        for b in self.basis:
-            it = iter(b.support())
-            first = find(next(it))
-            for g in it:
-                parent[find(g)] = first
-        components: dict = {}
-        for b in self.basis:
-            root = find(next(iter(b.support())))
-            components.setdefault(root, []).append(b)
-        orth: list[tuple[AlgebraElement, GaussianRational]] = []
-        for group in components.values():
-            local: list[tuple[AlgebraElement, GaussianRational]] = []
-            for b in group:
-                r = b
-                for o, n2 in local:
-                    c = inner_product(o, r)
-                    if not c.is_zero():
-                        r = r - o.scale(c / n2)
-                if not r.is_zero():
-                    local.append((r, inner_product(r, r)))
-            orth.extend(local)
-        self._orth = orth
-        return orth
+        if self._orth is None:
+            self._orth = _orthogonalize(self.basis)
+        return self._orth
 
     def project(self, x: AlgebraElement) -> AlgebraElement:
         """The exact orthogonal projection of x onto span(basis)."""
@@ -220,43 +187,62 @@ def check_E_properties(spec: SubalgebraSpec, samples) -> bool:
 def check_ES_subset_S(spec: SubalgebraSpec, a_basis, s_basis) -> bool:
     """If E preserves span(A), E(S) ⊆ S + span(A), and τ vanishes on
     S·A, then E(S) ⊆ S.  The three hypotheses are verified exactly."""
-    a_span = _SpanTester(a_basis)
-    s_span = _SpanTester(s_basis)
-    sa_span = _SpanTester(list(a_basis) + list(s_basis))
+    a_orth = _orthogonalize(a_basis)
+    s_orth = _orthogonalize(s_basis)
+    sa_orth = _orthogonalize(list(a_basis) + list(s_basis))
     for a in a_basis:
-        if not a_span.contains(spec.project(a)):
+        if not _residual(a_orth, spec.project(a)).is_zero():
             raise HypothesisViolated("E does not preserve the subalgebra A")
     for s in s_basis:
-        if not sa_span.contains(spec.project(s)):
+        if not _residual(sa_orth, spec.project(s)).is_zero():
             raise HypothesisViolated("E(S) is not contained in S + A")
     for s in s_basis:
         for a in a_basis:
             if not trace(s * a).is_zero():
                 raise HypothesisViolated("trace does not vanish on S·A")
-    return all(s_span.contains(spec.project(s)) for s in s_basis)
+    return all(_residual(s_orth, spec.project(s)).is_zero() for s in s_basis)
 
 
-class _SpanTester:
-    """Span-membership oracle over a list of algebra elements."""
+def _residual(orth, x: AlgebraElement) -> AlgebraElement:
+    """x minus its components along the orthogonal (o, ⟨o,o⟩) pairs."""
+    for o, n2 in orth:
+        c = inner_product(o, x)
+        if not c.is_zero():
+            x = x - o.scale(c / n2)
+    return x
 
-    def __init__(self, basis):
-        self._orth: list[tuple[AlgebraElement, GaussianRational]] = []
-        for b in basis:
-            r = b
-            for o, n2 in self._orth:
-                c = inner_product(o, r)
-                if not c.is_zero():
-                    r = r - o.scale(c / n2)
+
+def _orthogonalize(basis) -> list[tuple[AlgebraElement, GaussianRational]]:
+    """(o, ⟨o,o⟩) pairs spanning span(basis), with o pairwise orthogonal.
+
+    Gram–Schmidt runs per component of the support-overlap graph (a
+    union-find over the supports); zero vectors are dropped."""
+    basis = [b for b in basis if not b.is_zero()]
+    parent = {g: g for b in basis for g in b.support()}
+
+    def find(x):
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for b in basis:
+        it = iter(b.support())
+        first = find(next(it))
+        for g in it:
+            parent[find(g)] = first
+    components: dict = {}
+    for b in basis:
+        components.setdefault(find(next(iter(b.support()))), []).append(b)
+    orth: list[tuple[AlgebraElement, GaussianRational]] = []
+    for group in components.values():
+        local: list[tuple[AlgebraElement, GaussianRational]] = []
+        for b in group:
+            r = _residual(local, b)
             if not r.is_zero():
-                self._orth.append((r, inner_product(r, r)))
-
-    def contains(self, x: AlgebraElement) -> bool:
-        r = x
-        for o, n2 in self._orth:
-            c = inner_product(o, r)
-            if not c.is_zero():
-                r = r - o.scale(c / n2)
-        return r.is_zero()
+                local.append((r, inner_product(r, r)))
+        orth.extend(local)
+    return orth
 
 
 # -- JSON spec files -------------------------------------------------------

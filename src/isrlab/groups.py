@@ -664,16 +664,6 @@ def affine_vector_centralizer_gens(n: int) -> list[GroupElement]:
     return gens
 
 
-def wreath_vector_centralizer_gens(n: int) -> list[GroupElement]:
-    """Generators of the centralizer of the lamp z^(1) in S_n ⋉ Z2^n."""
-    gens: list[GroupElement] = [
-        Wreath.vector(F2Vector.basis(k)) for k in range(1, n + 1)
-    ]
-    for i in range(1, n - 1):
-        gens.append(Wreath.perm(transposition(i, i + 1)))
-    return gens
-
-
 def cantor_indicator_centralizer_gens(m: int, a) -> list[GroupElement]:
     """Generators of the centralizer of f̃_A at level m: permutations
     preserving {A, complement(A)} times the whole abelian part."""

@@ -60,7 +60,7 @@ from .projections import (
     make_q_power,
     word_times_matrix,
 )
-from .serialize import encode_algebra, encode_rational
+from .serialize import encode_algebra, encode_coefficient, encode_rational
 
 DEFAULT_SEED = 7
 
@@ -73,7 +73,7 @@ def _render(v):
     if isinstance(v, AlgebraElement):
         return encode_algebra(v)
     if isinstance(v, GaussianRational):
-        return {"re": encode_rational(v.re), "im": encode_rational(v.im)}
+        return encode_coefficient(v)
     if isinstance(v, Fraction):
         return encode_rational(v)
     if isinstance(v, (bool, int, str)) or v is None:
@@ -535,117 +535,77 @@ def suite_cantor(**_) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# symbolic vanishing-product expansion over generic coefficients
+# vanishing-product expansion over generic coefficients
+
+# (conjugator rows, the word map (i, j) -> [i,j,⋆]·h, and the displayed
+# monomials (c_a, c_b, word): c_a·c_b·[word] is one term of A_g·h^{-1}A_g h)
+E12_CASES = (
+    (
+        [[0, 0, 1], [0, 1, 1], [1, 0, 0]],
+        lambda i, j: ("*", j, i ^ j),
+        [
+            ((0, 0), (0, 0), (0, 0, 0)),
+            ((0, 1), (0, 1), (0, 1, 1)),
+            ((1, 0), (1, 0), (1, 0, 1)),
+            ((1, 1), (1, 1), (1, 1, 0)),
+            ((0, 0), (1, 0), (0, 0, 1)),
+            ((0, 1), (1, 1), (0, 1, 0)),
+            ((1, 0), (0, 0), (1, 0, 0)),
+            ((1, 1), (0, 1), (1, 1, 1)),
+        ],
+    ),
+    (
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        lambda i, j: ("*", j, i),
+        [
+            ((0, 0), (0, 0), (0, 0, 0)),
+            ((0, 1), (0, 1), (0, 1, 0)),
+            ((1, 0), (1, 0), (1, 0, 1)),
+            ((1, 1), (1, 1), (1, 1, 1)),
+            ((0, 0), (1, 0), (0, 0, 1)),
+            ((0, 1), (1, 1), (0, 1, 1)),
+            ((1, 0), (0, 0), (1, 0, 0)),
+            ((1, 1), (0, 1), (1, 1, 0)),
+        ],
+    ),
+)
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
+def _by_monomial(terms) -> dict:
+    """Sums the (a, b, x) terms per monomial c_a·c_b; zero sums are dropped."""
     out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(m1, m2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
-
-
-def _sym_scale(elem: AlgebraElement, poly: dict) -> dict:
-    out: dict = {}
-    for g, c in elem.terms.items():
-        out[g] = _poly_mul({(0, 0, 0, 0): c.re}, poly)
-    return out
-
-
-def _sym_add(a: dict, b: dict) -> dict:
-    out = {g: dict(p) for g, p in a.items()}
-    for g, p in b.items():
-        tgt = out.setdefault(g, {})
-        for m, c in p.items():
-            tgt[m] = tgt.get(m, Fraction(0)) + c
-    return {g: {m: c for m, c in p.items() if c} for g, p in out.items()}
-
-
-def _sym_prune(a: dict) -> dict:
-    return {g: p for g, p in a.items() if p}
-
-
-def _sym_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for g, p in a.items():
-        for h, q in b.items():
-            k = multiply(g, h)
-            pq = _poly_mul(p, q)
-            tgt = out.setdefault(k, {})
-            for m, c in pq.items():
-                tgt[m] = tgt.get(m, Fraction(0)) + c
-    return _sym_prune(
-        {g: {m: c for m, c in p.items() if c} for g, p in out.items()}
-    )
-
-
-_SYM_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
-
-
-def _symbol(i: int, j: int) -> dict:
-    mono = [0, 0, 0, 0]
-    mono[_SYM_INDEX[(i, j)]] = 1
-    return {tuple(mono): Fraction(1)}
+    for a, b, x in terms:
+        key = tuple(sorted((a, b)))
+        out[key] = out.get(key, AlgebraElement({})) + x
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def affine_e12_vanishing_check() -> bool:
     """Expands A_g · (h^{-1} A_g h) with A_g = Σ c_ij [i,j,⋆] over generic
     coefficients, for the two 3×3 conjugators of the coordinate-swap
     classification, and matches the expansion against the displayed
-    eight-monomial lists."""
-    cases = [
-        (
-            [[0, 0, 1], [0, 1, 1], [1, 0, 0]],
-            lambda i, j: ("*", j, i ^ j),
-            [
-                ((0, 0), (0, 0), (0, 0, 0)),
-                ((0, 1), (0, 1), (0, 1, 1)),
-                ((1, 0), (1, 0), (1, 0, 1)),
-                ((1, 1), (1, 1), (1, 1, 0)),
-                ((0, 0), (1, 0), (0, 0, 1)),
-                ((0, 1), (1, 1), (0, 1, 0)),
-                ((1, 0), (0, 0), (1, 0, 0)),
-                ((1, 1), (0, 1), (1, 1, 1)),
-            ],
-        ),
-        (
-            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
-            lambda i, j: ("*", j, i),
-            [
-                ((0, 0), (0, 0), (0, 0, 0)),
-                ((0, 1), (0, 1), (0, 1, 0)),
-                ((1, 0), (1, 0), (1, 0, 1)),
-                ((1, 1), (1, 1), (1, 1, 1)),
-                ((0, 0), (1, 0), (0, 0, 1)),
-                ((0, 1), (1, 1), (0, 1, 1)),
-                ((1, 0), (0, 0), (1, 0, 0)),
-                ((1, 1), (0, 1), (1, 1, 0)),
-            ],
-        ),
-    ]
-    for rows, transform, monomials in cases:
+    eight-monomial lists.  The product is bilinear in the c_ij, so its
+    coefficient of c_a·c_b is [a]·[b·h] summed over both orders of (a, b)."""
+    for rows, transform, monomials in E12_CASES:
         h = F2Matrix.from_lists(rows)
         left: dict = {}
         right: dict = {}
-        for i, j in itertools.product((0, 1), repeat=2):
-            w = CylinderWord((i, j))
+        for ij in itertools.product((0, 1), repeat=2):
+            w = CylinderWord(ij)
             moved = word_times_matrix(w, h)
-            if moved != CylinderWord(transform(i, j)):
+            if moved != CylinderWord(transform(*ij)):
                 return False
             # conjugation is licensed: every ⋆-row of h has one entry
             if not cylinder_conjugation_check(w, mat_inverse(h)):
                 return False
-            left = _sym_add(left, _sym_scale(make_cylinder(w), _symbol(i, j)))
-            right = _sym_add(right, _sym_scale(make_cylinder(moved), _symbol(i, j)))
-        product = _sym_mul(left, right)
-        expected: dict = {}
-        for (i, j), (k, l), word in monomials:
-            mono = _poly_mul(_symbol(i, j), _symbol(k, l))
-            expected = _sym_add(
-                expected, _sym_scale(make_cylinder(CylinderWord(word)), mono)
-            )
+            left[ij] = make_cylinder(w)
+            right[ij] = make_cylinder(moved)
+        product = _by_monomial(
+            (a, b, left[a] * right[b]) for a, b in itertools.product(left, right)
+        )
+        expected = _by_monomial(
+            (a, b, make_cylinder(CylinderWord(word))) for a, b, word in monomials
+        )
         if product != expected:
             return False
     return True

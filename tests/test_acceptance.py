@@ -5,6 +5,7 @@ test prints a single pass line with its runtime and asserts the
 criterion's time budget.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -27,6 +28,8 @@ from isrlab.groups import (
 from isrlab.projections import CylinderWord, make_cylinder, make_q_power
 
 SEED = 7
+# sha256 of `run --suite all --seed 7`: the report bytes are a contract
+SEED7_REPORT_SHA256 = "05b154d9b30c6e82ee0b50267da903aeba43bb4887da5943b0dae5f37c24faa1"
 
 
 @lru_cache(maxsize=None)
@@ -193,5 +196,6 @@ def test_criterion_12_determinism(tmp_path):
     blob = first.read_bytes()
     assert blob == second.read_bytes()
     json.loads(blob)  # well-formed
+    assert hashlib.sha256(blob).hexdigest() == SEED7_REPORT_SHA256
     dt = time.perf_counter() - t0
     print(f"criterion 12 (determinism): PASS in {dt:.1f}s")

@@ -3,8 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isrlab.algebra import AlgebraElement, ad, inner_product, norm_sq, trace, unit
+from isrlab.algebra import (
+    AlgebraElement,
+    GaussianRational,
+    ad,
+    inner_product,
+    norm_sq,
+    trace,
+    unit,
+)
 from isrlab.errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
 from isrlab.expectation import (
     SubalgebraSpec,
@@ -23,6 +33,7 @@ from isrlab.groups import (
     Affine,
     Wreath,
     enumerate_group,
+    inverse,
     multiply,
     transposition,
 )
@@ -111,6 +122,121 @@ class TestProjection:
     def test_family_mismatch(self):
         with pytest.raises(FamilyMismatch):
             scalar_spec().project(unit(Affine.identity()))
+
+
+# ---------------------------------------------------------------------------
+# projection laws on random specs, against an exact dense solve of the Gram
+# system (an oracle that shares no code with the Gram–Schmidt in the library)
+
+AFFINE2 = enumerate_group("affine", 2)
+GAUSSIAN = st.builds(
+    lambda re, im, d: GaussianRational(Fraction(re, d), Fraction(im, d)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+).filter(lambda c: not c.is_zero())
+
+
+def _element(draw, region):
+    gs = draw(st.lists(st.sampled_from(region), min_size=1, max_size=3, unique=True))
+    return AlgebraElement({g: draw(GAUSSIAN) for g in gs})
+
+
+@st.composite
+def affine_specs(draw):
+    """A basis list over affine n=2 with a zero vector, a dependent vector,
+    a non-real coefficient and two disjoint support regions; plus two
+    elements x, y of the whole group."""
+    pool = draw(st.permutations(AFFINE2))
+    cut = draw(st.integers(1, 6))
+    regions = (pool[:cut], pool[cut : 2 * cut])
+    basis = [_element(draw, regions[0]), _element(draw, regions[1])]
+    for _ in range(draw(st.integers(0, 3))):
+        basis.append(_element(draw, draw(st.sampled_from(regions))))
+    nonreal = GaussianRational(draw(st.integers(-2, 2)), draw(st.sampled_from([-1, 1, 2])))
+    basis.append(unit(regions[0][0]).scale(nonreal))
+    i, j = draw(st.lists(st.integers(0, len(basis) - 1), min_size=2, max_size=2))
+    basis.append(basis[i].scale(draw(GAUSSIAN)) + basis[j].scale(draw(GAUSSIAN)))
+    basis.insert(draw(st.integers(0, len(basis))), AlgebraElement({}))
+    return basis, _element(draw, AFFINE2), _element(draw, AFFINE2)
+
+
+def _dot(u, v):
+    return sum(
+        (c.conjugate() * v.coefficient(g) for g, c in u.terms.items()),
+        GaussianRational(),
+    )
+
+
+def gram_projection(basis, x):
+    """Σ λ_j b_j for a solution λ of G·λ = (⟨b_i, x⟩)_i, G_ij = ⟨b_i, b_j⟩,
+    by Gauss–Jordan elimination; free unknowns of a singular G are 0."""
+    k = len(basis)
+    rows = [[_dot(bi, bj) for bj in basis] + [_dot(bi, x)] for bi in basis]
+    pivots = []
+    for col in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r][col]
+        rows[r] = [c / p for c in rows[r]]
+        for i in range(k):
+            f = rows[i][col]
+            if i != r and not f.is_zero():
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    lam = [GaussianRational()] * k
+    for row, col in zip(rows, pivots):
+        lam[col] = row[k]
+    return AlgebraElement(
+        {g: sum((l * b.coefficient(g) for l, b in zip(lam, basis)), GaussianRational()) for g in AFFINE2}
+    )
+
+
+def random_spec(basis):
+    return SubalgebraSpec("random", basis, AFFINE2)
+
+
+class TestProjectionOracle:
+    @given(affine_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gram_solve(self, case):
+        basis, x, y = case
+        spec = random_spec(basis)
+        assert spec.project(x) == gram_projection(basis, x)
+        assert spec.project(y) == gram_projection(basis, y)
+
+    @given(affine_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_laws(self, case):
+        basis, x, y = case
+        spec = random_spec(basis)
+        ex, ey = spec.project(x), spec.project(y)
+        assert spec.project(ex) == ex  # idempotent
+        assert inner_product(ex, y) == inner_product(x, ey)  # self-adjoint
+        for b in basis:
+            assert inner_product(b, x - ex) == 0  # residual ⟂ span
+
+    @given(affine_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_membership(self, case):
+        basis, x, y = case
+        spec = random_spec(basis)
+        for z in (x, spec.project(x), basis[-1] - spec.project(y)):
+            assert spec.contains(z) == (gram_projection(basis, z) == z)
+
+    @given(affine_specs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_es_subset_s_membership(self, case, data):
+        # S = span{y} with supp(y) off supp(A)^{-1}, so τ vanishes on S·A
+        basis, _, _ = case
+        spec = random_spec(basis)
+        inverses = {inverse(g) for b in basis for g in b.support()}
+        y = _element(data.draw, [g for g in AFFINE2 if g not in inverses])
+        expected = SubalgebraSpec("S", [y], AFFINE2).contains(spec.project(y))
+        assert check_ES_subset_S(spec, basis, [AlgebraElement({}), y]) == expected
 
 
 class TestInvariance:

@@ -124,6 +124,15 @@ class TestWitnesses:
     def test_e12_vanishing(self):
         assert zoo.affine_e12_vanishing_check()
 
+    def test_e12_vanishing_can_fail(self, monkeypatch):
+        # move the c_00² monomial of the first case from [0,0,0] to [1,1,1]
+        (rows, transform, monomials), *rest = zoo.E12_CASES
+        (a, b, word), *others = monomials
+        assert word == (0, 0, 0)
+        broken = ((rows, transform, [(a, b, (1, 1, 1))] + others), *rest)
+        monkeypatch.setattr(zoo, "E12_CASES", broken)
+        assert zoo.affine_e12_vanishing_check() is False
+
 
 class TestLamplighter:
     def test_modulus_guard(self):
