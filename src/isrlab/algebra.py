@@ -122,6 +122,13 @@ class AlgebraElement:
             pruned[g] = c
         object.__setattr__(self, "terms", pruned)
 
+    @classmethod
+    def _trusted(cls, terms: dict) -> "AlgebraElement":
+        """Wrap terms already known to be nonzero and of one family."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
@@ -165,7 +172,7 @@ class AlgebraElement:
         c = as_gaussian(c)
         if c.is_zero():
             return AlgebraElement({})
-        return AlgebraElement({g: x * c for g, x in self.terms.items()})
+        return AlgebraElement._trusted({g: x * c for g, x in self.terms.items()})
 
     # -- ring operations ---------------------------------------------------
 
@@ -239,12 +246,13 @@ def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
             else:
                 re[k] = re.get(k, 0) + cr * dr
     den = dx * dy
-    return AlgebraElement(
+    return AlgebraElement._trusted(
         {
             k: GaussianRational(
                 Fraction(r, den), Fraction(im.get(k, 0), den) if im else 0
             )
             for k, r in re.items()
+            if r or (im and im.get(k))
         }
     )
 
@@ -286,4 +294,4 @@ def ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
         return x
     _check_family(g, next(iter(x.terms)))
     conj = g.conjugation()
-    return AlgebraElement({conj(h): c for h, c in x.terms.items()})
+    return AlgebraElement._trusted({conj(h): c for h, c in x.terms.items()})

@@ -54,12 +54,28 @@ def _suite_kwargs(args) -> dict:
     return kw
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a report path that cannot be written, before any suite runs."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(parent):
+        problem = "its directory does not exist"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise IsrlabError(f"cannot write --out {path}: {problem}")
+
+
 def cmd_run(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             print(f"unknown suite: {name}", file=sys.stderr)
             return 2
+    if args.out:
+        _check_writable(args.out)
     kw = _suite_kwargs(args)
     reports = [SUITES[name](**kw) for name in names]
     doc = {

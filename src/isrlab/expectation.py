@@ -3,10 +3,14 @@ spanned invariant subalgebra, within a declared support window.
 
 The expectation is the orthogonal projection in the ⟨x,y⟩ = τ(x*y)
 inner product onto the exact linear span of the spec's basis.  The
-basis may be linearly dependent; a rank-revealing Gram–Schmidt over
-Gaussian rationals absorbs redundancy.  Basis vectors with disjoint
-supports are automatically orthogonal, so the orthogonalization runs
-per support-component — this keeps the large scenario specs cheap.
+basis may be linearly dependent; a rank-revealing Gram–Schmidt absorbs
+redundancy.  It runs once per basis on sparse Gaussian-integer rows
+over int ids: a projection does not change when a vector is rescaled,
+so each orthogonal vector is kept primitive (its entries share no
+factor) with its integer norm, and the update needs no fractions.  An
+inverted index from ids to the rows that touch them makes every dot
+product visit only the rows meeting the vector's support.  Fractions
+appear only at the API edge, one per output coefficient.
 """
 
 from __future__ import annotations
@@ -14,10 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import (
     AlgebraElement,
     GaussianRational,
+    _scaled,
     ad,
     inner_product,
     norm_sq,
@@ -55,7 +61,7 @@ class SubalgebraSpec:
         for b in basis:
             if b.family() != fam:
                 raise FamilyMismatch("basis elements from different families")
-            if not b.support() <= window:
+            if not window.issuperset(b.terms):
                 raise ValueError(f"basis element escapes the window: {b!r}")
         if not any(g.is_identity() for g in window):
             raise ValueError("window must contain the identity")
@@ -63,26 +69,24 @@ class SubalgebraSpec:
         self.family = fam
         self.basis = basis
         self.window = window
-        self._orth: list[tuple[AlgebraElement, GaussianRational]] | None = None
+        self._span: _Span | None = None
         self._unit_cache: dict[GroupElement, AlgebraElement] = {}
 
     # -- orthogonal structure ---------------------------------------------
 
-    def _orthogonal_basis(self):
-        if self._orth is None:
-            self._orth = _orthogonalize(self.basis)
-        return self._orth
+    def _orthogonal_basis(self) -> "_Span":
+        if self._span is None:
+            self._span = _Span(self.basis)
+        return self._span
+
+    def _check(self, x: AlgebraElement):
+        if x.family() is not None and x.family() != self.family:
+            raise FamilyMismatch(f"{x.family()} element against {self.family} spec")
 
     def project(self, x: AlgebraElement) -> AlgebraElement:
         """The exact orthogonal projection of x onto span(basis)."""
-        if x.family() is not None and x.family() != self.family:
-            raise FamilyMismatch(f"{x.family()} element against {self.family} spec")
-        out = AlgebraElement({})
-        for o, n2 in self._orthogonal_basis():
-            c = inner_product(o, x)
-            if not c.is_zero():
-                out = out + o.scale(c / n2)
-        return out
+        self._check(x)
+        return self._orthogonal_basis().project(x)
 
     def expect_unit(self, g: GroupElement) -> AlgebraElement:
         """E(u_g), memoized."""
@@ -94,7 +98,8 @@ class SubalgebraSpec:
 
     def contains(self, x: AlgebraElement) -> bool:
         """Exact span membership."""
-        return (x - self.project(x)).is_zero()
+        self._check(x)
+        return self._orthogonal_basis().contains(x)
 
 
 def verify_invariance(spec: SubalgebraSpec, conjugators) -> bool:
@@ -187,62 +192,127 @@ def check_E_properties(spec: SubalgebraSpec, samples) -> bool:
 def check_ES_subset_S(spec: SubalgebraSpec, a_basis, s_basis) -> bool:
     """If E preserves span(A), E(S) ⊆ S + span(A), and τ vanishes on
     S·A, then E(S) ⊆ S.  The three hypotheses are verified exactly."""
-    a_orth = _orthogonalize(a_basis)
-    s_orth = _orthogonalize(s_basis)
-    sa_orth = _orthogonalize(list(a_basis) + list(s_basis))
+    a_span = _Span(a_basis)
+    s_span = _Span(s_basis)
+    sa_span = _Span(list(a_basis) + list(s_basis))
     for a in a_basis:
-        if not _residual(a_orth, spec.project(a)).is_zero():
+        if not a_span.contains(spec.project(a)):
             raise HypothesisViolated("E does not preserve the subalgebra A")
     for s in s_basis:
-        if not _residual(sa_orth, spec.project(s)).is_zero():
+        if not sa_span.contains(spec.project(s)):
             raise HypothesisViolated("E(S) is not contained in S + A")
     for s in s_basis:
         for a in a_basis:
             if not trace(s * a).is_zero():
                 raise HypothesisViolated("trace does not vanish on S·A")
-    return all(_residual(s_orth, spec.project(s)).is_zero() for s in s_basis)
+    return all(s_span.contains(spec.project(s)) for s in s_basis)
 
 
-def _residual(orth, x: AlgebraElement) -> AlgebraElement:
-    """x minus its components along the orthogonal (o, ⟨o,o⟩) pairs."""
-    for o, n2 in orth:
-        c = inner_product(o, x)
-        if not c.is_zero():
-            x = x - o.scale(c / n2)
-    return x
+class _Span:
+    """An orthogonal basis of span(vectors), built once by Gram–Schmidt.
 
+    Group elements map to int ids.  Each orthogonal vector o is a
+    primitive Gaussian-integer row {id: (re, im)} stored with its norm
+    N = ⟨o,o⟩; ``index`` maps an id to the (row, re, im) entries at it.
+    The length is the rank.
+    """
 
-def _orthogonalize(basis) -> list[tuple[AlgebraElement, GaussianRational]]:
-    """(o, ⟨o,o⟩) pairs spanning span(basis), with o pairwise orthogonal.
+    def __init__(self, vectors):
+        ids: dict[GroupElement, int] = {}
+        self.ids = ids
+        self.rows: list[tuple[dict, int]] = []
+        self.index: dict[int, list[tuple[int, int, int]]] = {}
+        for b in vectors:
+            _, scaled = _scaled(b)
+            r = self._reduce(
+                {ids.setdefault(g, len(ids)): (re, im) for g, re, im in scaled}
+            )
+            if r:
+                k = len(self.rows)
+                self.rows.append((r, sum(a * a + c * c for a, c in r.values())))
+                for i, (a, c) in r.items():
+                    self.index.setdefault(i, []).append((k, a, c))
+        self.elements = list(ids)
 
-    Gram–Schmidt runs per component of the support-overlap graph (a
-    union-find over the supports); zero vectors are dropped."""
-    basis = [b for b in basis if not b.is_zero()]
-    parent = {g: g for b in basis for g in b.support()}
+    def __len__(self) -> int:
+        return len(self.rows)
 
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def project(self, x: AlgebraElement) -> AlgebraElement:
+        den, row = self._row(x)
+        scale, p = self._project(row)
+        den *= scale
+        elements = self.elements
+        return AlgebraElement._trusted(
+            {
+                elements[i]: GaussianRational(
+                    Fraction(re, den), Fraction(im, den) if im else 0
+                )
+                for i, (re, im) in p.items()
+                if re or im
+            }
+        )
 
-    for b in basis:
-        it = iter(b.support())
-        first = find(next(it))
-        for g in it:
-            parent[find(g)] = first
-    components: dict = {}
-    for b in basis:
-        components.setdefault(find(next(iter(b.support()))), []).append(b)
-    orth: list[tuple[AlgebraElement, GaussianRational]] = []
-    for group in components.values():
-        local: list[tuple[AlgebraElement, GaussianRational]] = []
-        for b in group:
-            r = _residual(local, b)
-            if not r.is_zero():
-                local.append((r, inner_product(r, r)))
-        orth.extend(local)
-    return orth
+    def contains(self, x: AlgebraElement) -> bool:
+        ids = self.ids
+        if any(g not in ids for g in x.terms):
+            return False
+        return not self._reduce(self._row(x)[1])
+
+    def _row(self, x: AlgebraElement) -> tuple[int, dict]:
+        """(D, D·x as a Gaussian-integer row), dropping the elements no
+        row touches (they are orthogonal to the span)."""
+        den, scaled = _scaled(x)
+        ids = self.ids
+        return den, {
+            i: (re, im)
+            for g, re, im in scaled
+            if (i := ids.get(g)) is not None
+        }
+
+    def _project(self, row: dict) -> tuple[int, dict]:
+        """(L, P) with E(row) = P / L and P a Gaussian-integer row:
+        E(row) = Σ_o (⟨o,row⟩ / N_o)·o over the rows meeting row."""
+        dots: dict[int, list[int]] = {}
+        index = self.index
+        for i, (c, d) in row.items():
+            for k, a, b in index.get(i, ()):
+                acc = dots.get(k)
+                if acc is None:
+                    acc = dots[k] = [0, 0]
+                # conj(a + ib)·(c + id)
+                acc[0] += a * c + b * d
+                acc[1] += a * d - b * c
+        terms = []
+        scale = 1
+        for k, (re, im) in dots.items():
+            if re or im:
+                o, n = self.rows[k]
+                g = gcd(re, im, n)
+                q = n // g
+                terms.append((o, re // g, im // g, q))
+                scale = lcm(scale, q)
+        out: dict[int, tuple[int, int]] = {}
+        for o, re, im, q in terms:
+            f = scale // q
+            re *= f
+            im *= f
+            for i, (a, b) in o.items():
+                pr, pi = out.get(i, (0, 0))
+                out[i] = (pr + re * a - im * b, pi + re * b + im * a)
+        return scale, out
+
+    def _reduce(self, row: dict) -> dict:
+        """The primitive row along row − E(row); empty iff row is in the span."""
+        scale, p = self._project(row)
+        r = {}
+        for i in row.keys() | p.keys():
+            c, d = row.get(i, (0, 0))
+            pr, pi = p.get(i, (0, 0))
+            re, im = scale * c - pr, scale * d - pi
+            if re or im:
+                r[i] = (re, im)
+        g = gcd(*(part for v in r.values() for part in v))
+        return {i: (re // g, im // g) for i, (re, im) in r.items()} if g > 1 else r
 
 
 # -- JSON spec files -------------------------------------------------------

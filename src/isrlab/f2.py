@@ -81,7 +81,7 @@ class F2Vector:
         return isinstance(other, F2Vector) and self.bits == other.bits
 
     def __hash__(self):
-        return hash(("F2Vector", self.bits))
+        return hash(self.bits)
 
     def to_bitstring(self, width: int | None = None) -> str:
         n = self.dim if width is None else width
@@ -177,7 +177,7 @@ class F2Matrix:
         return isinstance(other, F2Matrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("F2Matrix", self.rows))
+        return hash(self.rows)
 
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":
         return mat_mul(self, other)

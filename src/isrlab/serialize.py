@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraElement, GaussianRational
-from .f2 import F2Matrix, F2Vector
+from .f2 import F2Matrix, F2Vector, _rank_of_rows
 from .groups import Affine, Cantor, GroupElement, Lamplighter, Wreath
 
 
@@ -62,23 +62,60 @@ def encode_group(g: GroupElement) -> dict:
     raise TypeError(f"not a group element: {g!r}")
 
 
+def _bits(s, name: str) -> str:
+    if not isinstance(s, str) or s.strip("01"):
+        raise ValueError(f"{name} must be a string of 0s and 1s")
+    return s
+
+
+def _int(x, name: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer")
+    return x
+
+
+def _perm(p, name: str) -> tuple[int, ...]:
+    """A one-line image list of 1..k, as 0-indexed images."""
+    if (
+        not isinstance(p, list)
+        or any(type(i) is not int for i in p)
+        or sorted(p) != list(range(1, len(p) + 1))
+    ):
+        raise ValueError(f"{name} must be a permutation of 1..k")
+    return tuple(i - 1 for i in p)
+
+
 def decode_group(d: dict) -> GroupElement:
-    fam = d["family"]
+    """Inverse of encode_group; malformed input raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("a group element must be a JSON object")
+    fam = d.get("family")
     if fam == "affine":
-        return Affine(F2Matrix.from_bitstring(d["g"]), F2Vector.from_bitstring(d["v"]))
+        g = F2Matrix.from_bitstring(_bits(d.get("g"), "g"))
+        if _rank_of_rows(g.rows) < g.n:
+            raise ValueError("g must be an invertible matrix")
+        return Affine(g, F2Vector.from_bitstring(_bits(d.get("v"), "v")))
     if fam == "wreath":
         return Wreath(
-            tuple(i - 1 for i in d["perm"]), F2Vector.from_bitstring(d["v"])
+            _perm(d.get("perm"), "perm"),
+            F2Vector.from_bitstring(_bits(d.get("v"), "v")),
         )
     if fam == "lamplighter":
-        bits = sum(1 << i for i, c in enumerate(d["v"]) if c == "1")
-        return Lamplighter(d["m"], bits, d["t"])
+        v = _bits(d.get("v"), "v")
+        bits = sum(1 << i for i, c in enumerate(v) if c == "1")
+        return Lamplighter(_int(d.get("m"), "m"), bits, _int(d.get("t"), "t"))
     if fam == "cantor":
-        m = d["m"]
+        words = d.get("a")
+        if not isinstance(words, list):
+            raise ValueError("a must be a list of point words")
         pts = frozenset(
-            sum(1 << j for j, c in enumerate(w) if c == "1") for w in d["a"]
+            sum(1 << j for j, c in enumerate(_bits(w, "a point word")) if c == "1")
+            for w in words
         )
-        return Cantor(m, tuple(i - 1 for i in d["perm"]), pts)
+        m, sigma = _int(d.get("m"), "m"), _perm(d.get("perm"), "perm")
+        if m < 0 or len(sigma).bit_length() != m + 1:  # before any 1 << m
+            raise ValueError("perm must have 2^m entries")
+        return Cantor(m, sigma, pts)
     raise ValueError(f"unknown family {fam!r}")
 
 

@@ -125,11 +125,15 @@ def build_mexo(n: int) -> SubalgebraSpec:
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
     window = enumerate_group("affine", n)
+    vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
     for g in gl_elements(n):
-        head = unit(Affine.matrix(g)) * make_f(g)
-        for bits in range(1 << n):
-            basis.append(head * unit(Affine.vector(F2Vector(bits))))
+        # u_g·f_g·u_v = |R|⁻¹ Σ_{w ∈ R} u_{(g, w+v)}, R = R(g − I)
+        coset = [Affine(g, u) for u in vectors]
+        r = [w.bits for w in range_subgroup(g)]
+        c = GaussianRational(Fraction(1, len(r)))
+        for v in range(1 << n):
+            basis.append(AlgebraElement._trusted({coset[w ^ v]: c for w in r}))
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
 
@@ -383,11 +387,20 @@ def build_mq(n: int, sign: int = 1) -> SubalgebraSpec:
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mq truncation {n} not in [2, 4]")
     window = enumerate_group("wreath", n)
+    vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
     for p in itertools.permutations(range(n)):
-        head = unit(Wreath.perm(p)) * make_q_power(sign, _perm_support(p))
-        for bits in range(1 << n):
-            basis.append(head * unit(Wreath.vector(F2Vector(bits))))
+        # u_s·Q^A·u_v = 2^{-|A|} Σ_{B ⊆ A} (±1)^{|B|} u_{(s, z_B + v)}, A = supp s
+        coset = [Wreath(p, u) for u in vectors]
+        a = sorted(_perm_support(p))
+        c = Fraction(1, 1 << len(a))
+        head = [
+            (sum(1 << (j - 1) for j, bit in zip(a, pick) if bit),
+             GaussianRational(c * sign ** sum(pick)))
+            for pick in itertools.product((0, 1), repeat=len(a))
+        ]
+        for v in range(1 << n):
+            basis.append(AlgebraElement._trusted({coset[z ^ v]: d for z, d in head}))
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
 

@@ -2,12 +2,14 @@ import json
 
 import pytest
 
+from isrlab import zoo
 from isrlab.cli import main
 from isrlab.expectation import spec_to_dict
 from isrlab.f2 import F2Vector
 from isrlab.groups import Affine
 from isrlab.algebra import unit
 from isrlab.expectation import SubalgebraSpec
+from isrlab.serialize import decode_group
 
 SWAP_JSON = '{"family": "affine", "g": "0110", "n": 2, "v": "00"}'
 
@@ -58,8 +60,41 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "ISRLAB_CAP" in err
 
+    @pytest.mark.parametrize("where", ["missing/r.json", "."])
+    def test_out_unwritable(self, tmp_path, monkeypatch, capsys, where):
+        # refused before any suite runs: a missing directory, or a directory
+        def never(**_):
+            raise AssertionError("a suite ran before the --out check")
+
+        for name in zoo.SUITES:
+            monkeypatch.setitem(zoo.SUITES, name, never)
+        out = tmp_path / where
+        assert main(["run", "--suite", "all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
+MALFORMED_ELEMENTS = {
+    "list": "[1,2,3]",
+    "string": '"affine"',
+    "int-field": '{"family":"affine","g":5,"v":"0"}',
+    "not-a-permutation": '{"family":"wreath","perm":[3,1],"v":"0"}',
+    "singular-matrix": '{"family":"affine","g":"0000","v":"00"}',
+    "bad-bit": '{"family":"wreath","perm":[2,1],"v":"02"}',
+    "missing-field": '{"family":"lamplighter","m":3,"v":"001"}',
+    "cantor-level": '{"family":"cantor","m":1000000000000,"perm":[1,2],"a":[]}',
+}
+
 
 class TestExpect:
+    @pytest.mark.parametrize("text", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS)
+    def test_malformed_element(self, capsys, text):
+        with pytest.raises(ValueError):
+            decode_group(json.loads(text))
+        assert main(["expect", "mq:2", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_builtin_mexo_swap(self, capsys):
         assert main(["expect", "mexo:2", SWAP_JSON]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -229,6 +229,19 @@ class TestProjectionOracle:
 
     @given(affine_specs(), st.data())
     @settings(max_examples=60, deadline=None)
+    def test_trace_preserved_on_unital_spans(self, case, data):
+        # 1 enters the span only through a combination: b_j and c·1 + b_j
+        basis, x, y = case
+        one = unit(Affine.identity())
+        hidden = one.scale(data.draw(GAUSSIAN)) + data.draw(st.sampled_from(basis))
+        basis.insert(data.draw(st.integers(0, len(basis))), hidden)
+        spec = random_spec(basis)
+        assert spec.contains(one)
+        for z in (x, y, x.scale(data.draw(GAUSSIAN)) + y):
+            assert trace(spec.project(z)) == trace(z)
+
+    @given(affine_specs(), st.data())
+    @settings(max_examples=60, deadline=None)
     def test_es_subset_s_membership(self, case, data):
         # S = span{y} with supp(y) off supp(A)^{-1}, so τ vanishes on S·A
         basis, _, _ = case

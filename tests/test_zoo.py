@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,16 @@ class TestMexo:
             zoo.build_mexo(1)
         with pytest.raises(DimensionOutOfRange):
             zoo.build_mexo(5)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_basis_matches_convolved(self, n):
+        # build_mexo writes u_g·f_g·u_v term by term; the products define it
+        expected = [
+            unit(Affine.matrix(g)) * make_f(g) * unit(Affine.vector(F2Vector(v)))
+            for g in gl_elements(n)
+            for v in range(1 << n)
+        ]
+        assert list(zoo.build_mexo(n).basis) == expected
 
     def test_basis_size_bound(self):
         spec = zoo.build_mexo(2)
@@ -80,6 +91,19 @@ class TestMq:
     def test_dimension_guard(self):
         with pytest.raises(DimensionOutOfRange):
             zoo.build_mq(5)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_basis_matches_convolved(self, n, sign):
+        # build_mq writes u_s·Q^{supp s}·u_v term by term; the products define it
+        expected = [
+            unit(Wreath.perm(p))
+            * make_q_power(sign, {i + 1 for i in range(n) if p[i] != i})
+            * unit(Wreath.vector(F2Vector(v)))
+            for p in itertools.permutations(range(n))
+            for v in range(1 << n)
+        ]
+        assert list(zoo.build_mq(n, sign).basis) == expected
 
     def test_swap_expectation(self):
         for sign in (1, -1):
