@@ -1,16 +1,18 @@
 """Sparse exact group-algebra arithmetic with the canonical trace.
 
-An AlgebraElement is a finitely supported map from group elements to
-Gaussian-rational coefficients — a vector of the group algebra C[G].
-All arithmetic is exact; zero coefficients are pruned eagerly so that
-equality is termwise equality of canonical forms.
+An AlgebraElement is a finitely supported vector of the group algebra
+C[G], stored in integers: the coefficient at g is (re + i·im)/den for
+ints[g] = (re, im).  Zero pairs are pruned and the form is reduced
+(gcd(den, every part) = 1), so equality is equality of (den, ints).
+All arithmetic runs on these integers; GaussianRational is the value
+type at the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import FamilyMismatch
 from .groups import GroupElement, _check_family, identity_like, inverse, multiply
@@ -67,9 +69,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
@@ -103,14 +102,27 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i·im)/den."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den) if im else 0)
+
+
+def _ints(c: GaussianRational, den: int) -> tuple[int, int]:
+    """den·c as a Gaussian-integer pair; den must clear c's denominators."""
+    return (c.re.numerator * (den // c.re.denominator),
+            c.im.numerator * (den // c.im.denominator))
+
+
 class AlgebraElement:
     """Finitely supported C[G] vector; keys are canonical group elements."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "ints")
 
     def __init__(self, terms: dict):
+        """From a map g → int, Fraction or GaussianRational; zeros drop."""
         pruned = {}
         fam = None
+        den = 1
         for g, c in terms.items():
             c = as_gaussian(c)
             if c.is_zero():
@@ -120,13 +132,23 @@ class AlgebraElement:
             elif g.family != fam:
                 raise FamilyMismatch("mixed families in one algebra element")
             pruned[g] = c
-        object.__setattr__(self, "terms", pruned)
+            den = lcm(den, c.re.denominator, c.im.denominator)
+        # the lcm of reduced denominators already leaves gcd 1
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", {g: _ints(c, den) for g, c in pruned.items()})
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "AlgebraElement":
-        """Wrap terms already known to be nonzero and of one family."""
+    def _trusted(cls, den: int, ints: dict) -> "AlgebraElement":
+        """Wrap nonzero Gaussian-integer pairs of one family over den > 0,
+        reduced to lowest terms."""
+        if den > 1:
+            g = gcd(den, *(part for pair in ints.values() for part in pair))
+            if g > 1:
+                den //= g
+                ints = {k: (re // g, im // g) for k, (re, im) in ints.items()}
         x = object.__new__(cls)
-        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "den", den)
+        object.__setattr__(x, "ints", ints)
         return x
 
     def __setattr__(self, *a):
@@ -134,17 +156,22 @@ class AlgebraElement:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """A fresh map g → GaussianRational of the nonzero coefficients."""
+        return {g: _gaussian(re, im, self.den) for g, (re, im) in self.ints.items()}
+
     def support(self):
-        return set(self.terms)
+        return set(self.ints)
 
     def coefficient(self, g: GroupElement) -> GaussianRational:
-        return self.terms.get(g, GR_ZERO)
+        return _gaussian(*self.ints.get(g, (0, 0)), self.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def family(self) -> str | None:
-        for g in self.terms:
+        for g in self.ints:
             return g.family
         return None
 
@@ -157,10 +184,13 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, GR_ZERO) + c
-        return AlgebraElement(out)
+        den = lcm(self.den, other.den)
+        fx, fy = den // self.den, den // other.den
+        out = {g: (re * fx, im * fx) for g, (re, im) in self.ints.items()}
+        for g, (re, im) in other.ints.items():
+            a, b = out.get(g, (0, 0))
+            out[g] = (a + re * fy, b + im * fy)
+        return AlgebraElement._trusted(den, {g: p for g, p in out.items() if p != (0, 0)})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
@@ -170,9 +200,11 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         c = as_gaussian(c)
-        if c.is_zero():
-            return AlgebraElement({})
-        return AlgebraElement._trusted({g: x * c for g, x in self.terms.items()})
+        m = lcm(c.re.denominator, c.im.denominator)
+        p, q = _ints(c, m)
+        # (re + i·im)(p + iq) is nonzero unless c is: Z[i] has no zero divisors
+        ints = {g: (re * p - im * q, re * q + im * p) for g, (re, im) in self.ints.items()}
+        return AlgebraElement._trusted(self.den * m, ints if p or q else {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -180,18 +212,20 @@ class AlgebraElement:
         return convolve(self, other)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(
-            {inverse(g): c.conjugate() for g, c in self.terms.items()}
+        return AlgebraElement._trusted(
+            self.den, {inverse(g): (re, -im) for g, (re, im) in self.ints.items()}
         )
 
     def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.terms == other.terms
+        if not isinstance(other, AlgebraElement):
+            return False
+        return self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.ints.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.ints:
             return "AlgebraElement(0)"
         items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
         body = " + ".join(f"{c}*u[{g}]" for g, c in items)
@@ -200,7 +234,7 @@ class AlgebraElement:
 
 def unit(g: GroupElement) -> AlgebraElement:
     """The canonical unitary u_g."""
-    return AlgebraElement({g: GR_ONE})
+    return AlgebraElement._trusted(1, {g: (1, 0)})
 
 
 def one_like(g: GroupElement) -> AlgebraElement:
@@ -213,85 +247,67 @@ def combine(alpha, x: AlgebraElement, beta, y: AlgebraElement) -> AlgebraElement
     return x.scale(alpha) + y.scale(beta)
 
 
-def _scaled(x: AlgebraElement):
-    """(D, [(g, D·Re c_g, D·Im c_g)]): the coefficients as integers over
-    one common denominator D."""
-    den = 1
-    for c in x.terms.values():
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    return den, [
-        (g, c.re.numerator * (den // c.re.denominator),
-         c.im.numerator * (den // c.im.denominator))
-        for g, c in x.terms.items()
-    ]
-
-
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in C[G]: bilinear extension of the group law.
 
-    The sums run over exact integers; each output coefficient becomes a
-    fraction once, over the product of the two common denominators.
+    The sums run over the stored integers; the result is reduced once,
+    over the product of the two denominators.
     """
     x._check(y)
-    dx, xs = _scaled(x)
-    dy, ys = _scaled(y)
     re: dict = {}
     im: dict = {}
-    for g, cr, ci in xs:
-        for h, dr, di in ys:
+    for g, (cr, ci) in x.ints.items():
+        for h, (dr, di) in y.ints.items():
             k = multiply(g, h)
             if ci or di:
                 im[k] = im.get(k, 0) + cr * di + ci * dr
                 re[k] = re.get(k, 0) + cr * dr - ci * di
             else:
                 re[k] = re.get(k, 0) + cr * dr
-    den = dx * dy
     return AlgebraElement._trusted(
+        x.den * y.den,
         {
-            k: GaussianRational(
-                Fraction(r, den), Fraction(im.get(k, 0), den) if im else 0
-            )
+            k: (r, im.get(k, 0))
             for k, r in re.items()
             if r or (im and im.get(k))
-        }
+        },
     )
 
 
 def trace(x: AlgebraElement) -> GaussianRational:
     """τ(x): the coefficient at the identity."""
-    for g, c in x.terms.items():
+    for g, (re, im) in x.ints.items():
         if g.is_identity():
-            return c
+            return _gaussian(re, im, x.den)
     return GR_ZERO
 
 
 def inner_product(x: AlgebraElement, y: AlgebraElement) -> GaussianRational:
     """⟨x, y⟩ = τ(x* y) = Σ_g conj(c_g) d_g, linear on the right."""
     x._check(y)
-    small, big = (x, y) if len(x.terms) <= len(y.terms) else (y, x)
-    acc = GR_ZERO
-    for g, c in small.terms.items():
-        d = big.terms.get(g)
+    small, big = (x, y) if len(x.ints) <= len(y.ints) else (y, x)
+    re = im = 0
+    for g, (a, b) in small.ints.items():
+        d = big.ints.get(g)
         if d is not None:
-            if small is x:
-                acc = acc + c.conjugate() * d
-            else:
-                acc = acc + d.conjugate() * c
-    return acc
+            # conj(a + ib)·(c + ie)
+            c, e = d
+            re += a * c + b * e
+            im += a * e - b * c
+    # summed over small, that is ⟨small, big⟩ = conj(⟨big, small⟩)
+    return _gaussian(re, im if small is x else -im, x.den * y.den)
 
 
 def norm_sq(x: AlgebraElement) -> Fraction:
     """⟨x, x⟩, an exact nonnegative rational."""
-    acc = Fraction(0)
-    for c in x.terms.values():
-        acc += c.norm_sq()
-    return acc
+    total = sum(re * re + im * im for re, im in x.ints.values())
+    return Fraction(total, x.den * x.den)
 
 
 def ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     """The adjoint action u_g x u_g^{-1}, applied termwise."""
-    if not x.terms:
+    if not x.ints:
         return x
-    _check_family(g, next(iter(x.terms)))
+    _check_family(g, next(iter(x.ints)))
     conj = g.conjugation()
-    return AlgebraElement._trusted({conj(h): c for h, c in x.terms.items()})
+    return AlgebraElement._trusted(x.den, {conj(h): pair for h, pair in x.ints.items()})

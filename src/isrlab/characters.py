@@ -66,7 +66,16 @@ def parse_character(name: str) -> CharacterSpec:
         key, _, val = part.partition("=")
         key = key.strip().lower()
         val = val.strip().lower()
-        kv[key] = INF if val in (INF, "∞") else int(val)
+        try:
+            kv[key] = INF if val in (INF, "∞") else int(val)
+        except ValueError:
+            raise ValueError(
+                f"character parameter {key!r} must be an integer or 'inf', got {val!r}"
+            ) from None
+    needed = {"affine": ("k", "d"), "gl": ("m",), "cantor": ("k",)}.get(kind, ())
+    missing = [key for key in needed if key not in kv]
+    if missing:
+        raise ValueError(f"character {name!r} needs {' and '.join(missing)}")
     if kind == "affine":
         return CharacterSpec("affine", k=kv["k"], d=kv["d"])
     if kind == "gl":

@@ -145,7 +145,11 @@ def _print_tsv(rows) -> None:
 def cmd_tables(args) -> int:
     which = args.table
     if which in ("characters", "all"):
-        chi = parse_character(args.character)
+        try:
+            chi = parse_character(args.character)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         n = args.n if args.n is not None else 2
         family = "cantor" if chi.kind == "cantor" else "affine"
         pool = enumerate_group(family, n)

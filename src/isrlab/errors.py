@@ -30,7 +30,7 @@ class NotSymmetric(IsrlabError):
 
 
 class Overflow(IsrlabError):
-    """Raised when an orbit or closure BFS exceeds its cap."""
+    """Raised when an orbit, a closure BFS or a pair enumeration exceeds its cap."""
 
 
 class DimensionOutOfRange(IsrlabError):

@@ -5,12 +5,13 @@ The expectation is the orthogonal projection in the ⟨x,y⟩ = τ(x*y)
 inner product onto the exact linear span of the spec's basis.  The
 basis may be linearly dependent; a rank-revealing Gram–Schmidt absorbs
 redundancy.  It runs once per basis on sparse Gaussian-integer rows
-over int ids: a projection does not change when a vector is rescaled,
-so each orthogonal vector is kept primitive (its entries share no
-factor) with its integer norm, and the update needs no fractions.  An
-inverted index from ids to the rows that touch them makes every dot
-product visit only the rows meeting the vector's support.  Fractions
-appear only at the API edge, one per output coefficient.
+over int ids, read straight from each element's integer form: a
+projection does not change when a vector is rescaled, so each
+orthogonal vector is kept primitive (its entries share no factor) with
+its integer norm, and the update needs no fractions.  An inverted index
+from ids to the rows that touch them makes every dot product visit only
+the rows meeting the vector's support.  E(x) goes back as an integer
+form over den(x)·L, for the L that clears the row's projection.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from math import gcd, lcm
 from .algebra import (
     AlgebraElement,
     GaussianRational,
-    _scaled,
     ad,
     inner_product,
     norm_sq,
@@ -61,7 +61,7 @@ class SubalgebraSpec:
         for b in basis:
             if b.family() != fam:
                 raise FamilyMismatch("basis elements from different families")
-            if not window.issuperset(b.terms):
+            if not window.issuperset(b.ints):
                 raise ValueError(f"basis element escapes the window: {b!r}")
         if not any(g.is_identity() for g in window):
             raise ValueError("window must contain the identity")
@@ -223,10 +223,7 @@ class _Span:
         self.rows: list[tuple[dict, int]] = []
         self.index: dict[int, list[tuple[int, int, int]]] = {}
         for b in vectors:
-            _, scaled = _scaled(b)
-            r = self._reduce(
-                {ids.setdefault(g, len(ids)): (re, im) for g, re, im in scaled}
-            )
+            r = self._reduce({ids.setdefault(g, len(ids)): p for g, p in b.ints.items()})
             if r:
                 k = len(self.rows)
                 self.rows.append((r, sum(a * a + c * c for a, c in r.values())))
@@ -238,36 +235,23 @@ class _Span:
         return len(self.rows)
 
     def project(self, x: AlgebraElement) -> AlgebraElement:
-        den, row = self._row(x)
-        scale, p = self._project(row)
-        den *= scale
+        ids = self.ids
+        # den·x as a row, without the elements no row touches (they are
+        # orthogonal to the span); then E(x) = P / (den·L)
+        scale, p = self._project(
+            {i: pair for g, pair in x.ints.items() if (i := ids.get(g)) is not None}
+        )
         elements = self.elements
         return AlgebraElement._trusted(
-            {
-                elements[i]: GaussianRational(
-                    Fraction(re, den), Fraction(im, den) if im else 0
-                )
-                for i, (re, im) in p.items()
-                if re or im
-            }
+            x.den * scale,
+            {elements[i]: (re, im) for i, (re, im) in p.items() if re or im},
         )
 
     def contains(self, x: AlgebraElement) -> bool:
         ids = self.ids
-        if any(g not in ids for g in x.terms):
+        if any(g not in ids for g in x.ints):
             return False
-        return not self._reduce(self._row(x)[1])
-
-    def _row(self, x: AlgebraElement) -> tuple[int, dict]:
-        """(D, D·x as a Gaussian-integer row), dropping the elements no
-        row touches (they are orthogonal to the span)."""
-        den, scaled = _scaled(x)
-        ids = self.ids
-        return den, {
-            i: (re, im)
-            for g, re, im in scaled
-            if (i := ids.get(g)) is not None
-        }
+        return not self._reduce({ids[g]: pair for g, pair in x.ints.items()})
 
     def _project(self, row: dict) -> tuple[int, dict]:
         """(L, P) with E(row) = P / L and P a Gaussian-integer row:

@@ -12,6 +12,8 @@ bit ``i`` of ``F2Vector.bits`` is coordinate ``i+1``.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import IdentityInput, RangeTooLarge, SingularMatrix
 
 DEFAULT_RANGE_CAP = 1 << 16
@@ -201,7 +203,7 @@ class F2Matrix:
 
     @classmethod
     def from_bitstring(cls, s: str) -> "F2Matrix":
-        n = round(len(s) ** 0.5)
+        n = isqrt(len(s))
         if n * n != len(s):
             raise ValueError("bitstring length is not a perfect square")
         return cls.from_lists(

@@ -20,7 +20,7 @@ from .characters import (
     is_central,
     is_positive_definite,
 )
-from .errors import DimensionOutOfRange, ModulusOutOfRange
+from .errors import DimensionOutOfRange, ModulusOutOfRange, Overflow
 from .expectation import (
     SubalgebraSpec,
     character_of,
@@ -42,6 +42,7 @@ from .groups import (
     cylinder_points,
     enumerate_group,
     gl_elements,
+    group_order,
     mat_inverse,
     multiply,
     normal_closure,
@@ -131,9 +132,8 @@ def build_mexo(n: int) -> SubalgebraSpec:
         # u_g·f_g·u_v = |R|⁻¹ Σ_{w ∈ R} u_{(g, w+v)}, R = R(g − I)
         coset = [Affine(g, u) for u in vectors]
         r = [w.bits for w in range_subgroup(g)]
-        c = GaussianRational(Fraction(1, len(r)))
         for v in range(1 << n):
-            basis.append(AlgebraElement._trusted({coset[w ^ v]: c for w in r}))
+            basis.append(AlgebraElement._trusted(len(r), {coset[w ^ v]: (1, 0) for w in r}))
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
 
@@ -233,10 +233,17 @@ def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, samples: int = 50, **_) -> 
 # the f-calculus: commuting projection laws and the factorization identity
 
 
-def f_calculus_report(n: int = 3, seed: int = DEFAULT_SEED, pair_sample: int | None = None, **_) -> dict:
+def f_calculus_report(
+    n: int = 3, seed: int = DEFAULT_SEED, pair_sample: int | None = None, cap: int = DEFAULT_CAP, **_
+) -> dict:
     """f_g f_h = f_h f_g ≤ f_{gh} on GL(n,F2) pairs, plus recomposition
     and range-sum checks of transvection_factorize and the conjugated
-    f-product identity, for every non-identity element."""
+    f-product identity, for every non-identity element.  The exhaustive
+    pair check is refused when it has more than cap pairs."""
+    if pair_sample is None:
+        total = (group_order("affine", n) >> n) ** 2
+        if total > cap:
+            raise Overflow(f"fcalculus at n={n} checks {total} pairs, above cap {cap}")
     gl = gl_elements(n)
     f_of = {g: make_f(g) for g in gl}
     if pair_sample is None:
@@ -393,14 +400,13 @@ def build_mq(n: int, sign: int = 1) -> SubalgebraSpec:
         # u_s·Q^A·u_v = 2^{-|A|} Σ_{B ⊆ A} (±1)^{|B|} u_{(s, z_B + v)}, A = supp s
         coset = [Wreath(p, u) for u in vectors]
         a = sorted(_perm_support(p))
-        c = Fraction(1, 1 << len(a))
         head = [
             (sum(1 << (j - 1) for j, bit in zip(a, pick) if bit),
-             GaussianRational(c * sign ** sum(pick)))
+             (sign ** sum(pick), 0))
             for pick in itertools.product((0, 1), repeat=len(a))
         ]
         for v in range(1 << n):
-            basis.append(AlgebraElement._trusted({coset[z ^ v]: d for z, d in head}))
+            basis.append(AlgebraElement._trusted(1 << len(a), {coset[z ^ v]: d for z, d in head}))
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
 

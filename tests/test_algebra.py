@@ -19,7 +19,15 @@ from isrlab.algebra import (
 )
 from isrlab.errors import FamilyMismatch
 from isrlab.f2 import F2Matrix, F2Vector
-from isrlab.groups import Affine, Wreath, conjugate, enumerate_group, inverse, multiply
+from isrlab.groups import (
+    Affine,
+    Wreath,
+    conjugate,
+    enumerate_group,
+    identity_like,
+    inverse,
+    multiply,
+)
 
 S = F2Matrix.from_lists([[0, 1], [1, 0]])
 HALF = Fraction(1, 2)
@@ -139,6 +147,96 @@ class TestConvolveExact:
         assert got == naive_convolve(x, x)
         assert got.terms == {s: GaussianRational(0, 2)}
         assert not got.terms[s].re
+
+
+def naive_sum(x, y, sign=1):
+    """x + sign·y as a dict of nonzero GaussianRational coefficients."""
+    out = dict(x.terms)
+    for g, c in y.terms.items():
+        out[g] = out.get(g, GaussianRational()) + c * sign
+    return {g: c for g, c in out.items() if not c.is_zero()}
+
+
+def naive_dot(x, y):
+    """Σ_g conj(c_g) d_g over x's terms."""
+    return sum(
+        (c.conjugate() * y.terms.get(g, GaussianRational()) for g, c in x.terms.items()),
+        GaussianRational(),
+    )
+
+
+def linear_pairs():
+    # a narrow x against a wide y, so inner_product sees both operand orders
+    for family, n in [("affine", 2), ("wreath", 3), ("cantor", 2)]:
+        xs = random_algebra_elements(family, n, 20, seed=5, width=2)
+        ys = random_algebra_elements(family, n, 20, seed=6, width=5)
+        yield from zip(xs, ys)
+
+
+class TestLinearLayerExact:
+    """The integer form against dict arithmetic on the coefficients."""
+
+    C = GaussianRational(Fraction(-2, 3), Fraction(5, 6))
+
+    def test_add_sub(self):
+        for x, y in linear_pairs():
+            assert (x + y).terms == naive_sum(x, y)
+            assert (x - y).terms == naive_sum(x, y, -1)
+            assert (y - x).terms == naive_sum(y, x, -1)
+
+    def test_scale(self):
+        for x, _ in linear_pairs():
+            assert x.scale(self.C).terms == {g: c * self.C for g, c in x.terms.items()}
+            assert x.scale(GR_I).terms == {g: c * GR_I for g, c in x.terms.items()}
+            assert (-x).terms == {g: -c for g, c in x.terms.items()}
+            zero = x.scale(0)
+            assert zero.is_zero() and zero == AlgebraElement({})
+            assert hash(zero) == hash(AlgebraElement({}))
+
+    def test_adjoint(self):
+        for x, _ in linear_pairs():
+            assert x.adjoint().terms == {inverse(g): c.conjugate() for g, c in x.terms.items()}
+
+    def test_trace_and_coefficient(self):
+        for x, y in linear_pairs():
+            e = identity_like(next(iter(y.terms)))
+            for g in list(y.terms) + [e]:
+                assert x.coefficient(g) == x.terms.get(g, GaussianRational())
+            assert trace(x) == x.coefficient(e)
+            assert trace(unit(e).scale(self.C) + x) == self.C + x.coefficient(e)
+
+    def test_norm_sq_and_inner_product(self):
+        for x, y in linear_pairs():
+            assert norm_sq(x) == naive_dot(x, x).re
+            assert naive_dot(x, x).is_real()
+            assert inner_product(x, y) == naive_dot(x, y)
+            assert inner_product(y, x) == naive_dot(y, x)
+            assert inner_product(x, x) == naive_dot(x, x)
+
+    def test_canonical_form(self):
+        # equal elements built along different paths are == and hash alike
+        for x, y in linear_pairs():
+            paths = [
+                AlgebraElement(x.terms),
+                (x + y) - y,
+                x.scale(self.C).scale(GaussianRational(Fraction(-24, 41), Fraction(-30, 41))),
+                x.scale(GaussianRational(0, 2)).scale(GaussianRational(0, HALF).conjugate()),
+                x.adjoint().adjoint(),
+            ]
+            for z in paths:
+                assert z == x and hash(z) == hash(x)
+            assert (x - x) == AlgebraElement({}) and hash(x - x) == hash(AlgebraElement({}))
+
+    def test_denominators_cancel(self):
+        g = Affine.matrix(S)
+        e = Affine.identity()
+        x = combine(HALF, unit(g), Fraction(1, 4), unit(e))
+        y = combine(Fraction(3, 4), unit(e), Fraction(-1, 6), unit(g))
+        # x + y = (1/3)u_g + u_e: the common denominator 12 reduces to 3
+        total = AlgebraElement({g: Fraction(1, 3), e: 1})
+        assert x + y == total and hash(x + y) == hash(total)
+        assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+        assert x.scale(4) == AlgebraElement({g: 2, e: 1})
 
 
 class TestAdjoint:

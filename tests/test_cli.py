@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from isrlab import zoo
+from isrlab.characters import parse_character
 from isrlab.cli import main
 from isrlab.expectation import spec_to_dict
 from isrlab.f2 import F2Vector
@@ -49,6 +51,16 @@ class TestRun:
         assert main(["run", "--suite", "fpc", "--cap", "10"]) == 2
         assert capsys.readouterr().err == "error: conjugation orbit exceeds cap 10\n"
         assert main(["tables", "--table", "fpc", "--cap", "10"]) == 2
+
+    def test_fcalculus_refuses_infeasible_pairs(self, capsys):
+        # |GL(4,F2)|² = 20160² pairs is refused up front, not run
+        t0 = time.perf_counter()
+        assert main(["run", "--suite", "fcalculus", "--n", "4"]) == 2
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err
+        assert "406425600 pairs" in err and err.count("\n") == 1
+        assert main(["run", "--suite", "fcalculus", "--n", "3", "--cap", "1000"]) == 2
+        assert "28224 pairs" in capsys.readouterr().err
 
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("ISRLAB_CAP", "10")
@@ -127,7 +139,18 @@ class TestExpect:
         assert main(["expect", "mexo:2", "not-json"]) == 2
 
 
+MALFORMED_CHARACTERS = ["foo", "affine:k=1", "affine:k=x,d=1", "affine:k=-1,d=1"]
+
+
 class TestTables:
+    @pytest.mark.parametrize("name", MALFORMED_CHARACTERS)
+    def test_malformed_character(self, capsys, name):
+        with pytest.raises(ValueError):
+            parse_character(name)
+        assert main(["tables", "--table", "characters", "--character", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_characters_row_count(self, capsys):
         assert main(["tables", "--table", "characters", "--n", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
