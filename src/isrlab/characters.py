@@ -53,12 +53,18 @@ class CharacterSpec:
         return f"{self.kind}:{param}={self.k}"
 
 
+_PARAMETERS = {"affine": ("k", "d"), "gl": ("m",), "cantor": ("k",), "regular": ()}
+
+
 def parse_character(name: str) -> CharacterSpec:
-    """Parse CLI names like "affine:k=1,d=1", "gl:m=2", "cantor:k=inf"."""
+    """Parse CLI names like "affine:k=1,d=1", "gl:m=2", "cantor:k=inf".
+    An unknown kind, an unknown or missing parameter and a value that is
+    neither an integer nor "inf" raise ValueError."""
     kind, _, params = name.partition(":")
     kind = kind.strip().lower()
-    if kind == "regular":
-        return CharacterSpec("regular")
+    if kind not in _PARAMETERS:
+        raise ValueError(f"unknown character {name!r}")
+    needed = _PARAMETERS[kind]
     kv = {}
     for part in params.split(","):
         if not part.strip():
@@ -66,23 +72,22 @@ def parse_character(name: str) -> CharacterSpec:
         key, _, val = part.partition("=")
         key = key.strip().lower()
         val = val.strip().lower()
+        if key not in needed:
+            raise ValueError(f"character {name!r} takes no parameter {key!r}")
         try:
             kv[key] = INF if val in (INF, "∞") else int(val)
         except ValueError:
             raise ValueError(
                 f"character parameter {key!r} must be an integer or 'inf', got {val!r}"
             ) from None
-    needed = {"affine": ("k", "d"), "gl": ("m",), "cantor": ("k",)}.get(kind, ())
     missing = [key for key in needed if key not in kv]
     if missing:
         raise ValueError(f"character {name!r} needs {' and '.join(missing)}")
     if kind == "affine":
         return CharacterSpec("affine", k=kv["k"], d=kv["d"])
-    if kind == "gl":
-        return CharacterSpec("gl", k=kv["m"])
-    if kind == "cantor":
-        return CharacterSpec("cantor", k=kv["k"])
-    raise ValueError(f"unknown character {name!r}")
+    if kind == "regular":
+        return CharacterSpec("regular")
+    return CharacterSpec(kind, k=kv[needed[0]])
 
 
 def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:

@@ -20,7 +20,7 @@ DEFAULT_RANGE_CAP = 1 << 16
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 def _low_bit(x: int) -> int:
@@ -98,16 +98,20 @@ class F2Vector:
 
 
 def _canonical_rows(rows) -> tuple[int, ...]:
-    rows = list(rows)
+    """Drop trailing row/column pairs that are identity rows/columns."""
+    rows = tuple(rows)
     n = len(rows)
-    while n > 0:
+    while n:
         last = 1 << (n - 1)
         if rows[n - 1] != last:
             break
-        if any(rows[i] & last for i in range(n - 1)):
+        col = 0
+        for r in rows[: n - 1]:
+            col |= r
+        if col & last:
             break
         n -= 1
-    return tuple(rows[:n])
+    return rows[:n]
 
 
 class F2Matrix:
@@ -186,12 +190,7 @@ class F2Matrix:
 
     def apply(self, v: F2Vector) -> F2Vector:
         """Matrix-vector product g(v)."""
-        n = max(self.n, v.dim)
-        bits = 0
-        for i in range(n):
-            if _parity(self.row(i) & v.bits):
-                bits |= 1 << i
-        return F2Vector(bits)
+        return F2Vector(_apply_rows(self.rows, v.bits))
 
     def to_bitstring(self, width: int | None = None) -> str:
         """Row-major bitstring of the width x width upper-left block."""
@@ -217,27 +216,36 @@ class F2Matrix:
         return "F2Matrix(" + self.to_bitstring() + f", n={n})"
 
 
-def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Exact GF(2) matrix product, auto-embedding to a common dimension."""
-    n = max(a.n, b.n)
+# Row kernels on canonical row tuples; the matrix API and the affine
+# group elements both go through them.
+
+
+def _mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Canonical rows of the product a·b: row i of a·b is the sum of
+    the rows of b selected by row i of a."""
+    la, lb = len(a), len(b)
+    n = la if la > lb else lb
     out = []
     for i in range(n):
-        r = a.row(i)
+        r = a[i] if i < la else 1 << i
         acc = 0
+        j = 0
         while r:
-            acc ^= b.row(_low_bit(r))
-            r &= r - 1
+            if r & 1:
+                acc ^= b[j] if j < lb else 1 << j
+            r >>= 1
+            j += 1
         out.append(acc)
-    return F2Matrix(out)
+    if n and out[-1] != 1 << (n - 1):  # the last row alone shows it canonical
+        return tuple(out)
+    return _canonical_rows(out)
 
 
-def mat_inverse(a: F2Matrix) -> F2Matrix:
-    """Inverse over GF(2); raises SingularMatrix on rank deficiency."""
-    n = a.n
-    if n == 0:
-        return F2Matrix.identity()
+def _inverse_rows(a: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of a^{-1} (canonical whenever a is); raises SingularMatrix."""
+    n = len(a)
     # Gauss-Jordan on [A | I] packed into single ints.
-    aug = [a.row(i) | (1 << (n + i)) for i in range(n)]
+    aug = [a[i] | (1 << (n + i)) for i in range(n)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -250,7 +258,28 @@ def mat_inverse(a: F2Matrix) -> F2Matrix:
         for r in range(n):
             if r != col and (aug[r] >> col) & 1:
                 aug[r] ^= aug[col]
-    return F2Matrix([aug[i] >> n for i in range(n)])
+    return tuple([r >> n for r in aug])
+
+
+def _apply_rows(rows: tuple[int, ...], bits: int) -> int:
+    """The vector g(v) for g given by rows: coordinates beyond the
+    stored block pass through unchanged."""
+    n = len(rows)
+    out = bits >> n << n
+    for i in range(n):
+        if (rows[i] & bits).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
+def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """Exact GF(2) matrix product, auto-embedding to a common dimension."""
+    return F2Matrix(_mul_rows(a.rows, b.rows))
+
+
+def mat_inverse(a: F2Matrix) -> F2Matrix:
+    """Inverse over GF(2); raises SingularMatrix on rank deficiency."""
+    return F2Matrix(_inverse_rows(a.rows))
 
 
 def _rank_of_rows(rows) -> int:

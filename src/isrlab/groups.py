@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
-from .f2 import F2Matrix, F2Vector, mat_inverse, mat_mul, _rank_of_rows
+from .f2 import F2Matrix, F2Vector, _apply_rows, _inverse_rows, _mul_rows, _rank_of_rows
 
 DEFAULT_CAP = 10**6
 
 
-_mat_inverse_cached = lru_cache(maxsize=4096)(mat_inverse)
+# inverses of packed matrix rows, shared by every Affine product
+_mat_inverse_cached = lru_cache(maxsize=4096)(_inverse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -44,28 +45,10 @@ def perm_image(p, i: int) -> int:
 
 def perm_mul(p, q) -> tuple[int, ...]:
     """(p∘q)(i) = p(q(i))."""
-    n = max(len(p), len(q))
-    return perm_canonical(perm_image(p, perm_image(q, i)) for i in range(n))
-
-
-def perm_inv(p) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
+    lp = len(p)
+    out = [p[j] if j < lp else j for j in q]
+    out.extend(p[len(out):])
     return perm_canonical(out)
-
-
-def perm_apply_vec(p, v: F2Vector) -> F2Vector:
-    """Permute coordinates: (p·v)_{p(i)} = v_i."""
-    bits = 0
-    b = v.bits
-    i = 0
-    while b:
-        if b & 1:
-            bits |= 1 << perm_image(p, i)
-        b >>= 1
-        i += 1
-    return F2Vector(bits)
 
 
 def transposition(i: int, j: int) -> tuple[int, ...]:
@@ -99,83 +82,176 @@ class _Element:
         return lambda x: mul(x).mul(inv)
 
 
-@dataclass(frozen=True)
 class Affine(_Element):
-    """Element (g, v) of GL(n,F2) ⋉ F2^n."""
+    """Element (g, v) of GL(n,F2) ⋉ F2^n.
 
-    g: F2Matrix
-    v: F2Vector
+    Stored as the canonical packed rows of g (``rows``) and the bits of
+    v (``bits``), with the hash of ``(rows, bits)`` computed once; it
+    equals the hash of ``(g, v)``.  ``g`` and ``v`` build the F2 objects
+    on read.
+    """
+
+    __slots__ = ("rows", "bits", "_hash")
 
     family = "affine"
 
+    def __new__(cls, g: F2Matrix, v: F2Vector):
+        return _affine(g.rows, v.bits)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Affine is immutable")
+
+    @property
+    def g(self) -> F2Matrix:
+        return F2Matrix(self.rows)
+
+    @property
+    def v(self) -> F2Vector:
+        return F2Vector(self.bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not Affine:
+            return NotImplemented
+        return self.bits == other.bits and self.rows == other.rows
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Affine(g={self.g!r}, v={self.v!r})"
+
     @staticmethod
     def identity() -> "Affine":
-        return Affine(F2Matrix.identity(), F2Vector(0))
+        return _affine((), 0)
 
     @staticmethod
     def vector(v: F2Vector) -> "Affine":
-        return Affine(F2Matrix.identity(), v)
+        return _affine((), v.bits)
 
     @staticmethod
     def matrix(g: F2Matrix) -> "Affine":
-        return Affine(g, F2Vector(0))
+        return _affine(g.rows, 0)
 
     def is_identity(self) -> bool:
-        return self.g.is_identity() and self.v.is_zero()
+        return not self.rows and not self.bits
 
     def sort_key(self):
-        return (self.g.rows, self.v.bits)
+        return (self.rows, self.bits)
 
     def mul(self, other: "Affine") -> "Affine":
-        if other.g.is_identity():  # vector factors are the common hot path
-            return Affine(self.g, self.v + other.v)
-        g2i = _mat_inverse_cached(other.g)
-        return Affine(mat_mul(self.g, other.g), g2i.apply(self.v) + other.v)
+        if not other.rows:  # vector factors are the common hot path
+            return _affine(self.rows, self.bits ^ other.bits)
+        return _affine(
+            _mul_rows(self.rows, other.rows),
+            _apply_rows(_mat_inverse_cached(other.rows), self.bits) ^ other.bits,
+        )
 
     def inv(self) -> "Affine":
-        if self.g.is_identity():
+        if not self.rows:
             return self
-        return Affine(_mat_inverse_cached(self.g), self.g.apply(self.v))
+        return _affine(_mat_inverse_cached(self.rows), _apply_rows(self.rows, self.bits))
 
 
-@dataclass(frozen=True)
+_set_a_rows = Affine.rows.__set__
+_set_a_bits = Affine.bits.__set__
+_set_a_hash = Affine._hash.__set__
+
+
+def _affine(rows: tuple[int, ...], bits: int) -> Affine:
+    """The element with canonical rows and vector bits, unchecked."""
+    a = object.__new__(Affine)
+    _set_a_rows(a, rows)
+    _set_a_bits(a, bits)
+    _set_a_hash(a, hash((rows, bits)))
+    return a
+
+
 class Wreath(_Element):
-    """Element (σ, v) of S_n ⋉ Z2^n; σ permutes the n lamp coordinates."""
+    """Element (σ, v) of S_n ⋉ Z2^n; σ permutes the n lamp coordinates.
 
-    sigma: tuple[int, ...]
-    v: F2Vector
+    Stored as σ without trailing fixed points (``sigma``) and the bits
+    of v (``bits``), with the hash of ``(sigma, bits)`` computed once;
+    it equals the hash of ``(sigma, v)``.  ``v`` builds the F2Vector on
+    read.
+    """
+
+    __slots__ = ("sigma", "bits", "_hash")
 
     family = "wreath"
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", perm_canonical(self.sigma))
+    def __new__(cls, sigma, v: F2Vector):
+        return _wreath(perm_canonical(sigma), v.bits)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Wreath is immutable")
+
+    @property
+    def v(self) -> F2Vector:
+        return F2Vector(self.bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not Wreath:
+            return NotImplemented
+        return self.bits == other.bits and self.sigma == other.sigma
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Wreath(sigma={self.sigma!r}, v={self.v!r})"
 
     @staticmethod
     def identity() -> "Wreath":
-        return Wreath((), F2Vector(0))
+        return _wreath((), 0)
 
     @staticmethod
     def vector(v: F2Vector) -> "Wreath":
-        return Wreath((), v)
+        return _wreath((), v.bits)
 
     @staticmethod
     def perm(p) -> "Wreath":
-        return Wreath(tuple(p), F2Vector(0))
+        return _wreath(perm_canonical(p), 0)
 
     def is_identity(self) -> bool:
-        return not self.sigma and self.v.is_zero()
+        return not self.sigma and not self.bits
 
     def sort_key(self):
-        return (self.sigma, self.v.bits)
+        return (self.sigma, self.bits)
 
     def mul(self, other: "Wreath") -> "Wreath":
-        return Wreath(
-            perm_mul(self.sigma, other.sigma),
-            perm_apply_vec(perm_inv(other.sigma), self.v) + other.v,
-        )
+        # σ2^{-1}(v1) has coordinate j equal to coordinate σ2(j) of v1
+        s2, v1 = other.sigma, self.bits
+        n = len(s2)
+        bits = v1 >> n << n
+        for j in range(n):
+            bits |= ((v1 >> s2[j]) & 1) << j
+        return _wreath(perm_mul(self.sigma, s2), bits ^ other.bits)
 
     def inv(self) -> "Wreath":
-        return Wreath(perm_inv(self.sigma), perm_apply_vec(self.sigma, self.v))
+        sigma, v = self.sigma, self.bits
+        n = len(sigma)
+        inv = [0] * n
+        bits = v >> n << n
+        for i in range(n):
+            j = sigma[i]
+            inv[j] = i
+            bits |= ((v >> i) & 1) << j
+        # σ^{-1} fixes its last point only if σ does, so it is canonical
+        return _wreath(tuple(inv), bits)
+
+
+_set_w_sigma = Wreath.sigma.__set__
+_set_w_bits = Wreath.bits.__set__
+_set_w_hash = Wreath._hash.__set__
+
+
+def _wreath(sigma: tuple[int, ...], bits: int) -> Wreath:
+    """The element with canonical σ and vector bits, unchecked."""
+    w = object.__new__(Wreath)
+    _set_w_sigma(w, sigma)
+    _set_w_bits(w, bits)
+    _set_w_hash(w, hash((sigma, bits)))
+    return w
 
 
 @dataclass(frozen=True)
@@ -494,7 +570,7 @@ def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupEl
     """All elements of the truncated group, deterministically ordered."""
     order = group_order(family, n)
     if order > cap:
-        raise GroupTooLarge(f"{family} truncation {n} has {order} elements")
+        raise GroupTooLarge(f"{family} truncation {n} has {order} elements, above cap {cap}")
     out: list[GroupElement] = []
     if family == "affine":
         for g in gl_elements(n):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import AlgebraElement, GR_ONE, combine, one_like, unit
 from .errors import BlockNotInvariant, HypothesisViolated
@@ -100,8 +101,10 @@ def _coordinate_idempotent(j: int, letter: int) -> AlgebraElement:
     return combine(Fraction(1, 2), one_like(ej), sign, unit(ej))
 
 
+@cache
 def make_cylinder(w: CylinderWord) -> AlgebraElement:
-    """[w]: the product of the specified per-coordinate idempotents."""
+    """[w]: the product of the specified per-coordinate idempotents.
+    Memoized per word; the result is immutable."""
     out = unit(Affine.identity())
     for i in w.specified():
         out = out * _coordinate_idempotent(i, w.letter(i))

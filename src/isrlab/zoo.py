@@ -29,7 +29,7 @@ from .expectation import (
     verify_closure,
     verify_invariance,
 )
-from .f2 import F2Matrix, F2Vector, range_subgroup, transvection_factorize
+from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, transvection_factorize
 from .groups import (
     DEFAULT_CAP,
     Affine,
@@ -43,7 +43,6 @@ from .groups import (
     enumerate_group,
     gl_elements,
     group_order,
-    mat_inverse,
     multiply,
     normal_closure,
     orbit_under,
@@ -120,12 +119,12 @@ def report_passed(rep: dict) -> bool:
 # M_exo: the subalgebra spanned by {u_g f_g u_v} in the affine family
 
 
-def build_mexo(n: int) -> SubalgebraSpec:
+def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_g·f_g·u_v : g ∈ GL(n,F2), v ∈ F2^n}; contains every u_v
     (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h."""
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
-    window = enumerate_group("affine", n)
+    window = enumerate_group("affine", n, cap)
     vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
     for g in gl_elements(n):
@@ -189,8 +188,10 @@ def mexo_fproduct_identity(g: F2Matrix) -> bool:
     return prod == make_f(g)
 
 
-def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, samples: int = 50, **_) -> dict:
-    spec = build_mexo(n)
+def suite_mexo(
+    n: int = 2, seed: int = DEFAULT_SEED, samples: int = 50, cap: int = DEFAULT_CAP, **_
+) -> dict:
+    spec = build_mexo(n, cap)
     checks = []
     if n == 2:
         checks.append(check_eq("closure of the span", True, verify_closure(spec)))
@@ -200,10 +201,10 @@ def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, samples: int = 50, **_) -> 
         checks.append(
             check_eq("invariance under the full truncation", True, verify_invariance(spec, conj))
         )
-        pool = enumerate_group("affine", n)
+        pool = enumerate_group("affine", n, cap)
     else:
         rng = random.Random(seed)
-        full = enumerate_group("affine", n)
+        full = enumerate_group("affine", n, cap)
         pool = [full[rng.randrange(len(full))] for _ in range(samples)]
     ok = all(spec.expect_unit(x) == mexo_expected_expectation(x) for x in pool)
     checks.append(
@@ -251,8 +252,13 @@ def f_calculus_report(
     else:
         rng = random.Random(seed)
         pairs = [(gl[rng.randrange(len(gl))], gl[rng.randrange(len(gl))]) for _ in range(pair_sample)]
-    # f_g only depends on R(g-I), so products are memoized by subspace key
-    rkey = {g: range_subgroup(g) for g in gl}
+    # f_g only depends on R(g-I), so products are memoized by subspace
+    # key; equal subspaces share one key object, so lookups match by identity
+    keys: dict = {}
+    rkey = {}
+    for g in gl:
+        r = range_subgroup(g)
+        rkey[g] = keys.setdefault(r, r)
     prod_cache: dict = {}
 
     def fprod(a, b):
@@ -262,20 +268,26 @@ def f_calculus_report(
             r = prod_cache.setdefault(k, f_of[a] * f_of[b])
         return r
 
+    # both products depend only on the subspace pair, so does the verdict
+    comm_cache: dict = {}
     dom_cache: dict = {}
     conj_cache: dict = {}
     laws = True
     for g, h in pairs:
-        p = fprod(g, h)
-        if p != fprod(h, g):
+        pk = (rkey[g], rkey[h])
+        comm = comm_cache.get(pk)
+        if comm is None:
+            comm = comm_cache.setdefault(pk, fprod(g, h) == fprod(h, g))
+        if not comm:
             laws = False
             break
         # p ≤ q for projections means pq = p
         gh = g * h
-        dk = (rkey[g], rkey[h], rkey[gh])
+        dk = (*pk, rkey[gh])
         dom = dom_cache.get(dk)
         if dom is None:
-            dom = dom_cache.setdefault(dk, p * f_of.get(gh, make_f(gh)) == p)
+            p = fprod(g, h)
+            dom = dom_cache.setdefault(dk, p * f_of[gh] == p)
         if not dom:
             laws = False
             break
@@ -285,9 +297,7 @@ def f_calculus_report(
         if conj is None:
             uh = unit(Affine.matrix(h))
             moved = mat_inverse(h) * g * h
-            conj = conj_cache.setdefault(
-                ck, f_of[g] * uh == uh * f_of.get(moved, make_f(moved))
-            )
+            conj = conj_cache.setdefault(ck, f_of[g] * uh == uh * f_of[moved])
         if not conj:
             laws = False
             break
@@ -389,11 +399,11 @@ def _perm_support(p) -> set[int]:
     return {i + 1 for i in range(len(p)) if perm_image(p, i) != i}
 
 
-def build_mq(n: int, sign: int = 1) -> SubalgebraSpec:
+def build_mq(n: int, sign: int = 1, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_s·Q^{supp(s)}·u_v : s ∈ S_n, v ∈ Z2^n}."""
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mq truncation {n} not in [2, 4]")
-    window = enumerate_group("wreath", n)
+    window = enumerate_group("wreath", n, cap)
     vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
     for p in itertools.permutations(range(n)):
@@ -436,14 +446,14 @@ def _block_preserving_perms(blocks, n: int):
         yield tuple(p)
 
 
-def build_mpart(n: int) -> SubalgebraSpec:
+def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of the partition generators s·∏_K(P1^K + sign(s|_K)P2^K)
     over partitions of {1..n} and block-preserving s.  At n = 4 only
     partitions with at most two non-singleton blocks are enumerated
     (the span is already attained)."""
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mpart truncation {n} not in [2, 4]")
-    window = enumerate_group("wreath", n)
+    window = enumerate_group("wreath", n, cap)
     basis = []
     for blocks in _partitions_of(n):
         if n >= 4 and sum(1 for b in blocks if len(b) > 1) > 2:
@@ -454,8 +464,8 @@ def build_mpart(n: int) -> SubalgebraSpec:
     return SubalgebraSpec(f"mpart:n={n}", basis, window)
 
 
-def suite_mq(n: int = 3, sign: int = 1, **_) -> dict:
-    spec = build_mq(n, sign)
+def suite_mq(n: int = 3, sign: int = 1, cap: int = DEFAULT_CAP, **_) -> dict:
+    spec = build_mq(n, sign, cap)
     s12 = Wreath.perm(transposition(0, 1))
     expected = unit(s12) * make_q_power(sign, {1, 2})
     actual = spec.expect_unit(s12)
@@ -479,8 +489,10 @@ def suite_mq(n: int = 3, sign: int = 1, **_) -> dict:
     )
 
 
-def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, commute_samples: int = 50, **_) -> dict:
-    spec = build_mpart(n)
+def suite_mpart(
+    n: int = 3, seed: int = DEFAULT_SEED, commute_samples: int = 50, cap: int = DEFAULT_CAP, **_
+) -> dict:
+    spec = build_mpart(n, cap)
     s12 = Wreath.perm(transposition(0, 1))
     center = combine(1, make_q_power(1, {1, 2}), 1, make_q_power(-1, {1, 2}))
     rng = random.Random(seed)
@@ -676,14 +688,14 @@ def _shift_orbit_reps(m: int) -> list[int]:
     return reps
 
 
-def lamplighter_scenarios(m: int = 4, **_) -> dict:
+def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
     """Finite-cyclic analog suites: shift-invariant function subalgebras
     joined with a shift subgroup, and the normal closure of the lamp-shift
     generator.  The infinite statement concerns the integer lamplighter;
     here the closure can genuinely differ, so everything is reported."""
     if not 3 <= m <= 8:
         raise ModulusOutOfRange(f"lamplighter modulus {m} not in [3, 8]")
-    window = enumerate_group("lamplighter", m)
+    window = enumerate_group("lamplighter", m, cap)
     shift = Lamplighter.shift(m, 1)
     lamp0 = Lamplighter.lamp(m, 0)
     checks = []
@@ -745,7 +757,7 @@ def lamplighter_scenarios(m: int = 4, **_) -> dict:
                 )
 
     # (b) normal closure of the lamp-shift generator
-    n_set = normal_closure([multiply(lamp0, shift)], m)
+    n_set = normal_closure([multiply(lamp0, shift)], m, cap)
     n_cap_a = {x for x in n_set if x.t == 0}
     even = {
         Lamplighter(m, bits, 0)
@@ -954,10 +966,10 @@ def suite_closures(cap: int = 10**6, **_) -> dict:
 # character suites
 
 
-def suite_characters(seed: int = DEFAULT_SEED, **_) -> dict:
+def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
     rng = random.Random(seed)
-    affine_pool = enumerate_group("affine", 3)
-    cantor_pool = [g for g in enumerate_group("cantor", 2) if not g.a]
+    affine_pool = enumerate_group("affine", 3, cap)
+    cantor_pool = [g for g in enumerate_group("cantor", 2, cap) if not g.a]
     specs = [
         (CharacterSpec("affine", k=k, d=d), affine_pool)
         for k in (1, 2)
@@ -995,18 +1007,18 @@ def suite_characters(seed: int = DEFAULT_SEED, **_) -> dict:
 # structural expectation properties
 
 
-def suite_properties(seed: int = DEFAULT_SEED, **_) -> dict:
+def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
     checks = []
-    mexo = build_mexo(2)
+    mexo = build_mexo(2, cap)
     checks.append(
         check_eq(
             "expectation identities hold on mexo:n=2, full truncation",
             True,
-            check_E_properties(mexo, enumerate_group("affine", 2)),
+            check_E_properties(mexo, enumerate_group("affine", 2, cap)),
         )
     )
     rng = random.Random(seed)
-    wpool = enumerate_group("wreath", 3)
+    wpool = enumerate_group("wreath", 3, cap)
     wsample = [Wreath.identity()] + [
         wpool[rng.randrange(len(wpool))] for _ in range(11)
     ]
@@ -1014,18 +1026,18 @@ def suite_properties(seed: int = DEFAULT_SEED, **_) -> dict:
         check_eq(
             "expectation identities hold on mq:n=3 samples",
             True,
-            check_E_properties(build_mq(3), wsample),
+            check_E_properties(build_mq(3, cap=cap), wsample),
         )
     )
     checks.append(
         check_eq(
             "expectation identities hold on mpart:n=3 samples",
             True,
-            check_E_properties(build_mpart(3), wsample),
+            check_E_properties(build_mpart(3, cap), wsample),
         )
     )
     # E(S) ⊆ S for S = the (12)-coset of L(Z2^2) against the mq span
-    mq2 = build_mq(2)
+    mq2 = build_mq(2, cap=cap)
     s12 = Wreath.perm(transposition(0, 1))
     a_basis = [unit(Wreath.vector(F2Vector(b))) for b in range(4)]
     s_basis = [

@@ -52,6 +52,16 @@ class TestRun:
         assert capsys.readouterr().err == "error: conjugation orbit exceeds cap 10\n"
         assert main(["tables", "--table", "fpc", "--cap", "10"]) == 2
 
+    @pytest.mark.parametrize(
+        "suite", ["mexo", "mq", "mpart", "lamplighter", "characters", "properties"]
+    )
+    def test_cap_binds_enumerations(self, capsys, suite):
+        # each suite enumerates a truncation with more than 10 elements
+        assert main(["run", "--suite", suite, "--cap", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "above cap 10" in err
+
     def test_fcalculus_refuses_infeasible_pairs(self, capsys):
         # |GL(4,F2)|² = 20160² pairs is refused up front, not run
         t0 = time.perf_counter()
@@ -139,7 +149,16 @@ class TestExpect:
         assert main(["expect", "mexo:2", "not-json"]) == 2
 
 
-MALFORMED_CHARACTERS = ["foo", "affine:k=1", "affine:k=x,d=1", "affine:k=-1,d=1"]
+MALFORMED_CHARACTERS = [
+    "foo",
+    "affine:k=1",
+    "affine:k=x,d=1",
+    "affine:k=-1,d=1",
+    # a key the kind does not take
+    "gl:m=1,zz=3",
+    "affine:k=1,d=1,kk=2",
+    "regular:x=1",
+]
 
 
 class TestTables:
@@ -150,6 +169,11 @@ class TestTables:
         assert main(["tables", "--table", "characters", "--character", name]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,key", [("gl:m=1,zz=3", "zz"), ("regular:x=1", "x")])
+    def test_unknown_character_key_is_named(self, name, key):
+        with pytest.raises(ValueError, match=f"no parameter '{key}'"):
+            parse_character(name)
 
     def test_characters_row_count(self, capsys):
         assert main(["tables", "--table", "characters", "--n", "2"]) == 0

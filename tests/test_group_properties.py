@@ -1,15 +1,17 @@
-"""Property tests for the four group families, and a differential test
-of the bitmask Cantor arithmetic against the frozenset algorithm it
-replaced."""
+"""Property tests for the four group families, a differential test of
+the bitmask Cantor arithmetic against the frozenset algorithm it
+replaced, and one of the packed-int Affine and Wreath arithmetic
+against dense 0/1-list references and the dataclasses they replaced."""
 
 import itertools
 import random
+from dataclasses import make_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isrlab.f2 import F2Vector
+from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
     Affine,
     Cantor,
@@ -265,3 +267,186 @@ def test_cantor_reference_sampled(m, count):
         check_against_reference(g, h)
         # lifting to a common level and reducing again is exact
         check_against_reference(h, g)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the packed-int Affine and Wreath arithmetic against a
+# dense 0/1-list reference, and against the frozen dataclasses they replaced
+
+AffineRecord = make_dataclass("Affine", [("g", F2Matrix), ("v", F2Vector)], frozen=True)
+WreathRecord = make_dataclass("Wreath", [("sigma", tuple), ("v", F2Vector)], frozen=True)
+
+
+def dense_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def dense_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] & b[k][j] for k in range(n)) & 1 for j in range(n)] for i in range(n)]
+
+
+def dense_apply(a, v):
+    return [sum(a[i][k] & v[k] for k in range(len(v))) & 1 for i in range(len(a))]
+
+
+def dense_inverse(a):
+    """Gauss–Jordan on [A | I] over GF(2), row by row."""
+    n = len(a)
+    aug = [a[i][:] + dense_identity(n)[i] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = [x ^ y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def dense_rank(a):
+    rows = [row[:] for row in a]
+    rank = 0
+    for col in range(len(a)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [x ^ y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_of_rows(rows, n):
+    full = [rows[i] if i < len(rows) else 1 << i for i in range(n)]
+    return [[(r >> j) & 1 for j in range(n)] for r in full]
+
+
+def canonical_rows(dense):
+    """Pack the rows, then drop trailing identity row/column pairs."""
+    n = len(dense)
+    while n and all(dense[n - 1][j] == (j == n - 1) for j in range(n)) and not any(
+        dense[i][n - 1] for i in range(n - 1)
+    ):
+        n -= 1
+    return tuple(sum(dense[i][j] << j for j in range(n)) for i in range(n))
+
+
+def bits_of(v):
+    return sum(b << i for i, b in enumerate(v))
+
+
+def vec_of(bits, n):
+    return [(bits >> i) & 1 for i in range(n)]
+
+
+@st.composite
+def packed_affine(draw):
+    """An element of GL(n, F2) ⋉ F2^∞ with n ≤ 5 and a vector whose bits
+    may reach three coordinates past the matrix block."""
+    n = draw(st.integers(0, 5))
+    rows = draw(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n).filter(
+            lambda rows: dense_rank(dense_of_rows(rows, n)) == n
+        )
+    )
+    return Affine(F2Matrix(rows), F2Vector(draw(st.integers(0, (1 << (n + 3)) - 1))))
+
+
+@st.composite
+def packed_wreath(draw):
+    """An element of S_k ⋉ Z2^∞ with k ≤ 6 and a vector whose bits may
+    reach three coordinates past the permutation."""
+    k = draw(st.integers(0, 6))
+    sigma = draw(st.permutations(range(k)))
+    return Wreath(sigma, F2Vector(draw(st.integers(0, (1 << (k + 3)) - 1))))
+
+
+def affine_dense(a, n):
+    return dense_of_rows(a.rows, n), vec_of(a.bits, n)
+
+
+def assert_affine_is(a, dense_g, v):
+    assert a.rows == canonical_rows(dense_g)
+    assert a.bits == bits_of(v)
+
+
+def assert_like_record(x, record, key):
+    assert repr(x) == repr(record)
+    assert hash(x) == hash(record)
+    assert x.sort_key() == key
+
+
+@given(packed_affine(), packed_affine())
+@settings(max_examples=300, deadline=None)
+def test_affine_packed_matches_dense_reference(a, b):
+    n = max(len(a.rows), len(b.rows), a.bits.bit_length(), b.bits.bit_length())
+    (g1, v1), (g2, v2) = affine_dense(a, n), affine_dense(b, n)
+    # (g1, v1)(g2, v2) = (g1 g2, g2^{-1}(v1) + v2) and (g, v)^{-1} = (g^{-1}, g(v))
+    moved = dense_apply(dense_inverse(g2), v1)
+    assert_affine_is(a.mul(b), dense_mul(g1, g2), [x ^ y for x, y in zip(moved, v2)])
+    assert_affine_is(a.inv(), dense_inverse(g1), dense_apply(g1, v1))
+
+
+@given(packed_affine())
+@settings(max_examples=200, deadline=None)
+def test_affine_packed_reads_like_the_dataclass(a):
+    record = AffineRecord(F2Matrix(a.rows), F2Vector(a.bits))
+    assert a.g == record.g and a.v == record.v
+    assert_like_record(a, record, (record.g.rows, record.v.bits))
+    assert hash(a) == hash((a.g, a.v))
+    assert Affine(a.g, a.v) == a and Affine(a.g, a.v) is not a
+
+
+def perm_dense(sigma, n):
+    return [sigma[i] if i < len(sigma) else i for i in range(n)]
+
+
+def perm_canonical_ref(p):
+    p = list(p)
+    while p and p[-1] == len(p) - 1:
+        p.pop()
+    return tuple(p)
+
+
+def permute(p, v):
+    """(p·v)_{p(i)} = v_i."""
+    out = [0] * len(v)
+    for i, x in enumerate(v):
+        out[p[i]] = x
+    return out
+
+
+def perm_inverse_ref(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return out
+
+
+@given(packed_wreath(), packed_wreath())
+@settings(max_examples=300, deadline=None)
+def test_wreath_packed_matches_dense_reference(a, b):
+    n = max(len(a.sigma), len(b.sigma), a.bits.bit_length(), b.bits.bit_length())
+    s1, s2 = perm_dense(a.sigma, n), perm_dense(b.sigma, n)
+    v1, v2 = vec_of(a.bits, n), vec_of(b.bits, n)
+    prod = a.mul(b)
+    assert prod.sigma == perm_canonical_ref([s1[s2[i]] for i in range(n)])
+    moved = permute(perm_inverse_ref(s2), v1)
+    assert prod.bits == bits_of([x ^ y for x, y in zip(moved, v2)])
+    inv = a.inv()
+    assert inv.sigma == perm_canonical_ref(perm_inverse_ref(s1))
+    assert inv.bits == bits_of(permute(s1, v1))
+
+
+@given(packed_wreath(), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_wreath_packed_reads_like_the_dataclass(a, pad):
+    # a permutation given with trailing fixed points is the same element
+    padded = list(a.sigma) + list(range(len(a.sigma), len(a.sigma) + pad))
+    assert Wreath(padded, a.v) == a
+    record = WreathRecord(perm_canonical_ref(padded), F2Vector(a.bits))
+    assert a.sigma == record.sigma and a.v == record.v
+    assert_like_record(a, record, (record.sigma, record.v.bits))
+    assert hash(a) == hash((a.sigma, a.v))

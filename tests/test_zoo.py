@@ -6,10 +6,10 @@ import pytest
 from isrlab.algebra import AlgebraElement, trace, unit
 from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange
 from isrlab.expectation import verify_closure, verify_invariance
-from isrlab.f2 import F2Matrix, F2Vector
+from isrlab.f2 import F2Matrix, F2Vector, range_subgroup
 from isrlab.groups import Affine, Wreath, enumerate_group, gl_elements, transposition
-from isrlab.projections import make_f, make_q_power
-from isrlab import zoo
+from isrlab.projections import CylinderWord, make_f, make_q_power
+from isrlab import projections, zoo
 
 
 class TestMexo:
@@ -156,6 +156,42 @@ class TestWitnesses:
         broken = ((rows, transform, [(a, b, (1, 1, 1))] + others), *rest)
         monkeypatch.setattr(zoo, "E12_CASES", broken)
         assert zoo.affine_e12_vanishing_check() is False
+
+
+class TestMemosCannotHideFailures:
+    """The fcalculus commutation verdict and ``make_cylinder`` are
+    memoized; a broken input must still fail the check that uses it."""
+
+    @pytest.fixture
+    def cold_cylinders(self):
+        projections.make_cylinder.cache_clear()
+        yield
+        projections.make_cylinder.cache_clear()
+
+    def test_fcalculus_laws_fail_on_a_wrong_projection(self, monkeypatch):
+        # the projection of R = {0, e1} becomes ½(1 + u_swap), which does
+        # not commute with f_h for R(h − I) = {0, e2}
+        e1_line = frozenset({F2Vector(0), F2Vector.basis(1)})
+        swap = unit(Affine.matrix(F2Matrix.swap(1, 2)))
+        wrong = (unit(Affine.identity()) + swap).scale(Fraction(1, 2))
+
+        def broken_make_f(g, cap=None):
+            return wrong if range_subgroup(g) == e1_line else make_f(g)
+
+        assert zoo.report_passed(zoo.f_calculus_report(n=2))
+        monkeypatch.setattr(zoo, "make_f", broken_make_f)
+        laws = zoo.f_calculus_report(n=2)["checks"][0]
+        assert laws["description"].startswith("f_g f_h = f_h f_g")
+        assert laws["pass"] is False
+
+    def test_cylinder_check_fails_on_a_wrong_word(self, monkeypatch, cold_cylinders):
+        # [1, ⋆] under the swap moves to [⋆, 1]; a word map that returns
+        # w unchanged must make the in-hypothesis check fail
+        w, swap = CylinderWord((1,)), F2Matrix.swap(1, 2)
+        assert projections.word_times_matrix(w, swap) != w
+        assert projections.cylinder_conjugation_check(w, swap)
+        monkeypatch.setattr(projections, "word_times_matrix", lambda word, ginv: word)
+        assert projections.cylinder_conjugation_check(w, swap) is False
 
 
 class TestLamplighter:
