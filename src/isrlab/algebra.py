@@ -247,18 +247,48 @@ def combine(alpha, x: AlgebraElement, beta, y: AlgebraElement) -> AlgebraElement
     return x.scale(alpha) + y.scale(beta)
 
 
+# convolve's memo: _PRODUCTS[g][h] = g·h, each distinct product interned
+# in _ELEMENTS; _stored counts the (g, h) entries
+_PRODUCTS: dict = {}
+_ELEMENTS: dict = {}
+_MEMO_LIMIT = 1 << 11
+_stored = 0
+
+
+def _clear_products() -> None:
+    global _stored
+    _PRODUCTS.clear()
+    _ELEMENTS.clear()
+    _stored = 0
+
+
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in C[G]: bilinear extension of the group law.
 
     The sums run over the stored integers; the result is reduced once,
-    over the product of the two denominators.
+    over the product of the two denominators.  Group products come from
+    a memo, emptied once it holds more than _MEMO_LIMIT = 2048 (g, h)
+    pairs; a pair it lacks goes through ``multiply``, with its family
+    checks.  Equal products are stored as one object, so the sums match
+    them by identity.
     """
+    global _stored
     x._check(y)
+    products, elements = _PRODUCTS, _ELEMENTS
     re: dict = {}
     im: dict = {}
     for g, (cr, ci) in x.ints.items():
+        if _stored > _MEMO_LIMIT:
+            _clear_products()
+        row = products.get(g)
+        if row is None:
+            row = products[g] = {}
         for h, (dr, di) in y.ints.items():
-            k = multiply(g, h)
+            k = row.get(h)
+            if k is None:
+                k = multiply(g, h)
+                k = row[h] = elements.setdefault(k, k)
+                _stored += 1
             if ci or di:
                 im[k] = im.get(k, 0) + cr * di + ci * dr
                 re[k] = re.get(k, 0) + cr * dr - ci * di

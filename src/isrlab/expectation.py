@@ -104,7 +104,11 @@ class SubalgebraSpec:
 
 def verify_invariance(spec: SubalgebraSpec, conjugators) -> bool:
     """Whether ad(g, b) stays in the span for every conjugator and basis
-    element.  Conjugators must map the window into itself."""
+    element.  Conjugators must map the window into itself.
+
+    ad(g, ·) is linear, so the span is invariant iff the images of a
+    basis of it are in it: only the span's pivots are conjugated.
+    """
     conjugators = list(conjugators)
     for c in conjugators:
         for w in spec.window:
@@ -112,29 +116,32 @@ def verify_invariance(spec: SubalgebraSpec, conjugators) -> bool:
                 raise WindowNotNormalized(
                     f"conjugator {c!r} moves {w!r} out of the window"
                 )
-    return all(
-        spec.contains(ad(c, b)) for c in conjugators for b in spec.basis
-    )
+    pivots = spec._orthogonal_basis().pivots
+    return all(spec.contains(ad(c, b)) for c in conjugators for b in pivots)
 
 
 def verify_closure(spec: SubalgebraSpec, pairs=None) -> bool:
     """Whether the span is a *-subalgebra supported in the window.
 
-    By default all basis pairs are checked; pass an iterable of (i, j)
-    index pairs to sample instead.
+    The adjoint is conjugate-linear and the product bilinear, so the
+    span is closed iff the adjoints and pairwise products of a basis of
+    it lie in it: by default the span's pivots are checked, rank²
+    products instead of |basis|².  Pass an iterable of (i, j) index
+    pairs into spec.basis to sample the products instead; the adjoints
+    of the whole basis are then checked.
     """
-    for b in spec.basis:
+    if pairs is None:
+        vectors = spec._orthogonal_basis().pivots
+        factors = ((a, b) for a in vectors for b in vectors)
+    else:
+        vectors = spec.basis
+        factors = ((vectors[i], vectors[j]) for i, j in pairs)
+    for b in vectors:
         adj = b.adjoint()
         if not adj.support() <= spec.window or not spec.contains(adj):
             return False
-    if pairs is None:
-        pairs = (
-            (i, j)
-            for i in range(len(spec.basis))
-            for j in range(len(spec.basis))
-        )
-    for i, j in pairs:
-        prod = spec.basis[i] * spec.basis[j]
+    for a, b in factors:
+        prod = a * b
         if not prod.support() <= spec.window or not spec.contains(prod):
             return False
     return True
@@ -159,8 +166,14 @@ def character_of(spec: SubalgebraSpec, g: GroupElement) -> GaussianRational:
 
 def check_E_properties(spec: SubalgebraSpec, samples) -> bool:
     """Trace compatibility, equivariance, relative commutants, and the
-    χ ∈ {0, 1} dichotomy, on all sample pairs."""
+    χ ∈ {0, 1} dichotomy, on all sample pairs.
+
+    The commutator [m, ·] is linear, so m commutes with the span iff it
+    commutes with a basis of it: the relative-commutant law is checked
+    against the span's pivots.
+    """
     samples = list(samples)
+    pivots = spec._orthogonal_basis().pivots
     e_of = {g: spec.expect_unit(g) for g in samples}
     for g in samples:
         eg = e_of[g]
@@ -170,9 +183,9 @@ def check_E_properties(spec: SubalgebraSpec, samples) -> bool:
             return False
         if (eg == unit(g)) != (chi == 1):
             return False
-        # (3) u_g E(u_{g^{-1}}) commutes with the whole basis
+        # (3) u_g E(u_{g^{-1}}) commutes with the whole span
         m = unit(g) * spec.expect_unit(inverse(g))
-        for b in spec.basis:
+        for b in pivots:
             if m * b != b * m:
                 return False
     for s in samples:
@@ -214,7 +227,8 @@ class _Span:
     Group elements map to int ids.  Each orthogonal vector o is a
     primitive Gaussian-integer row {id: (re, im)} stored with its norm
     N = ⟨o,o⟩; ``index`` maps an id to the (row, re, im) entries at it.
-    The length is the rank.
+    ``pivots`` are the input vectors that gave a row, a basis of the
+    span.  The length is the rank.
     """
 
     def __init__(self, vectors):
@@ -222,6 +236,7 @@ class _Span:
         self.ids = ids
         self.rows: list[tuple[dict, int]] = []
         self.index: dict[int, list[tuple[int, int, int]]] = {}
+        self.pivots: list[AlgebraElement] = []
         for b in vectors:
             r = self._reduce({ids.setdefault(g, len(ids)): p for g, p in b.ints.items()})
             if r:
@@ -229,6 +244,7 @@ class _Span:
                 self.rows.append((r, sum(a * a + c * c for a, c in r.values())))
                 for i, (a, c) in r.items():
                     self.index.setdefault(i, []).append((k, a, c))
+                self.pivots.append(b)
         self.elements = list(ids)
 
     def __len__(self) -> int:

@@ -25,8 +25,9 @@ from .f2 import F2Matrix, F2Vector, _apply_rows, _inverse_rows, _mul_rows, _rank
 DEFAULT_CAP = 10**6
 
 
-# inverses of packed matrix rows, shared by every Affine product
-_mat_inverse_cached = lru_cache(maxsize=4096)(_inverse_rows)
+# inverses of packed matrix rows, shared by every Affine product; the
+# bound holds all of GL(4, F2), 20,160 matrices
+_mat_inverse_cached = lru_cache(maxsize=1 << 15)(_inverse_rows)
 
 
 # ---------------------------------------------------------------------------

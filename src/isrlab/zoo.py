@@ -344,9 +344,14 @@ def f_calculus_report(
 # cylinder calculus
 
 
-def suite_cylinder(n: int = 3, **_) -> dict:
+def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     """Fully specified words match their signed-sum form; the conjugation
-    rule u_g[w]u_g* = [w·g^{-1}] holds on every in-hypothesis pair."""
+    rule u_g[w]u_g* = [w·g^{-1}] holds on every in-hypothesis pair.  The
+    pair loop is refused when GL(n,F2) × the words has more than cap
+    pairs."""
+    total = (group_order("affine", n) >> n) * sum(3**k for k in range(1, n + 1))
+    if total > cap:
+        raise Overflow(f"cylinder at n={n} checks {total} pairs, above cap {cap}")
     signed_ok = True
     for length in range(1, 5):
         for bits in itertools.product((0, 1), repeat=length):

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from isrlab import zoo
+from isrlab import algebra, zoo
 from isrlab.algebra import AlgebraElement, unit
 from isrlab.characters import CharacterSpec, evaluate
 from isrlab.cli import main
@@ -190,6 +190,9 @@ def test_criterion_12_determinism(tmp_path):
     t0 = time.perf_counter()
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
+    # the first run starts with an empty product memo, the second with
+    # the one the first left behind
+    algebra._clear_products()
     for out in (first, second):
         code = main(["run", "--suite", "all", "--seed", "7", "--out", str(out)])
         assert code == 0

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isrlab import algebra
 from isrlab.algebra import (
     GR_I,
     GR_ONE,
@@ -21,6 +24,7 @@ from isrlab.errors import FamilyMismatch
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
     Affine,
+    Lamplighter,
     Wreath,
     conjugate,
     enumerate_group,
@@ -147,6 +151,96 @@ class TestConvolveExact:
         assert got == naive_convolve(x, x)
         assert got.terms == {s: GaussianRational(0, 2)}
         assert not got.terms[s].re
+
+
+# ---------------------------------------------------------------------------
+# the product memo of convolve
+
+
+POOLS = {
+    "affine": enumerate_group("affine", 3),
+    "wreath": enumerate_group("wreath", 3),
+    "lamplighter": enumerate_group("lamplighter", 4),
+    "cantor": enumerate_group("cantor", 2),
+}
+
+
+@st.composite
+def algebra_pairs(draw, family):
+    pool = st.sampled_from(POOLS[family])
+    coeff = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-2, 2))
+
+    def element():
+        return AlgebraElement(draw(st.dictionaries(pool, coeff, max_size=6)))
+
+    return element(), element()
+
+
+def memo_consistent():
+    """Every stored product is interned, and the count is the table's size."""
+    stored = [k for row in algebra._PRODUCTS.values() for k in row.values()]
+    return (
+        all(algebra._ELEMENTS.get(k) is k for k in stored)
+        and len(algebra._ELEMENTS) == len(set(stored))
+        and algebra._stored == len(stored)
+    )
+
+
+class TestProductMemo:
+    @pytest.mark.parametrize("family", list(POOLS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cold_and_warm_match_reference(self, family, data):
+        x, y = data.draw(algebra_pairs(family))
+        expected = naive_convolve(x, y)
+        algebra._clear_products()
+        assert convolve(x, y) == expected  # cold
+        assert memo_consistent()
+        assert convolve(x, y) == expected  # warm
+        assert convolve(y, x) == naive_convolve(y, x)
+        assert memo_consistent()
+
+    @pytest.mark.parametrize("family", list(POOLS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_after_overflow_clear_matches_reference(self, family, data):
+        x, y = data.draw(algebra_pairs(family))
+        with pytest.MonkeyPatch.context() as mp:
+            # a limit of 3 products empties the memo inside most products
+            mp.setattr(algebra, "_MEMO_LIMIT", 3)
+            algebra._clear_products()
+            for _ in range(2):
+                assert convolve(x, y) == naive_convolve(x, y)
+                assert algebra._stored <= 3 + len(y.ints)
+                assert memo_consistent()
+
+    def test_overflow_empties_both_tables(self, monkeypatch):
+        pool = POOLS["affine"]
+        monkeypatch.setattr(algebra, "_MEMO_LIMIT", 40)
+        algebra._clear_products()
+        x = AlgebraElement({g: 1 for g in pool[:7]})
+        y = AlgebraElement({g: 1 for g in pool[7:14]})
+        convolve(x, y)  # 49 products: the clear comes before the last row
+        assert algebra._stored == 7 and len(algebra._PRODUCTS) == 1
+        assert memo_consistent()
+
+    def test_equal_products_are_one_object(self):
+        algebra._clear_products()
+        a, b, c = POOLS["affine"][5], POOLS["affine"][77], POOLS["affine"][300]
+        ha, hb = multiply(inverse(a), c), multiply(inverse(b), c)
+        convolve(unit(a) + unit(b), unit(ha) + unit(hb))
+        got = algebra._PRODUCTS[a][ha]
+        assert got == c and got is algebra._PRODUCTS[b][hb]
+
+    def test_lamplighter_moduli_after_warm_memo(self):
+        x = AlgebraElement({Lamplighter(4, v, t): 1 for v in range(3) for t in range(2)})
+        algebra._clear_products()
+        convolve(x, x)
+        for m in (3, 5):
+            with pytest.raises(FamilyMismatch):
+                convolve(x, unit(Lamplighter(m, 1, 0)))
+            with pytest.raises(FamilyMismatch):
+                convolve(unit(Lamplighter(m, 1, 0)), x)
 
 
 def naive_sum(x, y, sign=1):

@@ -62,6 +62,19 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "above cap 10" in err
 
+    def test_cylinder_refuses_infeasible_pairs(self, capsys):
+        # |GL(4,F2)| × 120 words = 2419200 pairs is refused up front, not run
+        t0 = time.perf_counter()
+        assert main(["run", "--suite", "cylinder", "--n", "4"]) == 2
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "2419200 pairs" in err
+        # 168 × 39 words = 6552 pairs
+        assert main(["run", "--suite", "cylinder", "--n", "3", "--cap", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "6552 pairs, above cap 1000" in err
+
     def test_fcalculus_refuses_infeasible_pairs(self, capsys):
         # |GL(4,F2)|² = 20160² pairs is refused up front, not run
         t0 = time.perf_counter()

@@ -15,9 +15,11 @@ from isrlab.algebra import (
     trace,
     unit,
 )
+from isrlab import zoo
 from isrlab.errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
 from isrlab.expectation import (
     SubalgebraSpec,
+    _Span,
     check_E_properties,
     check_ES_subset_S,
     character_of,
@@ -28,11 +30,13 @@ from isrlab.expectation import (
     verify_closure,
     verify_invariance,
 )
-from isrlab.f2 import F2Vector
+from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
     Affine,
+    Lamplighter,
     Wreath,
     enumerate_group,
+    gl_elements,
     inverse,
     multiply,
     transposition,
@@ -299,6 +303,114 @@ class TestClosure:
     def test_sampled_pairs(self):
         spec = vector_spec()
         assert verify_closure(spec, pairs=[(0, 1), (2, 3)])
+
+
+def closure_over_basis(spec):
+    """verify_closure over every index pair of the whole basis."""
+    n = len(spec.basis)
+    return verify_closure(spec, pairs=[(i, j) for i in range(n) for j in range(n)])
+
+
+def invariance_over_basis(spec, conjugators):
+    """verify_invariance's test run over the whole basis."""
+    return all(spec.contains(ad(c, b)) for c in conjugators for b in spec.basis)
+
+
+def affine_conjugators(n):
+    return [Affine.matrix(g) for g in gl_elements(n)] + [
+        Affine.vector(F2Vector(b)) for b in range(1 << n)
+    ]
+
+
+def lamplighter_specs(m=4):
+    """The lamplighter suite's spans: Y ∪ u_{s^k}·Y for its three Y."""
+    window = enumerate_group("lamplighter", m)
+    mask = (1 << m) - 1
+    orbit_sums = []
+    for w in zoo._shift_orbit_reps(m):
+        acc = AlgebraElement({})
+        for x in {((w << t) | (w >> (m - t))) & mask for t in range(m)}:
+            acc = acc + zoo._lamp_cylinder(m, x)
+        orbit_sums.append(acc)
+    ys = [
+        [unit(Lamplighter.identity(m))],
+        [unit(Lamplighter(m, bits, 0)) for bits in range(1 << m)],
+        orbit_sums,
+    ]
+    return [
+        SubalgebraSpec(
+            f"lamp:{i},k={k}",
+            [unit(Lamplighter.shift(m, k * t)) * y for t in range(m // k) for y in y_basis],
+            window,
+        )
+        for i, y_basis in enumerate(ys)
+        for k in (1, 2, 4)
+    ]
+
+
+def without_matrix(spec, g):
+    """spec less every basis vector supported on the coset of g."""
+    basis = [b for b in spec.basis if next(iter(b.ints)).rows != g.rows]
+    return SubalgebraSpec(spec.label + "-broken", basis, spec.window)
+
+
+class TestPivotChecks:
+    """Closure and invariance run over the span's pivots; by bilinearity
+    that is the same verdict as over the whole basis."""
+
+    def test_pivots_are_a_basis_of_the_span(self):
+        for spec in [zoo.build_mexo(2), zoo.build_mq(3), zoo.build_mpart(3)]:
+            span = spec._orthogonal_basis()
+            assert len(span.pivots) == len(span) < len(spec.basis)
+            again = _Span(span.pivots)
+            assert len(again) == len(span)
+            assert all(again.contains(b) for b in spec.basis)
+
+    def test_closure_matches_the_whole_basis(self):
+        specs = [
+            zoo.build_mexo(2), zoo.build_mq(3, 1), zoo.build_mq(3, -1), zoo.build_mpart(3)
+        ] + lamplighter_specs()
+        for spec in specs:
+            assert verify_closure(spec) == closure_over_basis(spec), spec.label
+
+    def test_invariance_matches_the_whole_basis(self):
+        wreath = enumerate_group("wreath", 3)
+        cases = [
+            (zoo.build_mexo(2), affine_conjugators(2)),
+            (zoo.build_mq(3, 1), wreath),
+            (zoo.build_mq(3, -1), wreath),
+            (zoo.build_mpart(3), wreath),
+        ] + [
+            (spec, [c])
+            for spec in lamplighter_specs()
+            for c in (Lamplighter.shift(4, 1), Lamplighter.lamp(4, 0))
+        ]
+        verdicts = []
+        for spec, conj in cases:
+            verdict = verify_invariance(spec, conj)
+            assert verdict == invariance_over_basis(spec, conj), spec.label
+            verdicts.append(verdict)
+        # some lamplighter spans are not lamp-invariant
+        assert True in verdicts and False in verdicts
+
+    def test_broken_mexo_fails_both_ways(self):
+        spec = without_matrix(zoo.build_mexo(2), F2Matrix.swap(1, 2))
+        conj = affine_conjugators(2)
+        assert not verify_closure(spec) and not closure_over_basis(spec)
+        assert not verify_invariance(spec, conj) and not invariance_over_basis(spec, conj)
+
+    def test_broken_mq_fails_both_ways(self):
+        # basis[1] is u_v for v = e1: no other vector meets the identity
+        # coset there, yet u_{e2} u_{e1+e2} = u_{e1}
+        full = zoo.build_mq(3)
+        spec = SubalgebraSpec("mq-broken", full.basis[:1] + full.basis[2:], full.window)
+        assert len(spec._orthogonal_basis()) == len(full._orthogonal_basis()) - 1
+        assert not verify_closure(spec) and not closure_over_basis(spec)
+
+    def test_broken_mexo3_fails(self):
+        # 332 pivots against 1,336 basis vectors: only the pivot form runs
+        spec = without_matrix(zoo.build_mexo(3), gl_elements(3)[1])
+        assert not verify_closure(spec)
 
 
 class TestEProperties:

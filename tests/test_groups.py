@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isrlab import groups
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
@@ -225,3 +226,10 @@ class TestCaps:
     def test_group_too_large(self):
         with pytest.raises(GroupTooLarge):
             enumerate_group("cantor", 3, cap=1000)
+
+    def test_inverse_cache_holds_gl4(self):
+        # every mexo:4 product inverts a GL(4, F2) matrix; a bound below
+        # |GL(4, F2)| = 20160 evicts entries a random stream needs again
+        gl4 = group_order("affine", 4) >> 4
+        assert gl4 == 20160
+        assert groups._mat_inverse_cached.cache_info().maxsize > gl4
