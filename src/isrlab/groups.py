@@ -16,7 +16,6 @@ equality across truncations is plain equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
@@ -255,28 +254,42 @@ def _wreath(sigma: tuple[int, ...], bits: int) -> Wreath:
     return w
 
 
-@dataclass(frozen=True)
 class Lamplighter(_Element):
-    """Element (v, t) of Z2 ≀ (Z/m): lamps v indexed by Z/m, shift t."""
+    """Element (v, t) of Z2 ≀ (Z/m): lamps v indexed by Z/m, shift t.
 
-    m: int
-    v: int  # bitmask over Z/m
-    t: int
+    ``v`` is the lamp bitmask over Z/m.  The hash of ``(m, v, t)`` is
+    computed once.
+    """
+
+    __slots__ = ("m", "v", "t", "_hash")
 
     family = "lamplighter"
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, v: int, t: int):
+        if m < 1:
             raise ValueError("modulus must be positive")
-        object.__setattr__(self, "v", self.v & ((1 << self.m) - 1))
-        object.__setattr__(self, "t", self.t % self.m)
+        return _lamplighter(m, v & ((1 << m) - 1), t % m)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Lamplighter is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Lamplighter:
+            return NotImplemented
+        return self.v == other.v and self.t == other.t and self.m == other.m
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Lamplighter(m={self.m!r}, v={self.v!r}, t={self.t!r})"
 
     @staticmethod
     def identity(m: int) -> "Lamplighter":
         return Lamplighter(m, 0, 0)
 
     def identity_like(self) -> "Lamplighter":
-        return Lamplighter(self.m, 0, 0)
+        return _lamplighter(self.m, 0, 0)
 
     @staticmethod
     def lamp(m: int, i: int) -> "Lamplighter":
@@ -295,10 +308,30 @@ class Lamplighter(_Element):
 
     def mul(self, other: "Lamplighter") -> "Lamplighter":
         m = self.m
-        return Lamplighter(m, _shift_bits(self.v, -other.t, m) ^ other.v, self.t + other.t)
+        return _lamplighter(
+            m, _shift_bits(self.v, -other.t, m) ^ other.v, (self.t + other.t) % m
+        )
 
     def inv(self) -> "Lamplighter":
-        return Lamplighter(self.m, _shift_bits(self.v, self.t, self.m), -self.t)
+        m, t = self.m, self.t
+        return _lamplighter(m, _shift_bits(self.v, t, m), -t % m)
+
+
+_set_l_m = Lamplighter.m.__set__
+_set_l_v = Lamplighter.v.__set__
+_set_l_t = Lamplighter.t.__set__
+_set_l_hash = Lamplighter._hash.__set__
+
+
+def _lamplighter(m: int, v: int, t: int) -> Lamplighter:
+    """The element with modulus m, lamps v < 2^m and shift 0 <= t < m,
+    unchecked."""
+    x = object.__new__(Lamplighter)
+    _set_l_m(x, m)
+    _set_l_v(x, v)
+    _set_l_t(x, t)
+    _set_l_hash(x, hash((m, v, t)))
+    return x
 
 
 def _shift_bits(v: int, t: int, m: int) -> int:
@@ -729,39 +762,74 @@ def normal_closure(
 
 def affine_vector_centralizer_gens(n: int) -> list[GroupElement]:
     """Generators of the centralizer of the pure vector e1 in the level-n
-    affine truncation: the e1-stabilizer in GL times all of F2^n."""
-    gens: list[GroupElement] = [
-        Affine.vector(F2Vector.basis(k)) for k in range(1, n + 1)
-    ]
-    # transvections I + E_ij fix e1 exactly when j != 1
-    for i in range(1, n + 1):
-        for j in range(2, n + 1):
-            if i != j:
-                gens.append(Affine.matrix(F2Matrix.transvection(i, j)))
-    return gens
+    affine truncation: the e1-stabilizer in GL times all of F2^n.
+
+    Stab(e1) ≅ F2^{n-1} ⋊ GL(n-1).  GL(n-1) on coordinates 2..n is
+    generated by I + E_23 and the cycle of 2..n with its inverse (the
+    kind of pair ``group_generators`` uses), and it is transitive on the
+    nonzero first rows, so its conjugates of I + E_12 give the F2^{n-1}
+    part.  Stab(e1) is transitive on F2^n minus {0, e1}, so e1 and e2
+    give every vector.
+    """
+    gens: list[GroupElement] = [Affine.vector(F2Vector.basis(1))]
+    if n >= 2:
+        gens.append(Affine.vector(F2Vector.basis(2)))
+        gens.append(Affine.matrix(F2Matrix.transvection(1, 2)))
+    if n >= 3:
+        gens.append(Affine.matrix(F2Matrix.transvection(2, 3)))
+        # row i of the cycle of coordinates 2..n, 0-indexed 1..n-1
+        rows = [1] + [1 << (1 + i % (n - 1)) for i in range(1, n)]
+        cyc = Affine.matrix(F2Matrix(rows))
+        gens += [cyc, cyc.inv()]
+    return list(dict.fromkeys(gens))
+
+
+def _cantor_perm(m: int, mapping: dict) -> Cantor:
+    """The level-m point permutation moving src to dst for each item."""
+    p = list(range(1 << m))
+    for src, dst in mapping.items():
+        p[src] = dst
+    return Cantor.perm(m, p)
+
+
+def _cantor_sym_gens(m: int, items: list[tuple[int, ...]]) -> list[Cantor]:
+    """A transposition and the cycle of the items with its inverse: they
+    generate Sym(items), moving the points of each item (tuples of one
+    length) in parallel."""
+    if len(items) < 2:
+        return []
+
+    def move(pairs) -> Cantor:
+        return _cantor_perm(m, {x: y for p, q in pairs for x, y in zip(p, q)})
+
+    cyc = move(zip(items, items[1:] + items[:1]))
+    return [move([(items[0], items[1]), (items[1], items[0])]), cyc, cyc.inv()]
 
 
 def cantor_indicator_centralizer_gens(m: int, a) -> list[GroupElement]:
     """Generators of the centralizer of f̃_A at level m: permutations
-    preserving {A, complement(A)} times the whole abelian part."""
+    preserving {A, complement(A)} times the whole abelian part.
+
+    The permutations are Sym(A) × Sym(Aᶜ), with the A↔Aᶜ swap when
+    |A| = |Aᶜ|: a transposition and the block cycle per block.  They move
+    one point of a block onto each of its points, so f̃ of one point per
+    block gives every single-point f̃, and single-point sets span the
+    point sets modulo complement.
+    """
     a = set(Cantor.indicator(m, a).at_level(m)[1])
     npts = 1 << m
     comp = sorted(set(range(npts)) - a)
     a_sorted = sorted(a)
-    gens: list[GroupElement] = [Cantor.indicator(m, {p}) for p in range(1, npts)]
+    gens: list[GroupElement] = []
     for block in (a_sorted, comp):
-        for i in range(len(block) - 1):
-            gens.append(
-                Cantor.perm(m, transposition(block[i], block[i + 1]) + tuple(
-                    range(max(block[i], block[i + 1]) + 1, npts)
-                ))
-            )
+        if block:
+            gens.append(Cantor.indicator(m, {block[0]}))
+            gens += _cantor_sym_gens(m, [(p,) for p in block])
     if len(a_sorted) == len(comp) and a_sorted:
-        swap = list(range(npts))
-        for x, y in zip(a_sorted, comp):
-            swap[x], swap[y] = swap[y], swap[x]
-        gens.append(Cantor.perm(m, swap))
-    return gens
+        swap = dict(zip(a_sorted, comp))
+        swap.update(zip(comp, a_sorted))
+        gens.append(_cantor_perm(m, swap))
+    return list(dict.fromkeys(gens))
 
 
 def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
@@ -771,6 +839,13 @@ def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
     strictly smaller than the whole point set; its centralizer is the
     pair-preserving wreath-type group times the permutations of the
     fixed points, with the s-invariant point sets as the abelian part.
+
+    The pair-preserving group Z2 ≀ Sym(pairs) is generated by the swap
+    inside one pair and Sym(pairs): the swap of pairs 0 and 1 and the
+    pair cycle with its inverse.  Sym(fixed) takes a transposition and
+    the cycle of the fixed points.  These move pair 0 onto every pair
+    and one fixed point onto every fixed point, so one pair indicator
+    and one fixed-point indicator give the whole abelian part.
     """
     sigma, a = s.at_level(m)
     if a:
@@ -785,21 +860,12 @@ def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
     if not fixed:
         raise FamilyMismatch("involution must have a fixed point")
 
-    def full_perm(mapping):
-        p = list(range(npts))
-        for src, dst in mapping.items():
-            p[src] = dst
-        return Cantor.perm(m, tuple(p))
-
     gens: list[GroupElement] = []
-    for a0, b0 in pairs:
-        gens.append(full_perm({a0: b0, b0: a0}))
-    for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
-        gens.append(full_perm({a0: a1, a1: a0, b0: b1, b1: b0}))
-    for x, y in zip(fixed, fixed[1:]):
-        gens.append(full_perm({x: y, y: x}))
-    for a0, b0 in pairs:
+    if pairs:
+        a0, b0 = pairs[0]
+        gens.append(_cantor_perm(m, {a0: b0, b0: a0}))
+        gens += _cantor_sym_gens(m, pairs)
         gens.append(Cantor.indicator(m, {a0, b0}))
-    for x in fixed:
-        gens.append(Cantor.indicator(m, {x}))
-    return gens
+    gens += _cantor_sym_gens(m, [(x,) for x in fixed])
+    gens.append(Cantor.indicator(m, {fixed[0]}))
+    return list(dict.fromkeys(gens))

@@ -733,7 +733,10 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
                 for y in y_basis
             ]
             spec = SubalgebraSpec(f"lamp:{y_name},k={k}", basis, window)
-            if len(basis) ** 2 <= 2500:
+            # the basis is independent, so the exact check multiplies
+            # |basis|² pivot pairs: it runs up to 64² (every span at
+            # m <= 4); above, where that grows as 4^m, 60 are sampled
+            if len(basis) ** 2 <= 4096:
                 closed = verify_closure(spec)
             else:
                 pairs = [(i, (i * 7 + 3) % len(basis)) for i in range(60)]

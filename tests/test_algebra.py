@@ -154,7 +154,7 @@ class TestConvolveExact:
 
 
 # ---------------------------------------------------------------------------
-# the product memo of convolve
+# the product memo of convolve and ad
 
 
 POOLS = {
@@ -241,6 +241,59 @@ class TestProductMemo:
                 convolve(x, unit(Lamplighter(m, 1, 0)))
             with pytest.raises(FamilyMismatch):
                 convolve(unit(Lamplighter(m, 1, 0)), x)
+
+    # ad reads the same memo: (g·h)·g^{-1} per term
+
+    @pytest.mark.parametrize("family", list(POOLS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ad_cold_and_warm_match_reference(self, family, data):
+        x, y = data.draw(algebra_pairs(family))
+        g = data.draw(st.sampled_from(POOLS[family]))
+        expected = naive_ad(g, x)
+        algebra._clear_products()
+        assert ad(g, x) == expected  # cold
+        assert memo_consistent()
+        assert ad(g, x) == expected  # warm
+        assert ad(g, y) == naive_ad(g, y)  # row g partly warm
+        assert ad(inverse(g), expected) == x
+        assert memo_consistent()
+
+    @pytest.mark.parametrize("family", list(POOLS))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_ad_after_overflow_clear_matches_reference(self, family, data):
+        x, _ = data.draw(algebra_pairs(family))
+        g = data.draw(st.sampled_from(POOLS[family]))
+        with pytest.MonkeyPatch.context() as mp:
+            # a limit of 3 products empties the memo every other term
+            mp.setattr(algebra, "_MEMO_LIMIT", 3)
+            algebra._clear_products()
+            for _ in range(2):
+                assert ad(g, x) == naive_ad(g, x)
+                # the check comes before each term, which stores at most 2
+                assert algebra._stored <= 3 + 2
+                assert memo_consistent()
+
+    def test_ad_lamplighter_moduli_after_warm_memo(self):
+        x = AlgebraElement({Lamplighter(4, v, t): 1 for v in range(3) for t in range(2)})
+        g = Lamplighter(4, 5, 1)
+        algebra._clear_products()
+        ad(g, x)
+        convolve(x, x)
+        for m in (3, 5):
+            with pytest.raises(FamilyMismatch):
+                ad(Lamplighter(m, 1, 0), x)
+            # one family, two moduli: the first term passes the entry
+            # check, the second reaches multiply
+            mixed = AlgebraElement({Lamplighter(4, 1, 0): 1, Lamplighter(m, 1, 0): 1})
+            with pytest.raises(FamilyMismatch):
+                ad(g, mixed)
+
+
+def naive_ad(g, x):
+    """u_g x u_g^{-1} term by term through conjugate, without the memo."""
+    return AlgebraElement({conjugate(g, h): c for h, c in x.terms.items()})
 
 
 def naive_sum(x, y, sign=1):

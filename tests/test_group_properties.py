@@ -1,7 +1,10 @@
 """Property tests for the four group families, a differential test of
 the bitmask Cantor arithmetic against the frozenset algorithm it
-replaced, and one of the packed-int Affine and Wreath arithmetic
-against dense 0/1-list references and the dataclasses they replaced."""
+replaced, one of the packed-int Affine and Wreath arithmetic against
+dense 0/1-list references and the dataclasses they replaced, one of the
+slotted Lamplighter against the dataclass it replaced, and orbit and
+closure tests of the minimal centralizer generating sets against the
+longer lists they replaced."""
 
 import itertools
 import random
@@ -17,13 +20,19 @@ from isrlab.groups import (
     Cantor,
     Lamplighter,
     Wreath,
+    affine_vector_centralizer_gens,
+    cantor_indicator_centralizer_gens,
+    cantor_involution_centralizer_gens,
     conjugate,
+    cylinder_points,
     enumerate_group,
     gl_elements,
     identity_like,
     inverse,
     multiply,
     orbit_under,
+    subgroup_closure,
+    transposition,
 )
 
 
@@ -450,3 +459,265 @@ def test_wreath_packed_reads_like_the_dataclass(a, pad):
     assert a.sigma == record.sigma and a.v == record.v
     assert_like_record(a, record, (record.sigma, record.v.bits))
     assert hash(a) == hash((a.sigma, a.v))
+
+
+# ---------------------------------------------------------------------------
+# differential test: the slotted Lamplighter against the frozen dataclass
+# it replaced
+
+
+def ref_shift_bits(v, t, m):
+    """Lamp i of v moved to lamp i + t (mod m), one lamp at a time."""
+    return sum(1 << ((i + t) % m) for i in range(m) if v >> i & 1)
+
+
+def _record_post_init(self):
+    if self.m < 1:
+        raise ValueError("modulus must be positive")
+    object.__setattr__(self, "v", self.v & ((1 << self.m) - 1))
+    object.__setattr__(self, "t", self.t % self.m)
+
+
+LamplighterRecord = make_dataclass(
+    "Lamplighter",
+    [("m", int), ("v", int), ("t", int)],
+    frozen=True,
+    namespace={
+        "__post_init__": _record_post_init,
+        "sort_key": lambda self: (self.m, self.t, self.v),
+        "mul": lambda self, other: LamplighterRecord(
+            self.m, ref_shift_bits(self.v, -other.t, self.m) ^ other.v, self.t + other.t
+        ),
+        "inv": lambda self: LamplighterRecord(
+            self.m, ref_shift_bits(self.v, self.t, self.m), -self.t
+        ),
+    },
+)
+
+
+def assert_lamplighter_like(x, record):
+    assert (x.m, x.v, x.t) == (record.m, record.v, record.t)
+    assert_like_record(x, record, record.sort_key())
+    assert hash(x) == hash((x.m, x.v, x.t))
+
+
+# unnormalized payloads: lamps past the modulus and shifts of any sign
+raw_lamplighter_pairs = st.integers(1, 7).flatmap(
+    lambda m: st.tuples(
+        *[st.tuples(st.just(m), st.integers(-(1 << 9), 1 << 9), st.integers(-20, 20))] * 2
+    )
+)
+
+
+@given(raw_lamplighter_pairs)
+@settings(max_examples=300, deadline=None)
+def test_lamplighter_slotted_matches_the_dataclass(pair):
+    (a, ra), (b, rb) = [(Lamplighter(*p), LamplighterRecord(*p)) for p in pair]
+    assert_lamplighter_like(a, ra)
+    assert (a == b) == (ra == rb)
+    assert (hash(a) == hash(b)) == (hash(ra) == hash(rb))
+    assert_lamplighter_like(a.mul(b), ra.mul(rb))
+    assert_lamplighter_like(a.inv(), ra.inv())
+    assert Lamplighter(a.m, a.v, a.t) == a and a != Lamplighter(a.m + 1, a.v, a.t)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_lamplighter_rejects_nonpositive_modulus(m):
+    for cls in (Lamplighter, LamplighterRecord):
+        with pytest.raises(ValueError):
+            cls(m, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the centralizer generating sets against the longer lists they replaced:
+# every orbit is the same set, and so is every generated group that can be
+# enumerated
+
+
+def ref_affine_vector_centralizer_gens(n):
+    gens = [Affine.vector(F2Vector.basis(k)) for k in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(2, n + 1):
+            if i != j:
+                gens.append(Affine.matrix(F2Matrix.transvection(i, j)))
+    return gens
+
+
+def ref_cantor_indicator_centralizer_gens(m, a):
+    a = set(Cantor.indicator(m, a).at_level(m)[1])
+    npts = 1 << m
+    comp = sorted(set(range(npts)) - a)
+    a_sorted = sorted(a)
+    gens = [Cantor.indicator(m, {p}) for p in range(1, npts)]
+    for block in (a_sorted, comp):
+        for i in range(len(block) - 1):
+            gens.append(
+                Cantor.perm(m, transposition(block[i], block[i + 1]) + tuple(
+                    range(max(block[i], block[i + 1]) + 1, npts)
+                ))
+            )
+    if len(a_sorted) == len(comp) and a_sorted:
+        swap = list(range(npts))
+        for x, y in zip(a_sorted, comp):
+            swap[x], swap[y] = swap[y], swap[x]
+        gens.append(Cantor.perm(m, swap))
+    return gens
+
+
+def ref_cantor_involution_centralizer_gens(m, s):
+    sigma, a = s.at_level(m)
+    npts = 1 << m
+    pairs = sorted((x, sigma[x]) for x in range(npts) if sigma[x] > x)
+    fixed = sorted(x for x in range(npts) if sigma[x] == x)
+
+    def full_perm(mapping):
+        p = list(range(npts))
+        for src, dst in mapping.items():
+            p[src] = dst
+        return Cantor.perm(m, tuple(p))
+
+    gens = []
+    for a0, b0 in pairs:
+        gens.append(full_perm({a0: b0, b0: a0}))
+    for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
+        gens.append(full_perm({a0: a1, a1: a0, b0: b1, b1: b0}))
+    for x, y in zip(fixed, fixed[1:]):
+        gens.append(full_perm({x: y, y: x}))
+    for a0, b0 in pairs:
+        gens.append(Cantor.indicator(m, {a0, b0}))
+    for x in fixed:
+        gens.append(Cantor.indicator(m, {x}))
+    return gens
+
+
+def assert_same_orbits(elements, gens, ref_gens):
+    for el in elements:
+        assert orbit_under(el, gens) == orbit_under(el, ref_gens), el
+
+
+def all_involutions_with_a_fixed_point(m):
+    """The point involutions of level m, as Cantor elements."""
+    npts = 1 << m
+    out = []
+    for k in range(npts // 2 + 1):
+        for support in itertools.combinations(range(npts), 2 * k):
+            if 2 * k == npts:
+                continue
+            for matching in _matchings(support):
+                p = list(range(npts))
+                for x, y in matching:
+                    p[x], p[y] = y, x
+                out.append(Cantor.perm(m, p))
+    return out
+
+
+def _matchings(points):
+    if not points:
+        yield []
+        return
+    x, rest = points[0], points[1:]
+    for i, y in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(x, y)] + tail
+
+
+# the suite's elements (fpc_growth_suite), with its truncations
+E1 = Affine.vector(F2Vector.basis(1))
+AFFINE_FPC = [Affine.identity(), E1, Affine.matrix(F2Matrix.swap(1, 2)),
+              Affine.vector(F2Vector.basis(2))]
+INDICATOR_FPC = [Cantor.identity(), Cantor.indicator(1, {1}),
+                 Cantor.indicator(2, cylinder_points("01", 2)), Cantor.perm(2, (2, 1, 0, 3))]
+S_EL = Cantor.perm(2, (1, 0, 2, 3))
+F_SUPP = Cantor.indicator(2, {0, 1})
+INVOLUTION_FPC = [Cantor.identity(), S_EL, F_SUPP, multiply(S_EL, F_SUPP),
+                  Cantor.indicator(2, {2}), Cantor.perm(2, (0, 1, 3, 2))]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_affine_centralizer_orbits_as_before(n):
+    gens = affine_vector_centralizer_gens(n)
+    assert len(gens) == {3: 5, 4: 6, 5: 6}[n]
+    assert_same_orbits(AFFINE_FPC, gens, ref_affine_vector_centralizer_gens(n))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cantor_indicator_centralizer_orbits_as_before(m):
+    a = cylinder_points("1", m)
+    gens = cantor_indicator_centralizer_gens(m, a)
+    assert len(gens) == {2: 5, 3: 9, 4: 9}[m]
+    assert_same_orbits(INDICATOR_FPC, gens, ref_cantor_indicator_centralizer_gens(m, a))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cantor_involution_centralizer_orbits_as_before(m):
+    gens = cantor_involution_centralizer_gens(m, S_EL)
+    assert len(gens) == {2: 4, 3: 7, 4: 9}[m]
+    assert_same_orbits(
+        INVOLUTION_FPC, gens, ref_cantor_involution_centralizer_gens(m, S_EL)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_affine_centralizer_generates_as_before(n):
+    gens = affine_vector_centralizer_gens(n)
+    closure = subgroup_closure(gens)
+    assert closure == subgroup_closure(ref_affine_vector_centralizer_gens(n))
+    # the whole centralizer of e1: F2^n times the e1-stabilizer in GL(n)
+    stabilizer = sum(1 for g in gl_elements(n) if conjugate(Affine.matrix(g), E1) == E1)
+    assert len(closure) == stabilizer << n
+
+
+def cantor_point_sets(m):
+    """One point set per class modulo complement."""
+    rest = range(1, 1 << m)
+    return [set(c) for r in range(1 << m) for c in itertools.combinations(rest, r)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_cantor_indicator_centralizer_generates_as_before(m):
+    for a in cantor_point_sets(m):
+        gens = cantor_indicator_centralizer_gens(m, a)
+        assert subgroup_closure(gens) == subgroup_closure(
+            ref_cantor_indicator_centralizer_gens(m, a)
+        ), a
+
+
+def test_cantor_involution_centralizer_generates_as_before():
+    for s in all_involutions_with_a_fixed_point(2):
+        gens = cantor_involution_centralizer_gens(2, s)
+        assert subgroup_closure(gens) == subgroup_closure(
+            ref_cantor_involution_centralizer_gens(2, s)
+        ), s
+
+
+# elements whose orbits at m = 3 stay small under every centralizer below
+SMALL_CANTOR = [Cantor.indicator(1, {1}), Cantor.indicator(2, {2}), Cantor.indicator(3, {5}),
+                Cantor.perm(2, (1, 0, 2, 3)), Cantor.perm(2, (2, 1, 0, 3))]
+
+
+def test_cantor_indicator_centralizer_orbits_at_m3():
+    for a in [{1}, {1, 2}, {1, 2, 4}, {3, 5, 6}, {1, 3, 5, 7}, {1, 2, 3, 4, 5, 6, 7}]:
+        assert_same_orbits(
+            SMALL_CANTOR,
+            cantor_indicator_centralizer_gens(3, a),
+            ref_cantor_indicator_centralizer_gens(3, a),
+        )
+
+
+def test_cantor_involution_centralizer_orbits_at_m3():
+    involutions = all_involutions_with_a_fixed_point(3)
+    for s in involutions[:: max(1, len(involutions) // 40)]:
+        assert_same_orbits(
+            SMALL_CANTOR,
+            cantor_involution_centralizer_gens(3, s),
+            ref_cantor_involution_centralizer_gens(3, s),
+        )
+
+
+def test_centralizer_gens_are_closed_under_inverse():
+    gens = [
+        *affine_vector_centralizer_gens(5),
+        *cantor_indicator_centralizer_gens(4, cylinder_points("1", 4)),
+        *cantor_involution_centralizer_gens(4, S_EL),
+    ]
+    assert all(inverse(g) in gens for g in gens)

@@ -207,6 +207,18 @@ class TestLamplighter:
         assert {"description", "expected", "actual", "pass"} <= set(rep["checks"][0])
         assert zoo.report_passed(rep)
 
+    def test_every_span_at_m4_gets_the_exact_closure_check(self, monkeypatch):
+        calls = []
+
+        def record(spec, pairs=None):
+            calls.append((spec.label, pairs))
+            return verify_closure(spec, pairs)
+
+        monkeypatch.setattr(zoo, "verify_closure", record)
+        zoo.lamplighter_scenarios(4)
+        assert ("lamp:full,k=1", None) in calls
+        assert len(calls) == 9 and all(pairs is None for _, pairs in calls)
+
     def test_closure_observations(self):
         rep = zoo.lamplighter_scenarios(4)
         obs = rep["observations"]
