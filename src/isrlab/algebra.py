@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FamilyMismatch
-from .groups import GroupElement, _check_family, identity_like, inverse, multiply
+from .groups import GroupElement, _check_family, inverse, multiply
 
 
 def _frac(x) -> Fraction:
@@ -99,7 +99,6 @@ def as_gaussian(x) -> GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def _gaussian(re: int, im: int, den: int) -> GaussianRational:
@@ -239,7 +238,7 @@ def unit(g: GroupElement) -> AlgebraElement:
 
 def one_like(g: GroupElement) -> AlgebraElement:
     """The algebra identity u_e in g's group."""
-    return unit(identity_like(g))
+    return unit(g.identity_like())
 
 
 def combine(alpha, x: AlgebraElement, beta, y: AlgebraElement) -> AlgebraElement:

@@ -160,13 +160,3 @@ def is_central(spec: CharacterSpec, pairs) -> bool:
     return all(
         evaluate(spec, conjugate(h, g)) == evaluate(spec, g) for g, h in pairs
     )
-
-
-def match_expectation_character(spec, cand: CharacterSpec, sample) -> bool:
-    """Whether τ(g^{-1}E(g)) agrees with the closed form on every sample."""
-    from .expectation import character_of
-
-    for g in sample:
-        if character_of(spec, g) != evaluate(cand, g):
-            return False
-    return True

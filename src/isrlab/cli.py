@@ -28,12 +28,13 @@ from .zoo import SUITES, build_mexo, build_mpart, build_mq, report_passed
 from . import zoo
 
 
-def _resolve_cap(args) -> int | None:
+def _resolve_cap(args) -> int:
+    """--cap, else ISRLAB_CAP, else DEFAULT_CAP; 0 is a cap like any other."""
     if getattr(args, "cap", None) is not None:
         return args.cap
     env = os.environ.get("ISRLAB_CAP")
     if not env:
-        return None
+        return DEFAULT_CAP
     try:
         return int(env)
     except ValueError:
@@ -48,9 +49,7 @@ def _suite_kwargs(args) -> dict:
         kw["m"] = args.m
     if args.seed is not None:
         kw["seed"] = args.seed
-    cap = _resolve_cap(args)
-    if cap is not None:
-        kw["cap"] = cap
+    kw["cap"] = _resolve_cap(args)
     return kw
 
 
@@ -93,14 +92,15 @@ def cmd_run(args) -> int:
 
 
 _BUILTIN_SPECS = {
-    "mexo": lambda n, sign: build_mexo(n),
-    "mq": lambda n, sign: build_mq(n, sign),
-    "mpart": lambda n, sign: build_mpart(n),
+    "mexo": lambda n, sign, cap: build_mexo(n, cap),
+    "mq": lambda n, sign, cap: build_mq(n, sign, cap),
+    "mpart": lambda n, sign, cap: build_mpart(n, cap),
 }
 
 
-def _load_spec_arg(text: str):
-    """A spec file path, or a builtin name like mexo:2, mq:3, mq:3:-."""
+def _load_spec_arg(text: str, cap: int):
+    """A spec file path, or a builtin name like mexo:2, mq:3, mq:3:-,
+    built under cap."""
     if os.path.exists(text):
         return load_spec(text)
     parts = text.split(":")
@@ -109,7 +109,7 @@ def _load_spec_arg(text: str):
         raise IsrlabError(f"no spec file or builtin named {text!r}")
     n = int(parts[1]) if len(parts) > 1 else 2
     sign = -1 if len(parts) > 2 and parts[2] == "-" else 1
-    return _BUILTIN_SPECS[name](n, sign)
+    return _BUILTIN_SPECS[name](n, sign, cap)
 
 
 def _load_element_arg(text: str):
@@ -121,7 +121,7 @@ def _load_element_arg(text: str):
 
 def cmd_expect(args) -> int:
     try:
-        spec = _load_spec_arg(args.spec)
+        spec = _load_spec_arg(args.spec, _resolve_cap(args))
         g = _load_element_arg(args.element)
         rep = conditional_expectation(unit(g), spec)
     except (IsrlabError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -144,6 +144,7 @@ def _print_tsv(rows) -> None:
 
 def cmd_tables(args) -> int:
     which = args.table
+    cap = _resolve_cap(args)
     if which in ("characters", "all"):
         try:
             chi = parse_character(args.character)
@@ -152,7 +153,7 @@ def cmd_tables(args) -> int:
             return 2
         n = args.n if args.n is not None else 2
         family = "cantor" if chi.kind == "cantor" else "affine"
-        pool = enumerate_group(family, n)
+        pool = enumerate_group(family, n, cap)
         if chi.kind in ("gl", "cantor"):
             pool = [
                 g
@@ -168,7 +169,7 @@ def cmd_tables(args) -> int:
             ]
         )
     if which in ("fpc", "all"):
-        rep = zoo.fpc_growth_suite(cap=_resolve_cap(args) or DEFAULT_CAP)
+        rep = zoo.fpc_growth_suite(cap=cap)
         print("# fpc orbit growth")
         _print_tsv(
             [("case", "orbit sizes", "pass")]
@@ -179,7 +180,6 @@ def cmd_tables(args) -> int:
         )
     if which in ("closures", "all"):
         print("# normal-closure sizes")
-        cap = _resolve_cap(args) or 10**6
         for family, n in (("affine", 3), ("wreath", 4), ("cantor", 2)):
             for label, size in zoo.closure_table(family, n, cap):
                 print(f"{family}:{n}\t{label}\t{size}")

@@ -188,10 +188,6 @@ class F2Matrix:
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":
         return mat_mul(self, other)
 
-    def apply(self, v: F2Vector) -> F2Vector:
-        """Matrix-vector product g(v)."""
-        return F2Vector(_apply_rows(self.rows, v.bits))
-
     def to_bitstring(self, width: int | None = None) -> str:
         """Row-major bitstring of the width x width upper-left block."""
         n = self.n if width is None else width

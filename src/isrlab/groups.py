@@ -554,10 +554,6 @@ def inverse(a: GroupElement) -> GroupElement:
     return a.inv()
 
 
-def identity_like(a: GroupElement) -> GroupElement:
-    return a.identity_like()
-
-
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
     """g · h · g^{-1}."""
     _check_family(g, h)
@@ -624,8 +620,6 @@ def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupEl
         for p in itertools.permutations(range(npts)):
             for s in subsets:
                 out.append(Cantor(n, p, s))
-    else:
-        raise FamilyMismatch(f"unknown family {family!r}")
     return out
 
 
@@ -635,15 +629,6 @@ def _subset_reps(npts: int):
     for r in range(npts):
         for combo in itertools.combinations(rest, r):
             yield combo
-
-
-def centralizer(g: GroupElement, n: int, cap: int = DEFAULT_CAP) -> set[GroupElement]:
-    """Exact centralizer of g inside the truncated group."""
-    return {
-        x
-        for x in enumerate_group(g.family, n, cap)
-        if multiply(x, g) == multiply(g, x)
-    }
 
 
 def orbit_under(
@@ -712,7 +697,7 @@ def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
     for g in gens:
         _check_family(gens[0], g)
     sym = gens + [inverse(g) for g in gens]
-    ident = identity_like(gens[0])
+    ident = gens[0].identity_like()
     elems = {ident}
     frontier = [ident]
     while frontier:

@@ -43,10 +43,6 @@ class CylinderWord:
             out.pop()
         object.__setattr__(self, "letters", tuple(out))
 
-    @classmethod
-    def parse(cls, s: str) -> "CylinderWord":
-        return cls(tuple(s))
-
     def letter(self, i: int):
         """Letter at 1-indexed position i (⋆ beyond the stored word)."""
         return self.letters[i - 1] if i <= len(self.letters) else STAR
@@ -87,9 +83,9 @@ class PartitionSpec:
         return sum(len(b) for b in self.blocks)
 
 
-def make_f(g: F2Matrix, cap: int | None = None) -> AlgebraElement:
+def make_f(g: F2Matrix) -> AlgebraElement:
     """f_g: the normalized indicator projection of R(g - I)."""
-    vs = range_subgroup(g) if cap is None else range_subgroup(g, cap)
+    vs = range_subgroup(g)
     w = Fraction(1, len(vs))
     return AlgebraElement({Affine.vector(v): w for v in vs})
 
@@ -171,7 +167,7 @@ def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
     return lhs == rhs
 
 
-def make_q_power(sign: int, a, m: int | None = None) -> AlgebraElement:
+def make_q_power(sign: int, a) -> AlgebraElement:
     """Q^A = ∏_{n∈A} ½(1 ± u_{z^{(n)}}) in the wreath family."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

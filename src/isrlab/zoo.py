@@ -188,9 +188,7 @@ def mexo_fproduct_identity(g: F2Matrix) -> bool:
     return prod == make_f(g)
 
 
-def suite_mexo(
-    n: int = 2, seed: int = DEFAULT_SEED, samples: int = 50, cap: int = DEFAULT_CAP, **_
-) -> dict:
+def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
     spec = build_mexo(n, cap)
     checks = []
     if n == 2:
@@ -205,7 +203,7 @@ def suite_mexo(
     else:
         rng = random.Random(seed)
         full = enumerate_group("affine", n, cap)
-        pool = [full[rng.randrange(len(full))] for _ in range(samples)]
+        pool = [full[rng.randrange(len(full))] for _ in range(50)]
     ok = all(spec.expect_unit(x) == mexo_expected_expectation(x) for x in pool)
     checks.append(
         check_eq(f"E(u_g·v) = u_g f_g u_v on {len(pool)} elements", True, ok)
@@ -234,76 +232,45 @@ def suite_mexo(
 # the f-calculus: commuting projection laws and the factorization identity
 
 
-def f_calculus_report(
-    n: int = 3, seed: int = DEFAULT_SEED, pair_sample: int | None = None, cap: int = DEFAULT_CAP, **_
-) -> dict:
-    """f_g f_h = f_h f_g ≤ f_{gh} on GL(n,F2) pairs, plus recomposition
+def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
+    """f_g f_h = f_h f_g ≤ f_{gh} on all GL(n,F2) pairs, plus recomposition
     and range-sum checks of transvection_factorize and the conjugated
-    f-product identity, for every non-identity element.  The exhaustive
-    pair check is refused when it has more than cap pairs."""
-    if pair_sample is None:
-        total = (group_order("affine", n) >> n) ** 2
-        if total > cap:
-            raise Overflow(f"fcalculus at n={n} checks {total} pairs, above cap {cap}")
+    f-product identity, for every non-identity element.  The pair check
+    is refused when it has more than cap pairs."""
+    pairs = (group_order("affine", n) >> n) ** 2
+    if pairs > cap:
+        raise Overflow(f"fcalculus at n={n} checks {pairs} pairs, above cap {cap}")
     gl = gl_elements(n)
-    f_of = {g: make_f(g) for g in gl}
-    if pair_sample is None:
-        pairs = [(g, h) for g in gl for h in gl]
-    else:
-        rng = random.Random(seed)
-        pairs = [(gl[rng.randrange(len(gl))], gl[rng.randrange(len(gl))]) for _ in range(pair_sample)]
-    # f_g only depends on R(g-I), so products are memoized by subspace
-    # key; equal subspaces share one key object, so lookups match by identity
+    # f_g only depends on R(g-I), so each law is checked once per distinct
+    # key it depends on; equal subspaces share one key object, so the
+    # key tuples match by identity
     keys: dict = {}
-    rkey = {}
+    r = {}
     for g in gl:
-        r = range_subgroup(g)
-        rkey[g] = keys.setdefault(r, r)
-    prod_cache: dict = {}
-
-    def fprod(a, b):
-        k = (rkey[a], rkey[b])
-        r = prod_cache.get(k)
-        if r is None:
-            r = prod_cache.setdefault(k, f_of[a] * f_of[b])
-        return r
-
-    # both products depend only on the subspace pair, so does the verdict
-    comm_cache: dict = {}
-    dom_cache: dict = {}
-    conj_cache: dict = {}
-    laws = True
-    for g, h in pairs:
-        pk = (rkey[g], rkey[h])
-        comm = comm_cache.get(pk)
-        if comm is None:
-            comm = comm_cache.setdefault(pk, fprod(g, h) == fprod(h, g))
-        if not comm:
-            laws = False
-            break
+        s = range_subgroup(g)
+        r[g] = keys.setdefault(s, s)
+    f = {r[g]: make_f(g) for g in gl}
+    dom, conj = set(), {}
+    for g in gl:
+        for h in gl:
+            dom.add((r[g], r[h], r[g * h]))
+            conj.setdefault((r[g], h), g)
+    # every pair of subspaces occurs as (R_g, R_h)
+    products = {(a, b): f[a] * f[b] for a in f for b in f}
+    laws = (
+        all(p == products[b, a] for (a, b), p in products.items())
         # p ≤ q for projections means pq = p
-        gh = g * h
-        dk = (*pk, rkey[gh])
-        dom = dom_cache.get(dk)
-        if dom is None:
-            p = fprod(g, h)
-            dom = dom_cache.setdefault(dk, p * f_of[gh] == p)
-        if not dom:
-            laws = False
-            break
+        and all(products[a, b] * f[c] == products[a, b] for a, b, c in dom)
         # f_g u_h = u_h f_{h^{-1}gh}
-        ck = (rkey[g], h)
-        conj = conj_cache.get(ck)
-        if conj is None:
-            uh = unit(Affine.matrix(h))
-            moved = mat_inverse(h) * g * h
-            conj = conj_cache.setdefault(ck, f_of[g] * uh == uh * f_of[moved])
-        if not conj:
-            laws = False
-            break
+        and all(
+            f[a] * unit(Affine.matrix(h))
+            == unit(Affine.matrix(h)) * f[r[mat_inverse(h) * g * h]]
+            for (a, h), g in conj.items()
+        )
+    )
     checks = [
         check_eq(
-            f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {len(pairs)} pairs",
+            f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {pairs} pairs",
             True,
             laws,
         )
@@ -335,7 +302,7 @@ def f_calculus_report(
     return report(
         f"fcalculus:n={n}",
         "f_g is the range projection of R(g-I); products obey the subspace-sum law",
-        {"n": n, "pairs": len(pairs)},
+        {"n": n, "pairs": pairs},
         checks,
     )
 
@@ -469,10 +436,10 @@ def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     return SubalgebraSpec(f"mpart:n={n}", basis, window)
 
 
-def suite_mq(n: int = 3, sign: int = 1, cap: int = DEFAULT_CAP, **_) -> dict:
-    spec = build_mq(n, sign, cap)
+def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
+    spec = build_mq(n, 1, cap)
     s12 = Wreath.perm(transposition(0, 1))
-    expected = unit(s12) * make_q_power(sign, {1, 2})
+    expected = unit(s12) * make_q_power(1, {1, 2})
     actual = spec.expect_unit(s12)
     resid = unit(s12) - expected
     orth = all(inner_product(b, resid).is_zero() for b in spec.basis)
@@ -487,22 +454,20 @@ def suite_mq(n: int = 3, sign: int = 1, cap: int = DEFAULT_CAP, **_) -> dict:
         ),
     ]
     return report(
-        f"mq:n={n},sign={'+' if sign > 0 else '-'}",
+        f"mq:n={n},sign=+",
         "span{u_s Q^{supp(s)} u_v} is invariant; E(u_s) = u_s Q^{supp(s)}",
-        {"n": n, "sign": sign, "basis_size": len(spec.basis)},
+        {"n": n, "sign": 1, "basis_size": len(spec.basis)},
         checks,
     )
 
 
-def suite_mpart(
-    n: int = 3, seed: int = DEFAULT_SEED, commute_samples: int = 50, cap: int = DEFAULT_CAP, **_
-) -> dict:
+def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
     spec = build_mpart(n, cap)
     s12 = Wreath.perm(transposition(0, 1))
     center = combine(1, make_q_power(1, {1, 2}), 1, make_q_power(-1, {1, 2}))
     rng = random.Random(seed)
     pool = list(spec.basis)
-    sample = [pool[rng.randrange(len(pool))] for _ in range(commute_samples)]
+    sample = [pool[rng.randrange(len(pool))] for _ in range(50)]
     commutes = all(center * b == b * center for b in pool)
     sample_commutes = all(center * b == b * center for b in sample)
     checks = [
@@ -510,7 +475,7 @@ def suite_mpart(
         check_eq("E(u_(12)) = 0", AlgebraElement({}), spec.expect_unit(s12)),
         check_eq("P1^{1,2}+P2^{1,2} commutes with every generator", True, commutes),
         check_eq(
-            f"P1^{{1,2}}+P2^{{1,2}} commutes with {commute_samples} sampled generators",
+            "P1^{1,2}+P2^{1,2} commutes with 50 sampled generators",
             True,
             sample_commutes,
         ),
@@ -678,19 +643,15 @@ def _lamp_cylinder(m: int, word: int) -> AlgebraElement:
     return out
 
 
-def _shift_orbit_reps(m: int) -> list[int]:
-    reps = []
-    seen: set[int] = set()
+def _shift_orbits(m: int) -> list[list[int]]:
+    """The orbits of the cyclic shift on m-bit lamp words, each ascending,
+    ordered by their least word."""
     mask = (1 << m) - 1
+    orbits: dict[int, list[int]] = {}
     for w in range(1 << m):
-        if w in seen:
-            continue
-        reps.append(w)
-        x = w
-        for _ in range(m):
-            x = ((x << 1) | (x >> (m - 1))) & mask
-            seen.add(x)
-    return reps
+        orbit = sorted({((w << t) | (w >> (m - t))) & mask for t in range(m)})
+        orbits.setdefault(orbit[0], orbit)
+    return list(orbits.values())
 
 
 def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
@@ -707,18 +668,10 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
     observations = {}
 
     # (a) span(Y ∪ u_{s^k}·Y) for shift-invariant Y and divisors k of m
-    orbit_sums = []
-    for w in _shift_orbit_reps(m):
-        acc = AlgebraElement({})
-        seenw: set[int] = set()
-        x = w
-        mask = (1 << m) - 1
-        for _ in range(m):
-            if x not in seenw:
-                seenw.add(x)
-                acc = acc + _lamp_cylinder(m, x)
-            x = ((x << 1) | (x >> (m - 1))) & mask
-        orbit_sums.append(acc)
+    orbit_sums = [
+        sum((_lamp_cylinder(m, x) for x in orbit), AlgebraElement({}))
+        for orbit in _shift_orbits(m)
+    ]
     y_choices = [
         ("scalars", [unit(Lamplighter.identity(m))]),
         ("full", [unit(Lamplighter(m, bits, 0)) for bits in range(1 << m)]),
@@ -908,7 +861,7 @@ def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
 # normal-closure truncation shadows
 
 
-def closure_table(family: str, n: int, cap: int = 10**6) -> list[tuple[str, int]]:
+def closure_table(family: str, n: int, cap: int = DEFAULT_CAP) -> list[tuple[str, int]]:
     """Normal-closure sizes of representative seeds in the truncation."""
     if family == "affine":
         seeds = [
@@ -933,7 +886,7 @@ def closure_table(family: str, n: int, cap: int = 10**6) -> list[tuple[str, int]
     return [(label, len(normal_closure([g], n, cap))) for label, g in seeds]
 
 
-def suite_closures(cap: int = 10**6, **_) -> dict:
+def suite_closures(cap: int = DEFAULT_CAP, **_) -> dict:
     affine = closure_table("affine", 3, cap)
     wreath = closure_table("wreath", 4, cap)
     cantor = closure_table("cantor", 2, cap)

@@ -158,6 +158,15 @@ class TestExpect:
         assert main(["expect", "nope:2", SWAP_JSON]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_builtin_spec_honours_cap_env(self, monkeypatch, capsys):
+        # the 24-element affine truncation is above a cap of 10
+        monkeypatch.setenv("ISRLAB_CAP", "10")
+        elem = '{"family": "affine", "g": "0110", "n": 2, "v": "0"}'
+        assert main(["expect", "mexo:2", elem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "above cap 10" in err
+
     def test_bad_element(self, capsys):
         assert main(["expect", "mexo:2", "not-json"]) == 2
 
@@ -187,6 +196,24 @@ class TestTables:
     def test_unknown_character_key_is_named(self, name, key):
         with pytest.raises(ValueError, match=f"no parameter '{key}'"):
             parse_character(name)
+
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["--table", "characters", "--n", "3", "--cap", "10"], None),
+            (["--table", "characters", "--n", "3"], "10"),
+            (["--table", "closures", "--cap", "0"], None),
+            (["--table", "fpc", "--cap", "0"], None),
+        ],
+        ids=["characters-flag", "characters-env", "closures-zero", "fpc-zero"],
+    )
+    def test_cap_binds(self, monkeypatch, capsys, argv, env):
+        # --cap, else ISRLAB_CAP, bounds every table; 0 is a cap, not unset
+        if env is not None:
+            monkeypatch.setenv("ISRLAB_CAP", env)
+        assert main(["tables"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_characters_row_count(self, capsys):
         assert main(["tables", "--table", "characters", "--n", "2"]) == 0

@@ -325,11 +325,10 @@ def affine_conjugators(n):
 def lamplighter_specs(m=4):
     """The lamplighter suite's spans: Y ∪ u_{s^k}·Y for its three Y."""
     window = enumerate_group("lamplighter", m)
-    mask = (1 << m) - 1
     orbit_sums = []
-    for w in zoo._shift_orbit_reps(m):
+    for orbit in zoo._shift_orbits(m):
         acc = AlgebraElement({})
-        for x in {((w << t) | (w >> (m - t))) & mask for t in range(m)}:
+        for x in orbit:
             acc = acc + zoo._lamp_cylinder(m, x)
         orbit_sums.append(acc)
     ys = [

@@ -27,7 +27,6 @@ from isrlab.groups import (
     cylinder_points,
     enumerate_group,
     gl_elements,
-    identity_like,
     inverse,
     multiply,
     orbit_under,
@@ -110,7 +109,7 @@ def test_associativity(a, b, c):
 
 @family_property()
 def test_inverse(a, b, c):
-    e = identity_like(a)
+    e = a.identity_like()
     assert multiply(a, inverse(a)) == e == multiply(inverse(a), a)
     assert inverse(inverse(a)) == a
     assert inverse(multiply(a, b)) == multiply(inverse(b), inverse(a))
@@ -118,7 +117,7 @@ def test_inverse(a, b, c):
 
 @family_property()
 def test_identity_law(a, b, c):
-    e = identity_like(a)
+    e = a.identity_like()
     assert e.is_identity()
     assert multiply(e, a) == a == multiply(a, e)
 

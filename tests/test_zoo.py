@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 from isrlab.algebra import AlgebraElement, trace, unit
 from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange
 from isrlab.expectation import verify_closure, verify_invariance
-from isrlab.f2 import F2Matrix, F2Vector, range_subgroup
+from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
 from isrlab.groups import Affine, Wreath, enumerate_group, gl_elements, transposition
 from isrlab.projections import CylinderWord, make_f, make_q_power
-from isrlab import projections, zoo
+from isrlab import cli, projections, zoo
 
 
 class TestMexo:
@@ -81,10 +82,6 @@ class TestFProduct:
         for g in gl_elements(2):
             if not g.is_identity():
                 assert zoo.mexo_fproduct_identity(g)
-
-    def test_fcalculus_sampled(self):
-        rep = zoo.f_calculus_report(n=3, pair_sample=200)
-        assert zoo.report_passed(rep)
 
 
 class TestMq:
@@ -159,8 +156,10 @@ class TestWitnesses:
 
 
 class TestMemosCannotHideFailures:
-    """The fcalculus commutation verdict and ``make_cylinder`` are
-    memoized; a broken input must still fail the check that uses it."""
+    """fcalculus checks each law once per distinct subspace key and
+    ``make_cylinder`` is memoized; a broken input must still fail the
+    check that uses it.  The dominance and conjugation laws each fail
+    on their own; the wrong projection breaks all three laws."""
 
     @pytest.fixture
     def cold_cylinders(self):
@@ -175,7 +174,7 @@ class TestMemosCannotHideFailures:
         swap = unit(Affine.matrix(F2Matrix.swap(1, 2)))
         wrong = (unit(Affine.identity()) + swap).scale(Fraction(1, 2))
 
-        def broken_make_f(g, cap=None):
+        def broken_make_f(g):
             return wrong if range_subgroup(g) == e1_line else make_f(g)
 
         assert zoo.report_passed(zoo.f_calculus_report(n=2))
@@ -183,6 +182,39 @@ class TestMemosCannotHideFailures:
         laws = zoo.f_calculus_report(n=2)["checks"][0]
         assert laws["description"].startswith("f_g f_h = f_h f_g")
         assert laws["pass"] is False
+
+    def test_fcalculus_laws_fail_on_a_wrong_conjugate(self, monkeypatch):
+        # with h⁻¹ read as h, f_g u_h = u_h f_(hgh) fails for an h of
+        # order 3; the commutation and dominance laws take no inverse
+        gl = gl_elements(2)
+        assert not all(
+            make_f(g) * unit(Affine.matrix(h)) == unit(Affine.matrix(h)) * make_f(h * g * h)
+            for g in gl
+            for h in gl
+        )
+        assert zoo.report_passed(zoo.f_calculus_report(n=2))
+        monkeypatch.setattr(zoo, "mat_inverse", lambda h: h)
+        assert zoo.f_calculus_report(n=2)["checks"][0]["pass"] is False
+
+    def test_fcalculus_laws_fail_on_a_vanishing_projection(self, monkeypatch):
+        # f_g = 0 when rank(g − I) = 2 still commutes with every f_h, and
+        # rank(h⁻¹gh − I) = rank(g − I) keeps f_g u_h = u_h f_(h^-1 gh);
+        # only f_g f_h ≤ f_gh fails, for two transvections whose product
+        # has rank 2
+        def broken_make_f(g):
+            return AlgebraElement({}) if rank_defect(g) == 2 else make_f(g)
+
+        gl = gl_elements(2)
+        f = {g: broken_make_f(g) for g in gl}
+        assert all(f[g] * f[h] == f[h] * f[g] for g in gl for h in gl)
+        assert all(
+            f[g] * unit(Affine.matrix(h)) == unit(Affine.matrix(h)) * f[mat_inverse(h) * g * h]
+            for g in gl
+            for h in gl
+        )
+        assert not all(f[g] * f[h] * f[g * h] == f[g] * f[h] for g in gl for h in gl)
+        monkeypatch.setattr(zoo, "make_f", broken_make_f)
+        assert zoo.f_calculus_report(n=2)["checks"][0]["pass"] is False
 
     def test_cylinder_check_fails_on_a_wrong_word(self, monkeypatch, cold_cylinders):
         # [1, ⋆] under the swap moves to [⋆, 1]; a word map that returns
@@ -279,6 +311,19 @@ class TestSuites:
             "characters",
             "properties",
         }
+
+    def test_suites_take_only_cli_parameters(self):
+        # a suite parameter the CLI cannot pass is an option no caller sets
+        args = cli.build_parser().parse_args(
+            ["run", "--n", "2", "--m", "3", "--seed", "1", "--cap", "5"]
+        )
+        passed = set(cli._suite_kwargs(args))
+        assert passed == {"n", "m", "seed", "cap"}
+        for name, fn in zoo.SUITES.items():
+            params = inspect.signature(fn).parameters.values()
+            named = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
+            assert named <= passed, (name, named - passed)
+            assert any(p.kind is p.VAR_KEYWORD for p in params), name
 
     def test_report_schema(self):
         rep = zoo.suite_cantor()
