@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import FamilyMismatch
 from .f2 import rank_defect, range_subgroup
-from .groups import Affine, Cantor, GroupElement, conjugate, inverse, multiply
+from .groups import GroupElement, conjugate, inverse, multiply
 from .projections import mu_fix
 
 INF = "inf"
@@ -34,7 +34,7 @@ class CharacterSpec:
     d: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("affine", "gl", "cantor", "regular"):
+        if self.kind not in _PARAMETERS:
             raise ValueError(f"unknown character kind {self.kind!r}")
         if self.kind == "regular":
             return
@@ -45,15 +45,27 @@ class CharacterSpec:
             raise ValueError("affine characters need d in {0, 1}")
 
     def name(self) -> str:
-        if self.kind == "regular":
-            return "regular"
-        if self.kind == "affine":
-            return f"affine:k={self.k},d={self.d}"
-        param = "m" if self.kind == "gl" else "k"
-        return f"{self.kind}:{param}={self.k}"
+        values = zip(_PARAMETERS[self.kind], (self.k, self.d))
+        params = ",".join(f"{key}={val}" for key, val in values)
+        return f"{self.kind}:{params}" if params else self.kind
+
+    @property
+    def family(self) -> str:
+        """The family tables enumerate; ``regular`` is tabulated on affine."""
+        return "cantor" if self.kind == "cantor" else "affine"
+
+    def accepts(self, g: GroupElement) -> bool:
+        """Whether g lies in the kind's domain."""
+        return _DOMAINS[self.kind](g)
 
 
 _PARAMETERS = {"affine": ("k", "d"), "gl": ("m",), "cantor": ("k",), "regular": ()}
+_DOMAINS = {
+    "affine": lambda g: g.family == "affine",
+    "gl": lambda g: g.family == "affine" and not g.bits,  # pure matrices
+    "cantor": lambda g: g.family == "cantor" and not g.mask,  # point permutations
+    "regular": lambda g: True,
+}
 
 
 def parse_character(name: str) -> CharacterSpec:
@@ -83,20 +95,18 @@ def parse_character(name: str) -> CharacterSpec:
     missing = [key for key in needed if key not in kv]
     if missing:
         raise ValueError(f"character {name!r} needs {' and '.join(missing)}")
-    if kind == "affine":
-        return CharacterSpec("affine", k=kv["k"], d=kv["d"])
-    if kind == "regular":
-        return CharacterSpec("regular")
-    return CharacterSpec(kind, k=kv[needed[0]])
+    # the parameters fill the fields in order: gl's m is stored as k
+    return CharacterSpec(kind, *(kv[key] for key in needed))
 
 
 def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:
-    """Exact character value; χ(e) = 1 for every implemented character."""
+    """Exact character value; χ(e) = 1 for every implemented character.
+    An element outside the kind's domain raises FamilyMismatch."""
+    if not spec.accepts(g):
+        raise FamilyMismatch(f"{spec.name()} character is not defined on {g!r}")
     if spec.kind == "regular":
         return Fraction(1 if g.is_identity() else 0)
     if spec.kind == "affine":
-        if not isinstance(g, Affine):
-            raise FamilyMismatch("affine character on a non-affine element")
         if spec.k == INF:
             return Fraction(1 if g.g.is_identity() else 0)
         r = rank_defect(g.g)
@@ -104,14 +114,10 @@ def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:
             return Fraction(0)
         return Fraction(1, 1 << (spec.k * r))
     if spec.kind == "gl":
-        if not isinstance(g, Affine) or not g.v.is_zero():
-            raise FamilyMismatch("GL character needs a pure matrix element")
         if spec.k == INF:
             return Fraction(1 if g.g.is_identity() else 0)
         return Fraction(1, 1 << (spec.k * rank_defect(g.g)))
     # cantor
-    if not isinstance(g, Cantor) or g.a:
-        raise FamilyMismatch("symmetric-group character needs a point permutation")
     if spec.k == INF:
         return Fraction(1 if g.is_identity() else 0)
     return mu_fix(g) ** spec.k

@@ -21,7 +21,6 @@ from .serialize import (
     decode_group,
     encode_algebra,
     encode_coefficient,
-    encode_group,
     encode_rational,
 )
 from .zoo import SUITES, build_mexo, build_mpart, build_mq, report_passed
@@ -128,7 +127,7 @@ def cmd_expect(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = {
-        "element": encode_group(g),
+        "element": g.to_json(),
         "expectation": encode_algebra(rep.output),
         "residual_norm_sq": encode_rational(rep.residual_norm_sq),
         "character": encode_coefficient(rep.character_value),
@@ -152,19 +151,12 @@ def cmd_tables(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         n = args.n if args.n is not None else 2
-        family = "cantor" if chi.kind == "cantor" else "affine"
-        pool = enumerate_group(family, n, cap)
-        if chi.kind in ("gl", "cantor"):
-            pool = [
-                g
-                for g in pool
-                if (chi.kind == "gl" and g.v.is_zero()) or (chi.kind == "cantor" and not g.a)
-            ]
-        print(f"# character {chi.name()} on {family} truncation {n}")
+        pool = [g for g in enumerate_group(chi.family, n, cap) if chi.accepts(g)]
+        print(f"# character {chi.name()} on {chi.family} truncation {n}")
         _print_tsv(
             [("element", "value")]
             + [
-                (json.dumps(encode_group(g), sort_keys=True), encode_rational(evaluate(chi, g)))
+                (json.dumps(g.to_json(), sort_keys=True), encode_rational(evaluate(chi, g)))
                 for g in pool
             ]
         )

@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
 from .groups import GroupElement, conjugate, inverse
-from .serialize import decode_algebra, decode_group, encode_algebra, encode_group
+from .serialize import decode_algebra, decode_group, encode_algebra
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ def spec_to_dict(spec: SubalgebraSpec, truncation: int | None = None) -> dict:
         "family": spec.family,
         "basis": [encode_algebra(b) for b in spec.basis],
         "window": sorted(
-            (encode_group(g) for g in spec.window), key=json.dumps
+            (g.to_json() for g in spec.window), key=json.dumps
         ),
     }
     if truncation is not None:
@@ -333,6 +333,12 @@ def spec_to_dict(spec: SubalgebraSpec, truncation: int | None = None) -> dict:
 
 
 def spec_from_dict(d: dict) -> SubalgebraSpec:
+    """Inverse of spec_to_dict; malformed input raises ValueError (or
+    KeyError for a missing field)."""
+    if not isinstance(d, dict):
+        raise ValueError("a spec must be a JSON object")
+    if not isinstance(d["basis"], list) or not isinstance(d["window"], list):
+        raise ValueError("a spec's basis and window must be lists")
     basis = [decode_algebra(b) for b in d["basis"]]
     window = [decode_group(g) for g in d["window"]]
     spec = SubalgebraSpec(d["label"], basis, window)

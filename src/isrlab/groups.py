@@ -16,9 +16,10 @@ equality across truncations is plain equality.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
-from .errors import FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
+from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
 from .f2 import F2Matrix, F2Vector, _apply_rows, _inverse_rows, _mul_rows, _rank_of_rows
 
 DEFAULT_CAP = 10**6
@@ -69,7 +70,13 @@ def cycle(n: int) -> tuple[int, ...]:
 
 
 class _Element:
-    """Operations every family derives from its own ``mul`` / ``inv``."""
+    """Operations every family derives from its own ``mul`` / ``inv``.
+
+    Each family states the ``order``, ``elements`` and a small generating
+    set (``generators``) of its level-n truncation, and its JSON form:
+    matrices as row-major bitstrings, vectors as bitstrings, permutations
+    as image lists of 1..k, Cantor point sets as sorted letter-words.
+    """
 
     __slots__ = ()
 
@@ -150,6 +157,40 @@ class Affine(_Element):
         if not self.rows:
             return self
         return _affine(_mat_inverse_cached(self.rows), _apply_rows(self.rows, self.bits))
+
+    @staticmethod
+    def order(n: int) -> int:
+        _check_level("affine", n)
+        return math.prod((1 << n) - (1 << k) for k in range(n)) << n
+
+    @staticmethod
+    def elements(n: int) -> list["Affine"]:
+        return [_affine(g.rows, bits) for g in gl_elements(n) for bits in range(1 << n)]
+
+    @staticmethod
+    def generators(n: int) -> list["Affine"]:
+        gens = [Affine.vector(F2Vector.basis(1))]
+        if n >= 2:
+            gens.append(Affine.matrix(F2Matrix.transvection(1, 2)))
+            perm_rows = [1 << ((i + 1) % n) for i in range(n)]
+            gens.append(Affine.matrix(F2Matrix(perm_rows)))
+        return gens
+
+    def to_json(self) -> dict:
+        n = max(self.g.n, self.v.dim)
+        return {
+            "family": "affine",
+            "n": n,
+            "g": self.g.to_bitstring(n),
+            "v": self.v.to_bitstring(n),
+        }
+
+    @staticmethod
+    def from_json(d: dict) -> "Affine":
+        g = F2Matrix.from_bitstring(_bits(d.get("g"), "g"))
+        if _rank_of_rows(g.rows) < g.n:
+            raise ValueError("g must be an invertible matrix")
+        return Affine(g, F2Vector.from_bitstring(_bits(d.get("v"), "v")))
 
 
 _set_a_rows = Affine.rows.__set__
@@ -239,6 +280,40 @@ class Wreath(_Element):
         # σ^{-1} fixes its last point only if σ does, so it is canonical
         return _wreath(tuple(inv), bits)
 
+    @staticmethod
+    def order(n: int) -> int:
+        _check_level("wreath", n)
+        return math.factorial(n) << n
+
+    @staticmethod
+    def elements(n: int) -> list["Wreath"]:
+        perms = map(perm_canonical, itertools.permutations(range(n)))
+        return [_wreath(sigma, bits) for sigma in perms for bits in range(1 << n)]
+
+    @staticmethod
+    def generators(n: int) -> list["Wreath"]:
+        gens = [Wreath.vector(F2Vector.basis(1))]
+        if n >= 2:
+            gens.append(Wreath.perm(transposition(0, 1)))
+            gens.append(Wreath.perm(cycle(n)))
+        return gens
+
+    def to_json(self) -> dict:
+        n = max(len(self.sigma), self.v.dim)
+        return {
+            "family": "wreath",
+            "n": n,
+            "perm": [perm_image(self.sigma, i) + 1 for i in range(n)],
+            "v": self.v.to_bitstring(n),
+        }
+
+    @staticmethod
+    def from_json(d: dict) -> "Wreath":
+        return Wreath(
+            _perm(d.get("perm"), "perm"),
+            F2Vector.from_bitstring(_bits(d.get("v"), "v")),
+        )
+
 
 _set_w_sigma = Wreath.sigma.__set__
 _set_w_bits = Wreath.bits.__set__
@@ -315,6 +390,32 @@ class Lamplighter(_Element):
     def inv(self) -> "Lamplighter":
         m, t = self.m, self.t
         return _lamplighter(m, _shift_bits(self.v, t, m), -t % m)
+
+    @staticmethod
+    def order(m: int) -> int:
+        _check_level("lamplighter", m)
+        return m << m
+
+    @staticmethod
+    def elements(m: int) -> list["Lamplighter"]:
+        return [_lamplighter(m, bits, t) for t in range(m) for bits in range(1 << m)]
+
+    @staticmethod
+    def generators(m: int) -> list["Lamplighter"]:
+        return [Lamplighter.lamp(m, 0), Lamplighter.shift(m, 1)]
+
+    def to_json(self) -> dict:
+        return {
+            "family": "lamplighter",
+            "m": self.m,
+            "v": F2Vector(self.v).to_bitstring(self.m),
+            "t": self.t,
+        }
+
+    @staticmethod
+    def from_json(d: dict) -> "Lamplighter":
+        v = F2Vector.from_bitstring(_bits(d.get("v"), "v"))
+        return Lamplighter(_int(d.get("m"), "m"), v.bits, _int(d.get("t"), "t"))
 
 
 _set_l_m = Lamplighter.m.__set__
@@ -450,6 +551,46 @@ class Cantor(_Element):
             image |= 1 << sigma[p]
         return _cantor(self.m, tuple(inv), image)
 
+    @staticmethod
+    def order(m: int) -> int:
+        _check_level("cantor", m)
+        return math.factorial(1 << m) << ((1 << m) - 1)
+
+    @staticmethod
+    def elements(m: int) -> list["Cantor"]:
+        npts = 1 << m
+        # point sets without point 0: representatives mod complement
+        sets = [c for r in range(npts) for c in itertools.combinations(range(1, npts), r)]
+        return [Cantor(m, p, a) for p in itertools.permutations(range(npts)) for a in sets]
+
+    @staticmethod
+    def generators(m: int) -> list["Cantor"]:
+        npts = 1 << m
+        gens = [Cantor.indicator(m, {1})] if m >= 1 else []
+        if npts >= 2:
+            gens.append(Cantor.perm(m, transposition(0, 1) + tuple(range(2, npts))))
+            gens.append(Cantor.perm(m, cycle(npts)))
+        return gens
+
+    def to_json(self) -> dict:
+        return {
+            "family": "cantor",
+            "m": self.m,
+            "perm": [x + 1 for x in self.sigma],
+            "a": sorted(F2Vector(p).to_bitstring(self.m) for p in _points(self.mask)),
+        }
+
+    @staticmethod
+    def from_json(d: dict) -> "Cantor":
+        words = d.get("a")
+        if not isinstance(words, list):
+            raise ValueError("a must be a list of point words")
+        pts = frozenset(F2Vector.from_bitstring(_bits(w, "a point word")).bits for w in words)
+        m, sigma = _int(d.get("m"), "m"), _perm(d.get("perm"), "perm")
+        if m < 0 or len(sigma).bit_length() != m + 1:  # before any 1 << m
+            raise ValueError("perm must have 2^m entries")
+        return Cantor(m, sigma, pts)
+
     def conjugation(self):
         """The map x -> self·x·self^{-1}, touching only the points of B
         and the points τ moves.  For x = (σ, A) and self = (τ, B) =
@@ -519,6 +660,37 @@ def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
 
 GroupElement = Affine | Wreath | Lamplighter | Cantor
 
+FAMILIES = {cls.family: cls for cls in (Affine, Wreath, Lamplighter, Cantor)}
+
+
+def _check_level(family: str, n: int) -> None:
+    if n < 0:
+        raise DimensionOutOfRange(f"{family} truncation {n} is negative")
+
+
+# validators of outside JSON input: each raises ValueError
+def _bits(s, name: str) -> str:
+    if not isinstance(s, str) or s.strip("01"):
+        raise ValueError(f"{name} must be a string of 0s and 1s")
+    return s
+
+
+def _int(x, name: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer")
+    return x
+
+
+def _perm(p, name: str) -> tuple[int, ...]:
+    """A one-line image list of 1..k, as 0-indexed images."""
+    if (
+        not isinstance(p, list)
+        or any(type(i) is not int for i in p)
+        or sorted(p) != list(range(1, len(p) + 1))
+    ):
+        raise ValueError(f"{name} must be a permutation of 1..k")
+    return tuple(i - 1 for i in p)
+
 
 def cylinder_points(word: str, m: int) -> frozenset[int]:
     """Points of {0,1}^m whose first len(word) letters spell word."""
@@ -574,61 +746,15 @@ def gl_elements(n: int) -> tuple[F2Matrix, ...]:
     return tuple(out)
 
 
-def group_order(family: str, n: int) -> int:
-    if family == "affine":
-        order = 1
-        for k in range(n):
-            order *= (1 << n) - (1 << k)
-        return order << n
-    if family == "wreath":
-        order = 1
-        for k in range(2, n + 1):
-            order *= k
-        return order << n
-    if family == "lamplighter":
-        return n << n
-    if family == "cantor":
-        npts = 1 << n
-        order = 1
-        for k in range(2, npts + 1):
-            order *= k
-        return order << (npts - 1)
-    raise FamilyMismatch(f"unknown family {family!r}")
-
-
 def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupElement]:
     """All elements of the truncated group, deterministically ordered."""
-    order = group_order(family, n)
+    cls = FAMILIES.get(family)
+    if cls is None:
+        raise FamilyMismatch(f"unknown family {family!r}")
+    order = cls.order(n)
     if order > cap:
         raise GroupTooLarge(f"{family} truncation {n} has {order} elements, above cap {cap}")
-    out: list[GroupElement] = []
-    if family == "affine":
-        for g in gl_elements(n):
-            for bits in range(1 << n):
-                out.append(Affine(g, F2Vector(bits)))
-    elif family == "wreath":
-        for p in itertools.permutations(range(n)):
-            for bits in range(1 << n):
-                out.append(Wreath(p, F2Vector(bits)))
-    elif family == "lamplighter":
-        for t in range(n):
-            for bits in range(1 << n):
-                out.append(Lamplighter(n, bits, t))
-    elif family == "cantor":
-        npts = 1 << n
-        subsets = list(_subset_reps(npts))
-        for p in itertools.permutations(range(npts)):
-            for s in subsets:
-                out.append(Cantor(n, p, s))
-    return out
-
-
-def _subset_reps(npts: int):
-    """Subsets of [0, npts) not containing 0: representatives mod complement."""
-    rest = list(range(1, npts))
-    for r in range(npts):
-        for combo in itertools.combinations(rest, r):
-            yield combo
+    return cls.elements(n)
 
 
 def orbit_under(
@@ -660,33 +786,6 @@ def orbit_under(
                     nxt.append(y)
         frontier = nxt
     return orbit
-
-
-def group_generators(family: str, n: int) -> list[GroupElement]:
-    """A small symmetric-closure-friendly generating set of the truncation."""
-    if family == "affine":
-        gens = [Affine.vector(F2Vector.basis(1))]
-        if n >= 2:
-            gens.append(Affine.matrix(F2Matrix.transvection(1, 2)))
-            perm_rows = [1 << ((i + 1) % n) for i in range(n)]
-            gens.append(Affine.matrix(F2Matrix(perm_rows)))
-        return gens
-    if family == "wreath":
-        gens = [Wreath.vector(F2Vector.basis(1))]
-        if n >= 2:
-            gens.append(Wreath.perm(transposition(0, 1)))
-            gens.append(Wreath.perm(cycle(n)))
-        return gens
-    if family == "lamplighter":
-        return [Lamplighter.lamp(n, 0), Lamplighter.shift(n, 1)]
-    if family == "cantor":
-        npts = 1 << n
-        gens = [Cantor.indicator(n, {1})] if n >= 1 else []
-        if npts >= 2:
-            gens.append(Cantor.perm(n, transposition(0, 1) + tuple(range(2, npts))))
-            gens.append(Cantor.perm(n, cycle(npts)))
-        return gens
-    raise FamilyMismatch(f"unknown family {family!r}")
 
 
 def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
@@ -722,7 +821,7 @@ def normal_closure(
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    ggens = group_generators(gens[0].family, n)
+    ggens = type(gens[0]).generators(n)
     for t in ggens:
         _check_family(t, gens[0])
     maps = [t.conjugation() for t in ggens + [inverse(t) for t in ggens]]
@@ -751,7 +850,7 @@ def affine_vector_centralizer_gens(n: int) -> list[GroupElement]:
 
     Stab(e1) ≅ F2^{n-1} ⋊ GL(n-1).  GL(n-1) on coordinates 2..n is
     generated by I + E_23 and the cycle of 2..n with its inverse (the
-    kind of pair ``group_generators`` uses), and it is transitive on the
+    kind of pair ``Affine.generators`` uses), and it is transitive on the
     nonzero first rows, so its conjugates of I + E_12 give the F2^{n-1}
     part.  Stab(e1) is transitive on F2^n minus {0, e1}, so e1 and e2
     give every vector.

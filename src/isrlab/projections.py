@@ -14,7 +14,7 @@ from functools import cache
 from .algebra import AlgebraElement, GR_ONE, combine, one_like, unit
 from .errors import BlockNotInvariant, HypothesisViolated
 from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup
-from .groups import Affine, Cantor, Wreath, perm_canonical, perm_image
+from .groups import Affine, Cantor, GroupElement, Wreath, perm_canonical, perm_image
 
 
 STAR = "*"
@@ -90,20 +90,20 @@ def make_f(g: F2Matrix) -> AlgebraElement:
     return AlgebraElement({Affine.vector(v): w for v in vs})
 
 
-def _coordinate_idempotent(j: int, letter: int) -> AlgebraElement:
-    """δ_letter at coordinate j: ½(1 + (−1)^letter u_{e_j})."""
-    ej = Affine.vector(F2Vector.basis(j))
-    sign = Fraction(-1, 2) if letter else Fraction(1, 2)
-    return combine(Fraction(1, 2), one_like(ej), sign, unit(ej))
+def half_projection(z: GroupElement, sign: int) -> AlgebraElement:
+    """½(1 ± u_z): for an involution z, the projection onto the ±1
+    eigenspace of u_z."""
+    return combine(Fraction(1, 2), one_like(z), Fraction(sign, 2), unit(z))
 
 
 @cache
 def make_cylinder(w: CylinderWord) -> AlgebraElement:
-    """[w]: the product of the specified per-coordinate idempotents.
-    Memoized per word; the result is immutable."""
+    """[w]: the product of the specified per-coordinate idempotents
+    δ_letter = ½(1 + (−1)^letter u_{e_i}).  Memoized per word; the result
+    is immutable."""
     out = unit(Affine.identity())
     for i in w.specified():
-        out = out * _coordinate_idempotent(i, w.letter(i))
+        out = out * half_projection(Affine.vector(F2Vector.basis(i)), -1 if w.letter(i) else 1)
     return out
 
 
@@ -173,10 +173,7 @@ def make_q_power(sign: int, a) -> AlgebraElement:
         raise ValueError("sign must be +1 or -1")
     out = unit(Wreath.identity())
     for j in sorted(a):
-        zj = Wreath.vector(F2Vector.basis(j))
-        out = out * combine(
-            Fraction(1, 2), one_like(zj), Fraction(sign, 2), unit(zj)
-        )
+        out = out * half_projection(Wreath.vector(F2Vector.basis(j)), sign)
     return out
 
 

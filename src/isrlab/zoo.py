@@ -42,7 +42,6 @@ from .groups import (
     cylinder_points,
     enumerate_group,
     gl_elements,
-    group_order,
     multiply,
     normal_closure,
     orbit_under,
@@ -54,6 +53,7 @@ from .projections import (
     PartitionSpec,
     cylinder_conjugation_check,
     cylinder_signed_sum,
+    half_projection,
     make_cylinder,
     make_f,
     make_part_generator,
@@ -237,7 +237,9 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     and range-sum checks of transvection_factorize and the conjugated
     f-product identity, for every non-identity element.  The pair check
     is refused when it has more than cap pairs."""
-    pairs = (group_order("affine", n) >> n) ** 2
+    if n < 2:
+        raise DimensionOutOfRange(f"fcalculus truncation {n} below 2: GL(n, F2) is trivial")
+    pairs = (Affine.order(n) >> n) ** 2
     if pairs > cap:
         raise Overflow(f"fcalculus at n={n} checks {pairs} pairs, above cap {cap}")
     gl = gl_elements(n)
@@ -316,7 +318,9 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     rule u_g[w]u_g* = [w·g^{-1}] holds on every in-hypothesis pair.  The
     pair loop is refused when GL(n,F2) × the words has more than cap
     pairs."""
-    total = (group_order("affine", n) >> n) * sum(3**k for k in range(1, n + 1))
+    if n < 2:
+        raise DimensionOutOfRange(f"cylinder truncation {n} below 2: GL(n, F2) is trivial")
+    total = (Affine.order(n) >> n) * sum(3**k for k in range(1, n + 1))
     if total > cap:
         raise Overflow(f"cylinder at n={n} checks {total} pairs, above cap {cap}")
     signed_ok = True
@@ -637,9 +641,7 @@ def _lamp_cylinder(m: int, word: int) -> AlgebraElement:
     """The dual idempotent δ_word over the m lamp coordinates."""
     out = unit(Lamplighter.identity(m))
     for j in range(m):
-        zj = unit(Lamplighter.lamp(m, j))
-        sign = Fraction(-1, 2) if (word >> j) & 1 else Fraction(1, 2)
-        out = out * combine(Fraction(1, 2), unit(Lamplighter.identity(m)), sign, zj)
+        out = out * half_projection(Lamplighter.lamp(m, j), -1 if (word >> j) & 1 else 1)
     return out
 
 
@@ -929,15 +931,11 @@ def suite_closures(cap: int = DEFAULT_CAP, **_) -> dict:
 
 def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
     rng = random.Random(seed)
-    affine_pool = enumerate_group("affine", 3, cap)
-    cantor_pool = [g for g in enumerate_group("cantor", 2, cap) if not g.a]
-    specs = [
-        (CharacterSpec("affine", k=k, d=d), affine_pool)
-        for k in (1, 2)
-        for d in (0, 1)
-    ] + [(CharacterSpec("cantor", k=k), cantor_pool) for k in (1, 2)]
+    specs = [(CharacterSpec("affine", k=k, d=d), 3) for k in (1, 2) for d in (0, 1)]
+    specs += [(CharacterSpec("cantor", k=k), 2) for k in (1, 2)]
     checks = []
-    for chi, pool in specs:
+    for chi, n in specs:
+        pool = [g for g in enumerate_group(chi.family, n, cap) if chi.accepts(g)]
         psd = all(
             is_positive_definite(chi, [pool[rng.randrange(len(pool))] for _ in range(8)])
             for _ in range(20)
@@ -947,7 +945,7 @@ def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> d
             for _ in range(100)
         ]
         central = is_central(chi, pairs)
-        ident = Cantor.identity() if chi.kind == "cantor" else Affine.identity()
+        ident = pool[0].identity_like()
         checks.append(
             check_eq(
                 f"{chi.name()}: PSD on 20 Grams, central on 100 pairs, normalized",

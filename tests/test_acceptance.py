@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from isrlab import algebra, zoo
 from isrlab.algebra import AlgebraElement, unit
-from isrlab.characters import CharacterSpec, evaluate
 from isrlab.cli import main
 from isrlab.expectation import character_of, check_E_properties, check_ES_subset_S
 from isrlab.f2 import F2Matrix, F2Vector, rank_defect

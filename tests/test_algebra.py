@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from isrlab import algebra
 from isrlab.algebra import (
-    GR_ONE,
     AlgebraElement,
     GaussianRational,
     ad,

@@ -85,6 +85,23 @@ class TestRun:
         assert main(["run", "--suite", "fcalculus", "--n", "3", "--cap", "1000"]) == 2
         assert "28224 pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--suite", "fcalculus", "--n", "-1"],
+            ["run", "--suite", "cylinder", "--n", "-1"],
+            ["tables", "--table", "characters", "--n", "-1"],
+            # GL(1, F2) is trivial: no f-calculus or cylinder row could fail
+            ["run", "--suite", "fcalculus", "--n", "1"],
+            ["run", "--suite", "cylinder", "--n", "1"],
+        ],
+        ids=["fcalculus", "cylinder", "characters-table", "fcalculus-trivial", "cylinder-trivial"],
+    )
+    def test_truncation_out_of_range_refused(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_env(self, monkeypatch):
         monkeypatch.setenv("ISRLAB_CAP", "10")
         assert main(["run", "--suite", "closures"]) == 2
@@ -118,6 +135,24 @@ MALFORMED_ELEMENTS = {
     "bad-bit": '{"family":"wreath","perm":[2,1],"v":"02"}',
     "missing-field": '{"family":"lamplighter","m":3,"v":"001"}',
     "cantor-level": '{"family":"cantor","m":1000000000000,"perm":[1,2],"a":[]}',
+    "unhashable-family": '{"family":["affine"],"g":"1","v":"0"}',
+    "unknown-family": '{"family":"heisenberg","g":"1","v":"0"}',
+}
+
+
+def _set_first_re(d, value):
+    d["basis"][0][0]["re"] = value
+    return d
+
+
+# each maps a well-formed spec dict to a malformed spec file's content
+MALFORMED_SPECS = {
+    "basis-not-a-list": lambda d: {**d, "basis": 5},
+    "window-not-a-list": lambda d: {**d, "window": 5},
+    "basis-entry-not-an-object": lambda d: {**d, "basis": [[5]]},
+    "re-not-a-string": lambda d: _set_first_re(d, 5),
+    "zero-denominator": lambda d: _set_first_re(d, "1/0"),
+    "top-level-list": lambda d: [d],
 }
 
 
@@ -153,6 +188,17 @@ class TestExpect:
         doc = json.loads(capsys.readouterr().out)
         assert doc["character"] == {"re": "1/1", "im": "0/1"}
         assert doc["residual_norm_sq"] == "0/1"
+
+    @pytest.mark.parametrize("name", MALFORMED_SPECS)
+    def test_malformed_spec_file(self, tmp_path, capsys, name):
+        basis = [unit(Affine.vector(F2Vector(b))) for b in range(2)]
+        spec = SubalgebraSpec("vectors", basis, [b.support().pop() for b in basis])
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(MALFORMED_SPECS[name](spec_to_dict(spec))))
+        elem = '{"family":"affine","g":"1","v":"0","n":1}'
+        assert main(["expect", str(path), elem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_spec_name(self, capsys):
         assert main(["expect", "nope:2", SWAP_JSON]) == 2

@@ -38,7 +38,6 @@ from isrlab.groups import (
     enumerate_group,
     gl_elements,
     inverse,
-    multiply,
     transposition,
 )
 

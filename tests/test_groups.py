@@ -6,6 +6,7 @@ from isrlab import groups
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
+    FAMILIES,
     Affine,
     Cantor,
     Lamplighter,
@@ -13,11 +14,11 @@ from isrlab.groups import (
     conjugate,
     cylinder_points,
     enumerate_group,
-    group_order,
     inverse,
     multiply,
     normal_closure,
     orbit_under,
+    subgroup_closure,
     transposition,
 )
 
@@ -39,7 +40,7 @@ class TestGroupAxioms:
     )
     def test_orders(self, family, n, order):
         elems = enumerate_group(family, n)
-        assert len(elems) == order == group_order(family, n)
+        assert len(elems) == order == FAMILIES[family].order(n)
         assert len(set(elems)) == order
 
     @pytest.mark.parametrize(
@@ -182,6 +183,28 @@ class TestOrbit:
             orbit_under(Affine.matrix(S), {three})
 
 
+class TestGenerators:
+    # normal_closure conjugates by these generators alone, so they must
+    # generate the whole truncation
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            ("affine", 1), ("affine", 2), ("affine", 3),
+            ("wreath", 1), ("wreath", 2), ("wreath", 3),
+            ("lamplighter", 3), ("lamplighter", 4),
+            ("cantor", 1), ("cantor", 2),
+        ],
+    )
+    def test_generate_the_truncation(self, family, n):
+        gens = FAMILIES[family].generators(n)
+        assert subgroup_closure(gens) == set(enumerate_group(family, n))
+
+    def test_trivial_cantor_level(self):
+        # level 0 is the trivial group: no generator is needed
+        assert Cantor.generators(0) == []
+        assert enumerate_group("cantor", 0) == [Cantor.identity()]
+
+
 class TestNormalClosure:
     def test_identity(self):
         assert normal_closure([Affine.identity()], 3) == {Affine.identity()}
@@ -209,6 +232,6 @@ class TestCaps:
     def test_inverse_cache_holds_gl4(self):
         # every mexo:4 product inverts a GL(4, F2) matrix; a bound below
         # |GL(4, F2)| = 20160 evicts entries a random stream needs again
-        gl4 = group_order("affine", 4) >> 4
+        gl4 = Affine.order(4) >> 4
         assert gl4 == 20160
         assert groups._mat_inverse_cached.cache_info().maxsize > gl4

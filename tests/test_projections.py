@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from isrlab.algebra import AlgebraElement, ad, combine, one_like, trace, unit
+from isrlab.algebra import AlgebraElement, combine, one_like, trace, unit
 from isrlab.errors import BlockNotInvariant, HypothesisViolated
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse
 from isrlab.groups import (

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from isrlab.algebra import AlgebraElement, trace, unit
+from isrlab.algebra import AlgebraElement, unit
 from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange
 from isrlab.expectation import verify_closure, verify_invariance
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
