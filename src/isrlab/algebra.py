@@ -98,7 +98,6 @@ def as_gaussian(x) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
 
 
 def _gaussian(re: int, im: int, den: int) -> GaussianRational:

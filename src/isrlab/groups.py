@@ -73,7 +73,9 @@ class _Element:
     """Operations every family derives from its own ``mul`` / ``inv``.
 
     Each family states the ``order``, ``elements`` and a small generating
-    set (``generators``) of its level-n truncation, and its JSON form:
+    set (``generators``) of its level-n truncation, an exponent k with
+    order ≥ 2^k that is cheap at any level (``order_log2_floor``), and
+    its JSON form:
     matrices as row-major bitstrings, vectors as bitstrings, permutations
     as image lists of 1..k, Cantor point sets as sorted letter-words.
     """
@@ -162,6 +164,11 @@ class Affine(_Element):
     def order(n: int) -> int:
         _check_level("affine", n)
         return math.prod((1 << n) - (1 << k) for k in range(n)) << n
+
+    @staticmethod
+    def order_log2_floor(n: int) -> int:
+        # each factor 2^n − 2^k of |GL(n,F2)| is at least 2^{n-1}
+        return n * n
 
     @staticmethod
     def elements(n: int) -> list["Affine"]:
@@ -286,6 +293,11 @@ class Wreath(_Element):
         return math.factorial(n) << n
 
     @staticmethod
+    def order_log2_floor(n: int) -> int:
+        # n! ≥ 2^{n-1}
+        return max(2 * n - 1, 0)
+
+    @staticmethod
     def elements(n: int) -> list["Wreath"]:
         perms = map(perm_canonical, itertools.permutations(range(n)))
         return [_wreath(sigma, bits) for sigma in perms for bits in range(1 << n)]
@@ -395,6 +407,11 @@ class Lamplighter(_Element):
     def order(m: int) -> int:
         _check_level("lamplighter", m)
         return m << m
+
+    @staticmethod
+    def order_log2_floor(m: int) -> int:
+        # m·2^m ≥ 2^m once m ≥ 1; the empty level m = 0 has no elements
+        return m
 
     @staticmethod
     def elements(m: int) -> list["Lamplighter"]:
@@ -555,6 +572,12 @@ class Cantor(_Element):
     def order(m: int) -> int:
         _check_level("cantor", m)
         return math.factorial(1 << m) << ((1 << m) - 1)
+
+    @staticmethod
+    def order_log2_floor(m: int) -> int:
+        # N! ≥ 2^{N-1} with N = 2^m; m is clamped so the bound stays a
+        # small int (it only grows with m, and 2^65 − 2 outruns any cap)
+        return (2 << min(m, 64)) - 2
 
     @staticmethod
     def elements(m: int) -> list["Cantor"]:
@@ -746,14 +769,37 @@ def gl_elements(n: int) -> tuple[F2Matrix, ...]:
     return tuple(out)
 
 
+def capped_count(log2_floor: int, count, cap: int, refusal) -> int:
+    """count() when it is at most cap; otherwise raises refusal(text).
+
+    ``count()`` is exact but can cost more time than the work the cap
+    bounds, so it is skipped once the floor 2^log2_floor alone is above
+    cap and 2^64.  Past 64 bits the text reads "at least 2^j": a count
+    that large is read by its size, and past 4300 digits Python will not
+    convert it to a string at all.
+    """
+    if log2_floor < max(cap.bit_length(), 64):
+        k = count()
+        if k <= cap:
+            return k
+        log2_floor = k.bit_length() - 1
+        if log2_floor < 64:
+            raise refusal(str(k))
+    raise refusal(f"at least 2^{log2_floor}")
+
+
 def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupElement]:
     """All elements of the truncated group, deterministically ordered."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise FamilyMismatch(f"unknown family {family!r}")
-    order = cls.order(n)
-    if order > cap:
-        raise GroupTooLarge(f"{family} truncation {n} has {order} elements, above cap {cap}")
+    _check_level(family, n)
+    capped_count(
+        cls.order_log2_floor(n),
+        lambda: cls.order(n),
+        cap,
+        lambda text: GroupTooLarge(f"{family} truncation {n} has {text} elements, above cap {cap}"),
+    )
     return cls.elements(n)
 
 

@@ -7,11 +7,12 @@ here satisfies p = p* = p² on the nose.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, GR_ONE, combine, one_like, unit
+from .algebra import AlgebraElement, combine, one_like, unit
 from .errors import BlockNotInvariant, HypothesisViolated
 from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup
 from .groups import Affine, Cantor, GroupElement, Wreath, perm_canonical, perm_image
@@ -210,17 +211,33 @@ def _restricted_sign(p, block: frozenset[int]) -> int:
 
 
 def make_part_generator(s, partition: PartitionSpec) -> AlgebraElement:
-    """s · ∏_K (P1^K + sign(s|_K)·P2^K) with P1 = ½(1+u_z), P2 = P1^⊥."""
+    """s · ∏_K (P1^K + sign(s|_K)·P2^K) with P1 = ½(1+u_z), P2 = P1^⊥.
+
+    Written term by term from its closed form.  With z_B = Σ_{j∈B} e_j,
+    P1^K = 2^{-|K|} Σ_{B⊆K} u_{z_B} and P2^K = 2^{-|K|} Σ_{B⊆K} (−1)^{|B|}
+    u_{z_B}, so for sgn = sign(s|_K)
+
+        P1^K + sgn·P2^K = 2^{1-|K|} Σ u_{z_B} over the B ⊆ K with (−1)^{|B|} = sgn.
+
+    The blocks are disjoint, so the product sums over the unions
+    B = ⊔_K B_K with coefficient 2^{Σ_K (1-|K|)}, and u_s·u_{z_B} = u_{(s, z_B)}.
+    A singleton block contributes 1: its only even subset is ∅.
+    """
     s = perm_canonical(s)
     if len(s) > partition.n:
         raise BlockNotInvariant("permutation moves points outside the partition")
-    out = unit(Wreath.perm(s))
+    zs = [0]
     for block in partition.blocks:
         sgn = _restricted_sign(s, block)
-        p1 = make_q_power(1, block)
-        p2 = make_q_power(-1, block)
-        out = out * combine(GR_ONE, p1, sgn, p2)
-    return out
+        pts = sorted(block)
+        picks = [
+            sum(1 << (j - 1) for j, bit in zip(pts, pick) if bit)
+            for pick in itertools.product((0, 1), repeat=len(pts))
+            if (-1) ** sum(pick) == sgn
+        ]
+        zs = [z | b for z in zs for b in picks]
+    den = 1 << (partition.n - len(partition.blocks))
+    return AlgebraElement._trusted(den, {Wreath(s, F2Vector(z)): (1, 0) for z in zs})
 
 
 def mu_fix(g: Cantor) -> Fraction:

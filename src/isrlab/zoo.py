@@ -39,6 +39,7 @@ from .groups import (
     affine_vector_centralizer_gens,
     cantor_indicator_centralizer_gens,
     cantor_involution_centralizer_gens,
+    capped_count,
     cylinder_points,
     enumerate_group,
     gl_elements,
@@ -239,9 +240,13 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     is refused when it has more than cap pairs."""
     if n < 2:
         raise DimensionOutOfRange(f"fcalculus truncation {n} below 2: GL(n, F2) is trivial")
-    pairs = (Affine.order(n) >> n) ** 2
-    if pairs > cap:
-        raise Overflow(f"fcalculus at n={n} checks {pairs} pairs, above cap {cap}")
+    # |GL(n,F2)| = |Affine(n)|/2^n ≥ 2^{n(n-1)}
+    pairs = capped_count(
+        2 * (Affine.order_log2_floor(n) - n),
+        lambda: (Affine.order(n) >> n) ** 2,
+        cap,
+        lambda text: Overflow(f"fcalculus at n={n} checks {text} pairs, above cap {cap}"),
+    )
     gl = gl_elements(n)
     # f_g only depends on R(g-I), so each law is checked once per distinct
     # key it depends on; equal subspaces share one key object, so the
@@ -320,9 +325,13 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     pairs."""
     if n < 2:
         raise DimensionOutOfRange(f"cylinder truncation {n} below 2: GL(n, F2) is trivial")
-    total = (Affine.order(n) >> n) * sum(3**k for k in range(1, n + 1))
-    if total > cap:
-        raise Overflow(f"cylinder at n={n} checks {total} pairs, above cap {cap}")
+    # |GL(n,F2)|·Σ_k 3^k ≥ |GL(n,F2)|·2^n = |Affine(n)|
+    capped_count(
+        Affine.order_log2_floor(n),
+        lambda: (Affine.order(n) >> n) * sum(3**k for k in range(1, n + 1)),
+        cap,
+        lambda text: Overflow(f"cylinder at n={n} checks {text} pairs, above cap {cap}"),
+    )
     signed_ok = True
     for length in range(1, 5):
         for bits in itertools.product((0, 1), repeat=length):

@@ -86,6 +86,34 @@ class TestRun:
         assert "28224 pairs" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["tables", "--table", "characters", "--n", "120"], "at least 2^14400 elements"),
+            (["run", "--suite", "fcalculus", "--n", "90"], "at least 2^16020 pairs"),
+            (
+                ["tables", "--table", "characters", "--character", "cantor:k=1", "--n", "11"],
+                "at least 2^4094 elements",
+            ),
+        ],
+        ids=["characters-table", "fcalculus", "cantor-characters"],
+    )
+    def test_huge_counts_refused_by_size(self, capsys, argv, text):
+        # each count has more than 4300 digits, too many to print
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert text in err
+
+    def test_cantor_level_refused_before_its_order(self, capsys):
+        # (2^30)! would run effectively forever; the floor refuses at once
+        t0 = time.perf_counter()
+        argv = ["tables", "--table", "characters", "--character", "cantor:k=1", "--n", "30"]
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cantor truncation 30 has at least 2^") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["run", "--suite", "fcalculus", "--n", "-1"],

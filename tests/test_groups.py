@@ -12,6 +12,7 @@ from isrlab.groups import (
     Lamplighter,
     Wreath,
     conjugate,
+    capped_count,
     cylinder_points,
     enumerate_group,
     inverse,
@@ -228,6 +229,38 @@ class TestCaps:
     def test_group_too_large(self):
         with pytest.raises(GroupTooLarge):
             enumerate_group("cantor", 3, cap=1000)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_order_log2_floor_is_a_floor(self, family):
+        cls = FAMILIES[family]
+        for n in range(1, 7):
+            assert cls.order(n) >= 1 << cls.order_log2_floor(n)
+
+    def test_cantor_floor_refuses_before_the_order(self, monkeypatch):
+        # (2^m)! alone costs seconds at m = 18; the floor refuses first
+        def order(m):
+            raise AssertionError("exact order computed")
+
+        monkeypatch.setattr(Cantor, "order", staticmethod(order))
+        for m in (6, 11, 30, 10**9):
+            with pytest.raises(GroupTooLarge, match="has at least 2\\^"):
+                enumerate_group("cantor", m)
+
+    def test_capped_count_texts(self):
+        def refusal(text):
+            return GroupTooLarge(text)
+
+        assert capped_count(0, lambda: 10, 10, refusal) == 10
+        with pytest.raises(GroupTooLarge, match="^11$"):
+            capped_count(0, lambda: 11, 10, refusal)
+        # above 64 bits the count reads by its size, never as digits
+        with pytest.raises(GroupTooLarge, match="^at least 2\\^19999$"):
+            capped_count(0, lambda: 3 << 19998, 10, refusal)
+        # a floor above cap and 2^64 refuses without computing the count
+        with pytest.raises(GroupTooLarge, match="^at least 2\\^70$"):
+            capped_count(70, None, 10, refusal)
+        # a floor of 2^70 under a larger cap still asks for the count
+        assert capped_count(70, lambda: 1 << 80, 1 << 90, refusal) == 1 << 80
 
     def test_inverse_cache_holds_gl4(self):
         # every mexo:4 product inverts a GL(4, F2) matrix; a bound below

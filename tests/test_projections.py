@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from isrlab import algebra, zoo
 from isrlab.algebra import AlgebraElement, combine, one_like, trace, unit
 from isrlab.errors import BlockNotInvariant, HypothesisViolated
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse
@@ -210,6 +211,70 @@ class TestPartGenerators:
         assert perm_sign(transposition(0, 1)) == -1
         assert perm_sign(perm_mul(transposition(0, 1), transposition(1, 2))) == 1
 
+
+
+def block_sign(s, block) -> int:
+    """sign(s|_K) for a full-length permutation s fixing the block K."""
+    pts = sorted(block)
+    return perm_sign(tuple(pts.index(s[p - 1] + 1) for p in pts))
+
+
+def part_generator_product(s, partition: PartitionSpec) -> AlgebraElement:
+    """The definition: u_s · ∏_K (P1^K + sign(s|_K)·P2^K), convolved."""
+    out = unit(Wreath.perm(s))
+    for block in partition.blocks:
+        out = out * combine(
+            1, make_q_power(1, block), block_sign(s, block), make_q_power(-1, block)
+        )
+    return out
+
+
+def block_preserving_pairs(n: int):
+    for blocks in zoo._partitions_of(n):
+        for s in zoo._block_preserving_perms(blocks, n):
+            yield blocks, s
+
+
+class TestPartGeneratorClosedForm:
+    def test_matches_product_definition(self):
+        # every (partition, block-preserving s) pair with n ≤ 4
+        pairs = [(b, s) for n in range(1, 5) for b, s in block_preserving_pairs(n)]
+        assert len(pairs) == 90
+        for blocks, s in pairs:
+            partition = PartitionSpec(blocks)
+            assert make_part_generator(s, partition) == part_generator_product(s, partition)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_build_mpart_basis_unchanged(self, n):
+        # build_mpart at n = 4 skips partitions with three or more non-singleton blocks
+        expected = [
+            part_generator_product(s, PartitionSpec(blocks))
+            for blocks, s in block_preserving_pairs(n)
+            if sum(1 for b in blocks if len(b) > 1) <= 2
+        ]
+        assert list(zoo.build_mpart(n).basis) == expected
+
+    def test_build_mpart_makes_no_convolution(self, monkeypatch):
+        calls = []
+        convolve = algebra.convolve
+
+        def counting(x, y):
+            calls.append(1)
+            return convolve(x, y)
+
+        # AlgebraElement.__mul__ reads the module global
+        monkeypatch.setattr(algebra, "convolve", counting)
+        zoo.build_mpart(4)
+        assert not calls
+        unit(Wreath.identity()) * unit(Wreath.identity())
+        assert len(calls) == 1
+
+    def test_moved_block_still_refused(self):
+        # (13) fixes {2} but moves {1, 2} and {3} setwise
+        with pytest.raises(BlockNotInvariant):
+            make_part_generator(transposition(0, 2), PartitionSpec([{1, 2}, {3}]))
+        with pytest.raises(BlockNotInvariant):
+            make_part_generator((0, 1, 3, 2), PartitionSpec([{1, 2, 3}]))
 
 class TestMuFix:
     def test_identity(self):
