@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import FamilyMismatch
-from .f2 import rank_defect, range_subgroup
+from .f2 import _range_basis, rank_defect
 from .groups import GroupElement, conjugate, inverse, multiply
 from .projections import mu_fix
 
@@ -109,10 +110,14 @@ def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:
     if spec.kind == "affine":
         if spec.k == INF:
             return Fraction(1 if g.g.is_identity() else 0)
-        r = rank_defect(g.g)
-        if spec.d == 0 and g.v not in range_subgroup(g.g):
-            return Fraction(0)
-        return Fraction(1, 1 << (spec.k * r))
+        basis = _range_basis(g.g)
+        if spec.d == 0:
+            v = g.bits
+            for b in basis:
+                v = min(v, v ^ b)
+            if v:  # v is not in R(g-I)
+                return Fraction(0)
+        return Fraction(1, 1 << (spec.k * len(basis)))
     if spec.kind == "gl":
         if spec.k == INF:
             return Fraction(1 if g.g.is_identity() else 0)
@@ -124,29 +129,38 @@ def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:
 
 
 def is_positive_semidefinite_matrix(m: list[list[Fraction]]) -> bool:
-    """Exact PSD test by diagonal-pivot Schur complements.
+    """Exact PSD test by fraction-free diagonal-pivot Schur complements.
 
-    A zero diagonal pivot forces its whole row and column to vanish;
-    a negative pivot refutes PSD.
+    The entries are scaled to integers by their common denominator.  A
+    positive pivot p turns each remaining entry into
+    (p·m[r][c] − m[r][i]·m[i][c]) / q, q the previous positive pivot (1
+    at first): p/q > 0 times the Schur complement, so the verdict is
+    unchanged, and by Sylvester's identity the division is exact (the
+    entries are minors of the scaled matrix).  A zero diagonal pivot
+    forces its whole row and column to vanish; a negative pivot refutes
+    PSD.
     """
-    m = [row[:] for row in m]
-    n = len(m)
-    active = list(range(n))
+    den = lcm(*(x.denominator for row in m for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+    active = list(range(len(m)))
+    prev = 1
     while active:
         i = active[0]
         piv = m[i][i]
         if piv < 0:
             return False
         if piv == 0:
-            if any(m[i][j] != 0 or m[j][i] != 0 for j in active):
+            if any(m[i][j] or m[j][i] for j in active):
                 return False
             active.pop(0)
             continue
         rest = active[1:]
+        row_i = m[i]
         for r in rest:
-            factor = m[r][i] / piv
+            row, factor = m[r], m[r][i]
             for c in rest:
-                m[r][c] -= factor * m[i][c]
+                row[c] = (piv * row[c] - factor * row_i[c]) // prev
+        prev = piv
         active = rest
     return True
 
@@ -155,8 +169,8 @@ def is_positive_definite(spec: CharacterSpec, sample) -> bool:
     """Exact PSD check of the Gram matrix [χ(g_i^{-1} g_j)]."""
     sample = list(sample)
     gram = [
-        [evaluate(spec, multiply(inverse(gi), gj)) for gj in sample]
-        for gi in sample
+        [evaluate(spec, multiply(gi_inv, gj)) for gj in sample]
+        for gi_inv in map(inverse, sample)
     ]
     return is_positive_semidefinite_matrix(gram)
 

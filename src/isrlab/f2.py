@@ -218,23 +218,34 @@ class F2Matrix:
 
 def _mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical rows of the product a·b: row i of a·b is the sum of
-    the rows of b selected by row i of a."""
+    the rows of b selected by the set bits of row i of a."""
     la, lb = len(a), len(b)
-    n = la if la > lb else lb
+    if la < lb:
+        a += tuple([1 << i for i in range(la, lb)])
+    elif lb < la:
+        b += tuple([1 << i for i in range(lb, la)])
     out = []
-    for i in range(n):
-        r = a[i] if i < la else 1 << i
+    for r in a:
         acc = 0
-        j = 0
         while r:
-            if r & 1:
-                acc ^= b[j] if j < lb else 1 << j
-            r >>= 1
-            j += 1
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r ^= low
         out.append(acc)
+    n = len(out)
     if n and out[-1] != 1 << (n - 1):  # the last row alone shows it canonical
         return tuple(out)
     return _canonical_rows(out)
+
+
+def _subset_sums(rows) -> list[int]:
+    """The 2^len(rows) table whose entry x is the sum of the rows
+    selected by the set bits of x: the row vector x·M, for M the matrix
+    with these rows."""
+    sums = [0]
+    for r in rows:
+        sums += [s ^ r for s in sums]
+    return sums
 
 
 def _inverse_rows(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -300,7 +311,9 @@ def rank_defect(g: F2Matrix) -> int:
 
 
 def _range_basis(g: F2Matrix) -> list[int]:
-    """Independent columns of g - I, as vector bitmasks."""
+    """A basis of R(g - I) as vector bitmasks, in echelon form: leading
+    bits distinct and descending, so v lies in R(g - I) iff
+    v -> min(v, v ^ b) over the basis, in order, ends at 0."""
     n = g.n
     diff = _difference_rows(g)
     cols = []

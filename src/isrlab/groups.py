@@ -618,16 +618,32 @@ class Cantor(_Element):
         """The map x -> self·x·self^{-1}, touching only the points of B
         and the points τ moves.  For x = (σ, A) and self = (τ, B) =
         τ·f̃_B, conjugation by f̃_B adds B + σ^{-1}(B) to A, and
-        conjugation by τ then maps (σ, A) to (τστ^{-1}, τ(A))."""
-        m, tau, bmask = self.m, self.sigma, self.mask
+        conjugation by τ then maps (σ, A) to (τστ^{-1}, τ(A)).
+
+        Both act at the higher of the two levels: x is lifted to self's
+        level, or self to x's.  The map at each level is built once, on
+        the first x that needs it.
+        """
+        at_level: dict = {}
+
+        def conj(x: "Cantor") -> "Cantor":
+            m = x.m if x.m > self.m else self.m
+            f = at_level.get(m)
+            if f is None:
+                f = at_level[m] = self._conjugation_at(m)
+            return f(x)
+
+        return conj
+
+    def _conjugation_at(self, m: int):
+        """The one-pass conjugation map on elements of level ≤ m, for
+        m ≥ self.m."""
+        tau, bmask = self._lift(m)
         bpts = _points(bmask)
         moved = [i for i, j in enumerate(tau) if i != j]
         pmask = sum(1 << i for i in moved)
-        mul, inv = self.mul, self.inv()
 
         def conj(x: "Cantor") -> "Cantor":
-            if x.m > m:  # x lives above self's level: the plain product
-                return mul(x).mul(inv)
             sigma, mask = x._lift(m)
             if bpts:
                 mask ^= bmask
@@ -810,14 +826,22 @@ def orbit_under(
 
     When the conjugator set is a subgroup this is exactly
     {t^{-1} h t : t in C}.  The set must be closed under inverse.
+
+    The search conjugates by one of each pair {c, c^{-1}}: the elements
+    lie in a finite truncation, so each c has finite order k and
+    conjugation by c^{-1} is conjugation by c done k − 1 times.
     """
     conjugators = list(conjugators)
     cset = set(conjugators)
+    maps, paired = [], set()
     for c in conjugators:
         _check_family(c, h)
-        if inverse(c) not in cset:
+        c_inv = inverse(c)
+        if c_inv not in cset:
             raise NotSymmetric(f"conjugator set lacks the inverse of {c!r}")
-    maps = [c.conjugation() for c in conjugators]
+        if c not in paired:
+            paired.update((c, c_inv))
+            maps.append(c.conjugation())
     orbit = {h}
     frontier = [h]
     while frontier:
@@ -835,20 +859,24 @@ def orbit_under(
 
 
 def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
-    """The subgroup generated by gens, by BFS over products."""
+    """The subgroup generated by gens, by BFS over products.
+
+    The search multiplies by the generators alone: they lie in a finite
+    truncation, so the products of generators already form a group
+    (g^{-1} = g^{k-1} for g of order k).
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
         _check_family(gens[0], g)
-    sym = gens + [inverse(g) for g in gens]
     ident = gens[0].identity_like()
     elems = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for x in frontier:
-            for s in sym:
+            for s in gens:
                 y = x.mul(s)
                 if y not in elems:
                     if len(elems) >= cap:
@@ -863,14 +891,19 @@ def normal_closure(
     gens, n: int, cap: int = DEFAULT_CAP
 ) -> set[GroupElement]:
     """Smallest subgroup of the level-n truncation containing gens and
-    closed under conjugation by the whole truncated group."""
+    closed under conjugation by the whole truncated group.
+
+    Conjugating by the truncation's generators alone suffices: a finite
+    subgroup H with tHt^{-1} ⊆ H has tHt^{-1} = H, so H is closed under
+    conjugation by t^{-1} too.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     ggens = type(gens[0]).generators(n)
     for t in ggens:
         _check_family(t, gens[0])
-    maps = [t.conjugation() for t in ggens + [inverse(t) for t in ggens]]
+    maps = [t.conjugation() for t in ggens]
     seed = set(gens)
     while True:
         closure = subgroup_closure(seed, cap)

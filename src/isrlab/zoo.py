@@ -29,7 +29,14 @@ from .expectation import (
     verify_closure,
     verify_invariance,
 )
-from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, transvection_factorize
+from .f2 import (
+    F2Matrix,
+    F2Vector,
+    _subset_sums,
+    mat_inverse,
+    range_subgroup,
+    transvection_factorize,
+)
 from .groups import (
     DEFAULT_CAP,
     Affine,
@@ -233,6 +240,45 @@ def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_
 # the f-calculus: commuting projection laws and the factorization identity
 
 
+def _f_calculus_keys(gl, n: int) -> tuple[dict, set, dict]:
+    """The range keys the f-calculus laws read, from packed rows.
+
+    Returns ``r``, which maps each g of GL(n, F2) (listed in ``gl``) to
+    its key R(g-I), the set of triples (R_g, R_h, R_gh) over all pairs,
+    and for each key a and each h the key of h^{-1}gh, for g the first
+    element of ``gl`` with R_g = a.  Equal subspaces share one key
+    object, so key tuples match by identity.  Rows are padded to n, and
+    row i of x·y is entry x_i of y's subset-sum table, so a product
+    costs n list reads; its key is read off its rows (None for rows of
+    no element of ``gl``).
+    """
+    keys: dict = {}
+    r = {}
+    for g in gl:
+        s = range_subgroup(g)
+        r[g] = keys.setdefault(s, s)
+
+    def pad(g: F2Matrix) -> tuple[int, ...]:
+        return g.rows + tuple([1 << i for i in range(g.n, n)])
+
+    keyed = [(r[g], pad(g)) for g in gl]
+    key_of = {rows: a for a, rows in keyed}.get
+    sums = {g: _subset_sums(pad(g)) for g in gl}
+    reps: dict = {}
+    for g in gl:
+        reps.setdefault(r[g], g)
+    dom, conj = set(), {}
+    for h in gl:
+        sh, kh = sums[h].__getitem__, r[h]
+        for a, rows in keyed:
+            dom.add((a, kh, key_of(tuple(map(sh, rows)))))
+        hinv = pad(mat_inverse(h))
+        for a, g in reps.items():
+            sg = sums[g]
+            conj[a, h] = key_of(tuple([sh(sg[x]) for x in hinv]))
+    return r, dom, conj
+
+
 def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     """f_g f_h = f_h f_g ≤ f_{gh} on all GL(n,F2) pairs, plus recomposition
     and range-sum checks of transvection_factorize and the conjugated
@@ -249,31 +295,19 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     )
     gl = gl_elements(n)
     # f_g only depends on R(g-I), so each law is checked once per distinct
-    # key it depends on; equal subspaces share one key object, so the
-    # key tuples match by identity
-    keys: dict = {}
-    r = {}
-    for g in gl:
-        s = range_subgroup(g)
-        r[g] = keys.setdefault(s, s)
+    # key it depends on
+    r, dom, conj = _f_calculus_keys(gl, n)
     f = {r[g]: make_f(g) for g in gl}
-    dom, conj = set(), {}
-    for g in gl:
-        for h in gl:
-            dom.add((r[g], r[h], r[g * h]))
-            conj.setdefault((r[g], h), g)
     # every pair of subspaces occurs as (R_g, R_h)
     products = {(a, b): f[a] * f[b] for a in f for b in f}
+    units = {h: unit(Affine.matrix(h)) for h in gl}
+    # a key outside f marks a product row set that is not in GL(n, F2)
     laws = (
         all(p == products[b, a] for (a, b), p in products.items())
         # p ≤ q for projections means pq = p
-        and all(products[a, b] * f[c] == products[a, b] for a, b, c in dom)
+        and all(c in f and products[a, b] * f[c] == products[a, b] for a, b, c in dom)
         # f_g u_h = u_h f_{h^{-1}gh}
-        and all(
-            f[a] * unit(Affine.matrix(h))
-            == unit(Affine.matrix(h)) * f[r[mat_inverse(h) * g * h]]
-            for (a, h), g in conj.items()
-        )
+        and all(c in f and f[a] * units[h] == units[h] * f[c] for (a, h), c in conj.items())
     )
     checks = [
         check_eq(
@@ -669,9 +703,22 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
     """Finite-cyclic analog suites: shift-invariant function subalgebras
     joined with a shift subgroup, and the normal closure of the lamp-shift
     generator.  The infinite statement concerns the integer lamplighter;
-    here the closure can genuinely differ, so everything is reported."""
+    here the closure can genuinely differ, so everything is reported.
+
+    The work is refused when it is above cap.  It is estimated as the
+    (m·2^m)² products of the window, once for each of the 3·d(m) spans
+    (d(m) the number of divisors of m): 153,600 at m = 5 and 1,769,472
+    at m = 6, so the default cap runs m ≤ 5.
+    """
     if not 3 <= m <= 8:
         raise ModulusOutOfRange(f"lamplighter modulus {m} not in [3, 8]")
+    divisors = [k for k in range(1, m + 1) if m % k == 0]
+    capped_count(
+        2 * Lamplighter.order_log2_floor(m),
+        lambda: 3 * len(divisors) * Lamplighter.order(m) ** 2,
+        cap,
+        lambda text: Overflow(f"lamplighter at m={m} checks {text} window products, above cap {cap}"),
+    )
     window = enumerate_group("lamplighter", m, cap)
     shift = Lamplighter.shift(m, 1)
     lamp0 = Lamplighter.lamp(m, 0)
@@ -688,7 +735,6 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
         ("full", [unit(Lamplighter(m, bits, 0)) for bits in range(1 << m)]),
         ("shift-orbit-sums", orbit_sums),
     ]
-    divisors = [k for k in range(1, m + 1) if m % k == 0]
     for y_name, y_basis in y_choices:
         for k in divisors:
             basis = [

@@ -13,7 +13,7 @@ from isrlab.characters import (
     parse_character,
 )
 from isrlab.errors import FamilyMismatch
-from isrlab.f2 import F2Matrix, F2Vector
+from isrlab.f2 import F2Matrix, F2Vector, rank_defect, range_subgroup
 from isrlab.groups import Affine, Cantor, enumerate_group
 
 S = F2Matrix.from_lists([[0, 1], [1, 0]])
@@ -94,6 +94,98 @@ class TestPSDMatrix:
 
     def test_negative_diagonal(self):
         assert not is_positive_semidefinite_matrix([[Fraction(-1)]])
+
+
+def fraction_psd(m):
+    """The Fraction Schur-complement PSD test: the reference the integer
+    routine is checked against."""
+    m = [row[:] for row in m]
+    active = list(range(len(m)))
+    while active:
+        i = active[0]
+        piv = m[i][i]
+        if piv < 0:
+            return False
+        if piv == 0:
+            if any(m[i][j] != 0 or m[j][i] != 0 for j in active):
+                return False
+            active.pop(0)
+            continue
+        rest = active[1:]
+        for r in rest:
+            factor = m[r][i] / piv
+            for c in rest:
+                m[r][c] -= factor * m[i][c]
+        active = rest
+    return True
+
+
+def random_symmetric(rng, n):
+    """A seeded symmetric rational matrix: a Gram matrix B·Bᵀ (PSD, of low
+    rank when B has few columns, so zero pivots occur), sometimes with
+    one row and column zeroed, one diagonal entry zeroed or one entry
+    pair perturbed."""
+    cols = rng.randrange(1, n + 1)
+    b = [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)) for _ in range(cols)] for _ in range(n)]
+    m = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(n)] for i in range(n)]
+    kind = rng.randrange(4)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == 1:
+        for k in range(n):
+            m[i][k] = m[k][i] = Fraction(0)
+    elif kind == 2:
+        m[i][i] = Fraction(0)  # a zero pivot whose row need not vanish
+    elif kind == 3:
+        d = Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
+        m[i][j] += d
+        if i != j:
+            m[j][i] += d
+    return m
+
+
+class TestPSDMatrixAgainstFractions:
+    def test_seeded_symmetric(self):
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(600):
+            m = random_symmetric(rng, rng.randrange(1, 8))
+            expect = fraction_psd(m)
+            assert is_positive_semidefinite_matrix(m) is expect
+            verdicts.append(expect)
+        assert 100 < sum(verdicts) < 500  # both verdicts are exercised
+
+    def test_zero_pivot_cases(self):
+        z, one = Fraction(0), Fraction(1)
+        cases = [
+            [[z, z, z], [z, one, one], [z, one, Fraction(2)]],  # zero row: PSD
+            [[z, z, one], [z, one, z], [one, z, one]],  # zero pivot, nonzero row
+            [[one, one], [one, one]],  # a later pivot becomes 0
+            [[one, one, z], [one, one, one], [z, one, one]],  # ... with a nonzero row
+            [[Fraction(1, 3), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3)]],  # negative
+        ]
+        for m in cases:
+            assert is_positive_semidefinite_matrix(m) is fraction_psd(m)
+        assert [is_positive_semidefinite_matrix(m) for m in cases] == [True, False, True, False, False]
+
+    def test_input_unchanged(self):
+        m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
+        copy = [row[:] for row in m]
+        is_positive_semidefinite_matrix(m)
+        assert m == copy
+
+
+class TestAffineCharacterDefinition:
+    def test_all_of_affine3(self):
+        """χ_{k,d}(g·v) = 2^{-k·rank(g-I)}, times [v ∈ R(g-I)] when d = 0,
+        with R(g-I) enumerated."""
+        for g in enumerate_group("affine", 3):
+            in_range = g.v in range_subgroup(g.g)
+            for k in (1, 2):
+                for d in (0, 1):
+                    expect = Fraction(1, 1 << (k * rank_defect(g.g)))
+                    if d == 0 and not in_range:
+                        expect = Fraction(0)
+                    assert evaluate(CharacterSpec("affine", k=k, d=d), g) == expect
 
 
 class TestPSDCharacters:

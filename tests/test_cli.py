@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -84,6 +88,17 @@ class TestRun:
         assert "406425600 pairs" in err and err.count("\n") == 1
         assert main(["run", "--suite", "fcalculus", "--n", "3", "--cap", "1000"]) == 2
         assert "28224 pairs" in capsys.readouterr().err
+
+    def test_lamplighter_refuses_infeasible_modulus(self, capsys):
+        # 3·4 spans × (8·2^8)² window products at m = 8, refused up front
+        t0 = time.perf_counter()
+        assert main(["run", "--suite", "lamplighter", "--m", "8"]) == 2
+        assert time.perf_counter() - t0 < 1
+        err = capsys.readouterr().err
+        assert err == "error: lamplighter at m=8 checks 50331648 window products, above cap 1000000\n"
+        # m = 5: 2·3 spans × 160² = 153600 products, under the cap
+        assert main(["run", "--suite", "lamplighter", "--m", "5", "--cap", "153599"]) == 2
+        assert "153600 window products, above cap 153599" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,text",
@@ -182,6 +197,21 @@ MALFORMED_SPECS = {
     "zero-denominator": lambda d: _set_first_re(d, "1/0"),
     "top-level-list": lambda d: [d],
 }
+
+
+class TestModuleEntry:
+    def test_python_m_isrlab(self, tmp_path):
+        # `python -m isrlab` runs the same command line as `isrlab`
+        src = pathlib.Path(zoo.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "report.json"
+        argv = [sys.executable, "-m", "isrlab", "run", "--suite", "cantor", "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["reports"][0]["name"] == "cantor-case3"
+        argv = [sys.executable, "-m", "isrlab", "run", "--suite", "mystery"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "unknown suite" in proc.stderr
 
 
 class TestExpect:

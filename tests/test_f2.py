@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,9 @@ from isrlab.errors import IdentityInput, RangeTooLarge, SingularMatrix
 from isrlab.f2 import (
     F2Matrix,
     F2Vector,
+    _canonical_rows,
+    _mul_rows,
+    _subset_sums,
     mat_inverse,
     mat_mul,
     range_subgroup,
@@ -84,6 +88,61 @@ class TestMatMul:
         a4 = F2Matrix([0b10, 0b01, 0b0100, 0b1000])
         assert a4 == S
         assert mat_mul(a4, T) == mat_mul(S, T)
+
+
+def entrywise_product(a: F2Matrix, b: F2Matrix) -> F2Matrix:
+    """a·b from the entry formula (ab)_ij = Σ_k a_ik b_kj, at the larger
+    of the two stored dimensions."""
+    n = max(a.n, b.n)
+    return F2Matrix.from_lists(
+        [
+            [sum(a.entry(i, k) * b.entry(k, j) for k in range(1, n + 1)) & 1 for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    )
+
+
+class TestMulRowsKernel:
+    """The set-bit row kernel against the entry formula."""
+
+    @staticmethod
+    def samples(d, rng):
+        """Canonical rows of dimension-d matrices: random ones, singular
+        ones included, and invertible ones with their inverses."""
+        out = [F2Matrix(tuple(rng.randrange(1 << d) for _ in range(d))) for _ in range(6)]
+        for _ in range(3):
+            g = F2Matrix(tuple(rng.randrange(1 << d) for _ in range(d)))
+            if is_invertible(g):
+                out += [g, mat_inverse(g)]
+        return [m.rows for m in out]
+
+    def test_every_pair_of_dimensions(self):
+        rng = random.Random(13)
+        checked = trimmed = 0
+        for da, db in itertools.product(range(6), repeat=2):
+            for a in self.samples(da, rng):
+                for b in self.samples(db, rng):
+                    got = _mul_rows(a, b)
+                    assert got == entrywise_product(F2Matrix(a), F2Matrix(b)).rows
+                    assert got == _canonical_rows(got)
+                    checked += 1
+                    trimmed += len(got) < max(len(a), len(b))
+        assert checked > 1000 and trimmed > 10
+
+    def test_product_with_inverse_trims_to_identity(self):
+        for n in range(1, 4):
+            for g in all_gl(n):
+                assert _mul_rows(g.rows, mat_inverse(g).rows) == ()
+
+    def test_subset_sums(self):
+        rows = (0b011, 0b110, 0b100)
+        sums = _subset_sums(rows)
+        for x in range(8):
+            expect = 0
+            for j in range(3):
+                if x >> j & 1:
+                    expect ^= rows[j]
+            assert sums[x] == expect
 
 
 class TestInverse:

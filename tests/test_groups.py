@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isrlab import groups
+from isrlab import groups, zoo
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
@@ -182,6 +182,117 @@ class TestOrbit:
         assert inverse(three) != three
         with pytest.raises(NotSymmetric):
             orbit_under(Affine.matrix(S), {three})
+
+    def test_not_symmetric_after_a_full_pair(self):
+        # the search keeps one of each {c, c^-1}; a later conjugator whose
+        # inverse is missing is still refused
+        three = Affine.matrix(F2Matrix([0b010, 0b100, 0b001]))
+        four = Affine.matrix(F2Matrix([0b0010, 0b0100, 0b1000, 0b0001]))
+        with pytest.raises(NotSymmetric):
+            orbit_under(Affine.matrix(S), [three, inverse(three), four])
+        assert orbit_under(Affine.matrix(S), [three, inverse(three)]) == reference_orbit(
+            Affine.matrix(S), [three, inverse(three)]
+        )
+
+
+def plain_conjugate(c, x):
+    """c·x·c^{-1} from two products."""
+    return multiply(multiply(c, x), inverse(c))
+
+
+def reference_orbit(h, conjugators):
+    """BFS conjugating by every element of an inverse-closed set."""
+    orbit, frontier = {h}, [h]
+    while frontier:
+        frontier = {plain_conjugate(c, x) for x in frontier for c in conjugators} - orbit
+        orbit.update(frontier)
+    return orbit
+
+
+def reference_subgroup(gens):
+    """BFS multiplying by the generators and their inverses."""
+    sym = list(gens) + [inverse(g) for g in gens]
+    ident = sym[0].identity_like()
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        frontier = {multiply(x, s) for x in frontier for s in sym} - elems
+        elems.update(frontier)
+    return elems
+
+
+def reference_normal_closure(gens, n):
+    """Closure under products and conjugation by the truncation's
+    generators and their inverses."""
+    ggens = type(gens[0]).generators(n)
+    conj = ggens + [inverse(t) for t in ggens]
+    closure = reference_subgroup(gens)
+    while True:
+        extra = {plain_conjugate(t, x) for x in closure for t in conj} - closure
+        if not extra:
+            return closure
+        closure = reference_subgroup(list(closure | extra))
+
+
+def recorded_calls(monkeypatch, module, name, run):
+    """The argument tuples of every call run() makes to module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    run()
+    return calls
+
+
+class TestCantorConjugationAcrossLevels:
+    def test_every_pair_up_to_level_2(self):
+        # the pool holds elements of levels 0, 1 and 2, so x is below, at
+        # and above c's level; one map per c serves every x
+        pool = enumerate_group("cantor", 2)
+        for c in pool:
+            conj = c.conjugation()
+            for x in pool:
+                assert conj(x) == plain_conjugate(c, x)
+
+    def test_fpc_level_4_orbits(self, monkeypatch):
+        calls = recorded_calls(monkeypatch, zoo, "orbit_under", zoo.fpc_growth_suite)
+        checked = 0
+        for h, conjugators, cap in calls:
+            conjugators = list(conjugators)
+            if h.family != "cantor" or max(c.m for c in conjugators) != 4:
+                continue
+            maps = [(c, c.conjugation()) for c in conjugators]
+            for x in orbit_under(h, conjugators):
+                for c, conj in maps:
+                    assert conj(x) == plain_conjugate(c, x)
+                    checked += 1
+        assert checked > 10_000
+
+
+class TestBFSAgainstInverseClosedReference:
+    def test_fpc_orbits(self, monkeypatch):
+        calls = recorded_calls(monkeypatch, zoo, "orbit_under", zoo.fpc_growth_suite)
+        assert len(calls) == 42  # 14 elements at 3 truncations
+        for h, conjugators, cap in calls:
+            assert orbit_under(h, conjugators, cap) == reference_orbit(h, list(conjugators))
+
+    def test_closures(self, monkeypatch):
+        calls = recorded_calls(monkeypatch, zoo, "normal_closure", zoo.suite_closures)
+        assert len(calls) == 9
+        for gens, n, cap in calls:
+            assert normal_closure(gens, n, cap) == reference_normal_closure(list(gens), n)
+            for seeds in (gens, type(gens[0]).generators(n) + list(gens)):
+                assert subgroup_closure(seeds) == reference_subgroup(list(seeds))
+
+    def test_subgroup_closure_inputs_of_the_closures(self, monkeypatch):
+        # the sets normal_closure closes along the way
+        calls = recorded_calls(monkeypatch, groups, "subgroup_closure", zoo.suite_closures)
+        assert calls
+        for seeds, cap in calls:
+            assert subgroup_closure(seeds, cap) == reference_subgroup(list(seeds))
 
 
 class TestGenerators:

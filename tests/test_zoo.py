@@ -226,6 +226,47 @@ class TestMemosCannotHideFailures:
         assert projections.cylinder_conjugation_check(w, swap) is False
 
 
+class TestFCalculusKeys:
+    """The packed-row pair loop against F2Matrix products."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_matrix_products(self, n):
+        gl = gl_elements(n)
+        r, dom, conj = zoo._f_calculus_keys(gl, n)
+        assert r == {g: range_subgroup(g) for g in gl}
+        assert dom == {(r[g], r[h], r[g * h]) for g in gl for h in gl}
+        first = {}
+        for g in gl:
+            for h in gl:
+                first.setdefault((r[g], h), g)
+        assert conj == {(a, h): r[mat_inverse(h) * g * h] for (a, h), g in first.items()}
+
+    def test_every_corrupt_subset_sum_fails_the_laws(self, monkeypatch):
+        # entry 0 is never read (no row of an invertible matrix is 0);
+        # changing any other entry of any table to any other value breaks
+        # the law row at n = 2
+        real = zoo._subset_sums
+        assert zoo.report_passed(zoo.f_calculus_report(n=2))
+        corrupted = 0
+        for h in gl_elements(2):
+            target = h.rows + tuple(1 << i for i in range(h.n, 2))
+            for x in range(1, 4):
+                for value in set(range(4)) - {real(target)[x]}:
+
+                    def corrupt(rows, target=target, x=x, value=value):
+                        sums = real(rows)
+                        if tuple(rows) == target:
+                            sums[x] = value
+                        return sums
+
+                    monkeypatch.setattr(zoo, "_subset_sums", corrupt)
+                    rep = zoo.f_calculus_report(n=2)
+                    assert rep["checks"][0]["pass"] is False, (target, x, value)
+                    assert all(c["pass"] for c in rep["checks"][1:])
+                    corrupted += 1
+        assert corrupted == 54
+
+
 class TestLamplighter:
     def test_modulus_guard(self):
         with pytest.raises(ModulusOutOfRange):
