@@ -9,7 +9,7 @@
 
 from fractions import Fraction
 
-from isrlab.algebra import combine, trace, unit
+from isrlab.algebra import combine, inner_product, unit
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import Affine, Cantor
 from isrlab.zoo import build_mexo, cantor_case3_witness
@@ -20,9 +20,11 @@ def exoticness():
     t = F2Matrix.transvection(1, 2)
     ut = unit(Affine.matrix(t))
     x = ut * (unit(Affine.vector(F2Vector(0))) - unit(Affine.vector(F2Vector.basis(1))))
-    worst = max(abs(trace(x.adjoint() * b).re) for b in spec.basis)
-    print(f"max |tau(x* b)| over {len(spec.basis)} spanning elements: {worst}")
-    print(f"tau(x* u_t) = {trace(x.adjoint() * ut)}  (nonzero => u_t outside the span)")
+    # tau(x* b) = <x, b>: a sum over the common support, with no product
+    worst = max(abs(inner_product(x, b).re) for b in spec._distinct)
+    print(f"max |tau(x* b)| over the {len(spec._distinct)} distinct of "
+          f"{len(spec.basis)} spanning elements: {worst}")
+    print(f"tau(x* u_t) = {inner_product(x, ut)}  (nonzero => u_t outside the span)")
 
 
 def cantor_rows():

@@ -138,9 +138,14 @@ class AlgebraElement:
     @classmethod
     def _trusted(cls, den: int, ints: dict) -> "AlgebraElement":
         """Wrap nonzero Gaussian-integer pairs of one family over den > 0,
-        reduced to lowest terms."""
+        reduced to lowest terms.  The gcd is folded pair by pair and
+        stops at 1, which the first pair usually reaches."""
         if den > 1:
-            g = gcd(den, *(part for pair in ints.values() for part in pair))
+            g = den
+            for re, im in ints.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
             if g > 1:
                 den //= g
                 ints = {k: (re // g, im // g) for k, (re, im) in ints.items()}

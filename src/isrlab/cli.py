@@ -66,6 +66,23 @@ def _check_writable(path: str) -> None:
     raise IsrlabError(f"cannot write --out {path}: {problem}")
 
 
+def _say(text: str) -> None:
+    """Print one chunk of output.  A reader that closes the pipe early
+    (``| head``) is no error: stdout then points at os.devnull, so the
+    rest of the output and the interpreter's final flush go nowhere,
+    and the command still returns its own status."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def cmd_run(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -86,7 +103,7 @@ def cmd_run(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(blob + "\n")
     else:
-        print(blob)
+        _say(blob)
     return 0 if all(report_passed(r) for r in reports) else 1
 
 
@@ -132,13 +149,13 @@ def cmd_expect(args) -> int:
         "residual_norm_sq": encode_rational(rep.residual_norm_sq),
         "character": encode_coefficient(rep.character_value),
     }
-    print(json.dumps(out, sort_keys=True, indent=2, ensure_ascii=False))
+    _say(json.dumps(out, sort_keys=True, indent=2, ensure_ascii=False))
     return 0
 
 
 def _print_tsv(rows) -> None:
     for row in rows:
-        print("\t".join(str(c) for c in row))
+        _say("\t".join(str(c) for c in row))
 
 
 def cmd_tables(args) -> int:
@@ -152,7 +169,7 @@ def cmd_tables(args) -> int:
             return 2
         n = args.n if args.n is not None else 2
         pool = [g for g in enumerate_group(chi.family, n, cap) if chi.accepts(g)]
-        print(f"# character {chi.name()} on {chi.family} truncation {n}")
+        _say(f"# character {chi.name()} on {chi.family} truncation {n}")
         _print_tsv(
             [("element", "value")]
             + [
@@ -162,7 +179,7 @@ def cmd_tables(args) -> int:
         )
     if which in ("fpc", "all"):
         rep = zoo.fpc_growth_suite(cap=cap)
-        print("# fpc orbit growth")
+        _say("# fpc orbit growth")
         _print_tsv(
             [("case", "orbit sizes", "pass")]
             + [
@@ -171,10 +188,10 @@ def cmd_tables(args) -> int:
             ]
         )
     if which in ("closures", "all"):
-        print("# normal-closure sizes")
+        _say("# normal-closure sizes")
         for family, n in (("affine", 3), ("wreath", 4), ("cantor", 2)):
             for label, size in zoo.closure_table(family, n, cap):
-                print(f"{family}:{n}\t{label}\t{size}")
+                _say(f"{family}:{n}\t{label}\t{size}")
     return 0
 
 
@@ -208,10 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
     except IsrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return status
 
 
 if __name__ == "__main__":

@@ -50,6 +50,12 @@ class SubalgebraSpec:
     allowed to touch; faithfulness of the finite computation as a
     shadow of the infinite expectation is the caller's obligation
     (each zoo scenario records the containment that licenses it).
+
+    ``basis`` keeps the generating family as given, repeats included.
+    Each vector is hashed once: the family and window checks and the
+    Gram–Schmidt run over ``_distinct``, the basis with exact repeats
+    (equal ``(den, ints)``) dropped, since a repeat lies in the span
+    its first copy already gave and touches no new element.
     """
 
     def __init__(self, label: str, basis, window):
@@ -57,8 +63,9 @@ class SubalgebraSpec:
         window = frozenset(window)
         if not basis:
             raise ValueError("spec needs at least one nonzero basis element")
-        fam = basis[0].family()
-        for b in basis:
+        distinct = tuple(dict.fromkeys(basis))
+        fam = distinct[0].family()
+        for b in distinct:
             if b.family() != fam:
                 raise FamilyMismatch("basis elements from different families")
             if not window.issuperset(b.ints):
@@ -68,6 +75,7 @@ class SubalgebraSpec:
         self.label = label
         self.family = fam
         self.basis = basis
+        self._distinct = distinct
         self.window = window
         self._span: _Span | None = None
         self._unit_cache: dict[GroupElement, AlgebraElement] = {}
@@ -76,7 +84,7 @@ class SubalgebraSpec:
 
     def _orthogonal_basis(self) -> "_Span":
         if self._span is None:
-            self._span = _Span(self.basis)
+            self._span = _Span(self._distinct)
         return self._span
 
     def _check(self, x: AlgebraElement):
@@ -229,6 +237,12 @@ class _Span:
     N = ⟨o,o⟩; ``index`` maps an id to the (row, re, im) entries at it.
     ``pivots`` are the input vectors that gave a row, a basis of the
     span.  The length is the rank.
+
+    A vector already in the span reduces to nothing and leaves every
+    row, id and pivot as it was, so passing each distinct vector once
+    (as ``SubalgebraSpec`` does) gives the same rows, ids, pivots and
+    projections as passing the repeats too, with none of their
+    reductions.
     """
 
     def __init__(self, vectors):

@@ -480,10 +480,11 @@ class Cantor(_Element):
     point 0 is replaced by its complement, ``mask ^ full``).  The level
     is minimal under the duplicating embedding s -> (s, s), which maps
     point w to the pair {w, w + 2^m}: ``mask | mask << 2^m`` one level
-    up.  ``a`` is the point set as a frozenset.
+    up.  ``a`` is the point set as a frozenset.  The hash of
+    ``(sigma, mask)`` is computed once.
     """
 
-    __slots__ = ("m", "sigma", "mask")
+    __slots__ = ("m", "sigma", "mask", "_hash")
 
     family = "cantor"
 
@@ -511,7 +512,7 @@ class Cantor(_Element):
         return self.mask == other.mask and self.sigma == other.sigma
 
     def __hash__(self):
-        return hash((self.sigma, self.mask))
+        return self._hash
 
     def __repr__(self):
         return f"Cantor(m={self.m!r}, sigma={self.sigma!r}, a={self.a!r})"
@@ -669,6 +670,7 @@ class Cantor(_Element):
 _set_m = Cantor.m.__set__
 _set_sigma = Cantor.sigma.__set__
 _set_mask = Cantor.mask.__set__
+_set_c_hash = Cantor._hash.__set__
 
 
 def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
@@ -694,6 +696,7 @@ def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
     _set_m(g, m)
     _set_sigma(g, sigma)
     _set_mask(g, mask)
+    _set_c_hash(g, hash((sigma, mask)))
     return g
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -424,6 +425,44 @@ class TestTrace:
             v = trace(x.adjoint() * x)
             assert v.is_real() and v.re >= 0
             assert (v == 0) == x.is_zero()
+
+
+def full_gcd_reduced(den, ints):
+    """The reduced form through one gcd over den and every part."""
+    g = math.gcd(den, *(part for pair in ints.values() for part in pair))
+    return den // g, {k: (re // g, im // g) for k, (re, im) in ints.items()}
+
+
+class TestTrustedReduction:
+    POOL = enumerate_group("affine", 2)
+
+    def check(self, den, pairs):
+        ints = dict(zip(self.POOL, pairs))
+        x = AlgebraElement._trusted(den, ints)
+        assert (x.den, x.ints) == full_gcd_reduced(den, ints)
+        assert list(x.ints) == list(ints)
+
+    def test_seeded_inputs(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            f = rng.choice([1, 2, 3, 4, 6, 12])
+            pairs = [
+                (f * rng.randint(-9, 9), f * rng.randint(-9, 9))
+                for _ in range(rng.randint(1, 6))
+            ]
+            pairs = [p for p in pairs if p != (0, 0)]
+            self.check(f * rng.randint(1, 8), pairs)
+
+    def test_only_the_last_pair_reaches_one(self):
+        self.check(30, [(6, 12), (18, 0), (0, -24), (5, 7)])
+
+    def test_a_factor_kept_to_the_end(self):
+        self.check(36, [(6, 12), (18, 0), (0, -24), (30, 42)])
+        self.check(12, [(4, 0), (0, 8), (-20, 4)])
+
+    def test_den_one_and_zero_are_left(self):
+        self.check(1, [(6, 12)])
+        self.check(6, [])
 
 
 class TestInnerProduct:

@@ -213,6 +213,31 @@ class TestModuleEntry:
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2 and "unknown suite" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--suite", "all"],
+            ["run", "--suite", "cantor"],
+            ["tables", "--table", "characters", "--n", "3"],
+        ],
+        ids=["run", "run-small", "tables"],
+    )
+    def test_closed_pipe_exits_quietly(self, argv):
+        # the reader is gone before the first write (`isrlab … | head -0`):
+        # no traceback, and the command's own status.  A small output only
+        # meets the closed pipe in the final flush, a large one in print
+        # (stdout block-buffered, as it is by default on a pipe)
+        src = pathlib.Path(zoo.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen([sys.executable, "-m", "isrlab", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
 
 class TestExpect:
     @pytest.mark.parametrize("text", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS)

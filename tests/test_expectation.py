@@ -411,6 +411,56 @@ class TestPivotChecks:
         assert not verify_closure(spec)
 
 
+# (builder, len(spec.basis), len(spec._distinct)) on the project workload's specs
+REPEATING_SPECS = [
+    (lambda: zoo.build_mexo(3), 1344, 336),
+    (lambda: zoo.build_mq(4, 1), 384, 65),
+    (lambda: zoo.build_mq(4, -1), 384, 114),
+    (lambda: zoo.build_mpart(4), 73, 73),
+]
+
+
+class TestRepeatsSkipped:
+    """The spec hashes each basis vector once and orthogonalizes only the
+    distinct ones; a repeat lies in the span already, so the Gram–Schmidt
+    over the whole basis (kept here as the reference) ends the same."""
+
+    @pytest.mark.parametrize("build,size,distinct", REPEATING_SPECS)
+    def test_same_span_as_the_whole_basis(self, build, size, distinct):
+        spec = build()
+        span, whole = spec._orthogonal_basis(), _Span(spec.basis)
+        assert span.ids == whole.ids
+        assert span.rows == whole.rows
+        assert span.index == whole.index
+        assert len(span.pivots) == len(whole.pivots)
+        assert all(a is b for a, b in zip(span.pivots, whole.pivots))
+
+    @pytest.mark.parametrize("build,size,distinct", REPEATING_SPECS)
+    def test_basis_keeps_its_repeats(self, build, size, distinct):
+        spec = build()
+        assert len(spec.basis) == size
+        assert len(spec._distinct) == distinct
+        assert set(spec._distinct) == set(spec.basis)
+
+    def test_equal_vectors_are_one_whatever_their_object(self):
+        v = Affine.vector(F2Vector.basis(1))
+        b = unit(Affine.identity()) + unit(v)
+        spec = SubalgebraSpec("twice", [b, unit(v) + unit(Affine.identity()), -b],
+                              [Affine.identity(), v])
+        # equal (den, ints) is one vector; the proportional −b stays
+        assert spec._distinct == (b, -b)
+        assert len(spec._orthogonal_basis()) == 1
+
+    def test_checks_still_raise_past_repeats(self):
+        v = Affine.vector(F2Vector.basis(1))
+        b = unit(v)
+        window = [Affine.identity(), v]
+        with pytest.raises(FamilyMismatch):
+            SubalgebraSpec("mixed", [b, b, unit(Wreath.identity())], window)
+        with pytest.raises(ValueError, match="escapes the window"):
+            SubalgebraSpec("wide", [b, b, unit(Affine.vector(F2Vector.basis(2)))], window)
+
+
 class TestEProperties:
     def test_scalars(self):
         samples = enumerate_group("wreath", 2)

@@ -157,6 +157,19 @@ class TestEmbedding:
         s2, _ = swap1.at_level(2)
         assert prod.sigma == s2
 
+    def test_cantor_hash_across_levels(self):
+        # the stored hash is that of the canonical (σ, mask), whatever
+        # level the element was written at
+        pairs = [
+            (Cantor.perm(1, (1, 0)), Cantor.perm(3, (1, 0, 3, 2, 5, 4, 7, 6))),
+            (Cantor.indicator(1, {1}), Cantor.indicator(2, {1, 3})),
+            (Cantor.indicator(2, {0, 1, 2, 3}), Cantor.identity()),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert hash(x) == hash((x.sigma, x.mask))
+        assert len({x for pair in pairs for x in pair}) == len(pairs)
+
     def test_cantor_subset_mod_complement(self):
         assert Cantor.indicator(2, {0, 2}) == Cantor.indicator(2, {1, 3})
         assert Cantor.indicator(2, {0, 1, 2, 3}) == Cantor.identity()

@@ -6,7 +6,7 @@ import pytest
 
 from isrlab.algebra import AlgebraElement, unit
 from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange
-from isrlab.expectation import verify_closure, verify_invariance
+from isrlab.expectation import SubalgebraSpec, verify_closure, verify_invariance
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
 from isrlab.groups import Affine, Wreath, enumerate_group, gl_elements, transposition
 from isrlab.projections import CylinderWord, make_f, make_q_power
@@ -29,6 +29,29 @@ class TestMexo:
             for v in range(1 << n)
         ]
         assert list(zoo.build_mexo(n).basis) == expected
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_vector_per_coset(self, n):
+        # u_g·f_g·u_v depends on v only through v + R(g − I): the vectors
+        # of one coset are one object, those of two cosets are not equal
+        basis = zoo.build_mexo(n).basis
+        for i, g in enumerate(gl_elements(n)):
+            r = [w.bits for w in range_subgroup(g)]
+            block = basis[i << n:(i + 1) << n]
+            for v in range(1 << n):
+                for u in range(1 << n):
+                    if u ^ v in r:
+                        assert block[u] is block[v]
+                    else:
+                        assert block[u] != block[v]
+
+    def test_witness_takes_the_suite_spec(self):
+        spec = zoo.build_mexo(3)
+        assert zoo.mexo_exoticness_witness(3, spec)
+        # u_t itself pairs with x, so a span holding it fails the witness
+        t = Affine.matrix(F2Matrix.transvection(1, 2))
+        wider = SubalgebraSpec("wider", spec.basis + (unit(t),), spec.window)
+        assert not zoo.mexo_exoticness_witness(3, wider)
 
     def test_basis_size_bound(self):
         spec = zoo.build_mexo(2)
