@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FamilyMismatch
 from .groups import GroupElement, _check_family, inverse, multiply
 
 
@@ -117,18 +116,18 @@ class AlgebraElement:
     __slots__ = ("den", "ints")
 
     def __init__(self, terms: dict):
-        """From a map g → int, Fraction or GaussianRational; zeros drop."""
+        """From a map g → int, Fraction or GaussianRational of one group; zeros drop."""
         pruned = {}
-        fam = None
+        first = None
         den = 1
         for g, c in terms.items():
             c = as_gaussian(c)
             if c.is_zero():
                 continue
-            if fam is None:
-                fam = g.family
-            elif g.family != fam:
-                raise FamilyMismatch("mixed families in one algebra element")
+            if first is None:
+                first = g
+            else:
+                _check_family(first, g)
             pruned[g] = c
             den = lcm(den, c.re.denominator, c.im.denominator)
         # the lcm of reduced denominators already leaves gcd 1
@@ -179,9 +178,10 @@ class AlgebraElement:
         return None
 
     def _check(self, other: "AlgebraElement"):
-        f1, f2 = self.family(), other.family()
-        if f1 is not None and f2 is not None and f1 != f2:
-            raise FamilyMismatch(f"{f1} vs {f2}")
+        """FamilyMismatch unless both lie in one group (one family and, for
+        the lamplighter, one modulus); zero fits every group."""
+        if self.ints and other.ints:
+            _check_family(next(iter(self.ints)), next(iter(other.ints)))
 
     # -- linear operations -------------------------------------------------
 

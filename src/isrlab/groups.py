@@ -172,6 +172,7 @@ class Affine(_Element):
 
     @staticmethod
     def elements(n: int) -> list["Affine"]:
+        """Cosets in ``gl_elements`` order, v ascending: (g_i, v) is at i·2^n + v."""
         return [_affine(g.rows, bits) for g in gl_elements(n) for bits in range(1 << n)]
 
     @staticmethod
@@ -299,6 +300,7 @@ class Wreath(_Element):
 
     @staticmethod
     def elements(n: int) -> list["Wreath"]:
+        """Cosets in ``permutations`` order, v ascending: (σ_i, v) is at i·2^n + v."""
         perms = map(perm_canonical, itertools.permutations(range(n)))
         return [_wreath(sigma, bits) for sigma in perms for bits in range(1 << n)]
 

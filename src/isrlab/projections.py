@@ -7,7 +7,6 @@ here satisfies p = p* = p² on the nose.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -97,32 +96,34 @@ def half_projection(z: GroupElement, sign: int) -> AlgebraElement:
     return combine(Fraction(1, 2), one_like(z), Fraction(sign, 2), unit(z))
 
 
+# the two coefficient pairs of walsh_sum's terms, shared by every term
+_PLUS, _MINUS = (1, 0), (-1, 0)
+
+
+def walsh_sum(element, gens) -> AlgebraElement:
+    """∏_{(b, ε) ∈ gens} ½(1 + ε·u_b) = 2^{-k} Σ_B (∏_B ε)·u_{element(z_B)}
+    over the subsets B of the k gens, z_B the XOR of their bitmasks b.
+
+    The bitmasks must be independent over F2, and ``element`` must map
+    XOR to a product of commuting involutions.  Every coefficient is
+    one of two shared pairs."""
+    signs = {0: 1}
+    for b, eps in gens:
+        signs.update([(z ^ b, s * eps) for z, s in signs.items()])
+    return AlgebraElement._trusted(
+        len(signs), {element(z): _PLUS if s > 0 else _MINUS for z, s in signs.items()}
+    )
+
+
 @cache
 def make_cylinder(w: CylinderWord) -> AlgebraElement:
     """[w]: the product of the specified per-coordinate idempotents
     δ_letter = ½(1 + (−1)^letter u_{e_i}).  Memoized per word; the result
     is immutable."""
-    out = unit(Affine.identity())
-    for i in w.specified():
-        out = out * half_projection(Affine.vector(F2Vector.basis(i)), -1 if w.letter(i) else 1)
-    return out
-
-
-def cylinder_signed_sum(w: CylinderWord) -> AlgebraElement:
-    """For a fully specified word: 2^{-n} Σ_v (−1)^{w·v} u_v."""
-    n = len(w)
-    if any(c == STAR for c in w.letters):
-        raise HypothesisViolated("signed-sum form needs a fully specified word")
-    wbits = 0
-    for i, c in enumerate(w.letters):
-        if c:
-            wbits |= 1 << i
-    coef = Fraction(1, 1 << n)
-    terms = {}
-    for v in range(1 << n):
-        sign = -1 if bin(wbits & v).count("1") & 1 else 1
-        terms[Affine.vector(F2Vector(v))] = coef * sign
-    return AlgebraElement(terms)
+    return walsh_sum(
+        lambda z: Affine.vector(F2Vector(z)),
+        [(1 << (i - 1), -1 if w.letter(i) else 1) for i in w.specified()],
+    )
 
 
 def word_times_matrix(w: CylinderWord, ginv: F2Matrix) -> CylinderWord:
@@ -213,31 +214,26 @@ def _restricted_sign(p, block: frozenset[int]) -> int:
 def make_part_generator(s, partition: PartitionSpec) -> AlgebraElement:
     """s · ∏_K (P1^K + sign(s|_K)·P2^K) with P1 = ½(1+u_z), P2 = P1^⊥.
 
-    Written term by term from its closed form.  With z_B = Σ_{j∈B} e_j,
-    P1^K = 2^{-|K|} Σ_{B⊆K} u_{z_B} and P2^K = 2^{-|K|} Σ_{B⊆K} (−1)^{|B|}
-    u_{z_B}, so for sgn = sign(s|_K)
+    With z_B = Σ_{j∈B} e_j, for sgn = sign(s|_K) and k = min K,
 
-        P1^K + sgn·P2^K = 2^{1-|K|} Σ u_{z_B} over the B ⊆ K with (−1)^{|B|} = sgn.
+        P1^K + sgn·P2^K = 2^{1-|K|} Σ u_{z_B} over the B ⊆ K with (−1)^{|B|} = sgn
+                        = u_{z_B0}·∏_{j ∈ K∖k} ½(1 + u_{e_k + e_j}),
 
-    The blocks are disjoint, so the product sums over the unions
-    B = ⊔_K B_K with coefficient 2^{Σ_K (1-|K|)}, and u_s·u_{z_B} = u_{(s, z_B)}.
-    A singleton block contributes 1: its only even subset is ∅.
+    B0 = ∅ if sgn = 1, else {k}: the even B are the span of the e_k + e_j.
+    The blocks are disjoint, so the product is one ``walsh_sum`` shifted
+    by the XOR of the z_B0, and u_s·u_{z_B} = u_{(s, z_B)}.
     """
     s = perm_canonical(s)
     if len(s) > partition.n:
         raise BlockNotInvariant("permutation moves points outside the partition")
-    zs = [0]
+    gens = []
+    shift = 0
     for block in partition.blocks:
-        sgn = _restricted_sign(s, block)
-        pts = sorted(block)
-        picks = [
-            sum(1 << (j - 1) for j, bit in zip(pts, pick) if bit)
-            for pick in itertools.product((0, 1), repeat=len(pts))
-            if (-1) ** sum(pick) == sgn
-        ]
-        zs = [z | b for z in zs for b in picks]
-    den = 1 << (partition.n - len(partition.blocks))
-    return AlgebraElement._trusted(den, {Wreath(s, F2Vector(z)): (1, 0) for z in zs})
+        k, *rest = sorted(block)
+        gens += [((1 << (k - 1)) | (1 << (j - 1)), 1) for j in rest]
+        if _restricted_sign(s, block) < 0:
+            shift ^= 1 << (k - 1)
+    return walsh_sum(lambda z: Wreath(s, F2Vector(z ^ shift)), gens)
 
 
 def mu_fix(g: Cantor) -> Fraction:

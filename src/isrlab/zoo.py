@@ -60,12 +60,12 @@ from .projections import (
     CylinderWord,
     PartitionSpec,
     cylinder_conjugation_check,
-    cylinder_signed_sum,
     half_projection,
     make_cylinder,
     make_f,
     make_part_generator,
     make_q_power,
+    walsh_sum,
     word_times_matrix,
 )
 from .serialize import encode_algebra, encode_coefficient, encode_rational
@@ -133,14 +133,14 @@ def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
     window = enumerate_group("affine", n, cap)
-    vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
-    for g in gl_elements(n):
+    for i in range(0, len(window), 1 << n):
+        # the window's coset of g: coset[v] = (g, v), and
         # u_g·f_g·u_v = |R|⁻¹ Σ_{w ∈ R} u_{(g, w+v)}, R = R(g − I): it
         # depends on v only through the coset v + R, so each coset's
         # vector is made once, at its least v, and stands at every v in it
-        coset = [Affine(g, u) for u in vectors]
-        r = [w.bits for w in range_subgroup(g)]
+        coset = window[i : i + (1 << n)]
+        r = [w.bits for w in range_subgroup(coset[0].g)]
         made: list = [None] * (1 << n)
         for v in range(1 << n):
             if made[v] is None:
@@ -376,14 +376,14 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
         cap,
         lambda text: Overflow(f"cylinder at n={n} checks {text} pairs, above cap {cap}"),
     )
+    # make_cylinder's signed sum against the product of its ½(1 ± u_{e_i})
     signed_ok = True
     for length in range(1, 5):
         for bits in itertools.product((0, 1), repeat=length):
-            w = CylinderWord(bits)
-            if len(w) != length:
-                continue  # trailing-star stripping collapsed the word
-            if make_cylinder(w) != cylinder_signed_sum(CylinderWord(bits)):
-                signed_ok = False
+            product = unit(Affine.identity())
+            for i, c in enumerate(bits, 1):
+                product = product * half_projection(Affine.vector(F2Vector.basis(i)), (-1) ** c)
+            signed_ok &= make_cylinder(CylinderWord(bits)) == product
     conj_total = 0
     conj_ok = True
     letters = (0, 1, "*")
@@ -433,19 +433,17 @@ def build_mq(n: int, sign: int = 1, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mq truncation {n} not in [2, 4]")
     window = enumerate_group("wreath", n, cap)
-    vectors = [F2Vector(v) for v in range(1 << n)]
     basis = []
-    for p in itertools.permutations(range(n)):
-        # u_s·Q^A·u_v = 2^{-|A|} Σ_{B ⊆ A} (±1)^{|B|} u_{(s, z_B + v)}, A = supp s
-        coset = [Wreath(p, u) for u in vectors]
-        a = sorted(_perm_support(p))
-        head = [
-            (sum(1 << (j - 1) for j, bit in zip(a, pick) if bit),
-             (sign ** sum(pick), 0))
-            for pick in itertools.product((0, 1), repeat=len(a))
+    for i in range(0, len(window), 1 << n):
+        # the window's coset of s: coset[v] = (s, v).  u_s·Q^A, A = supp s,
+        # is ∏_{j ∈ A} ½(1 ± u_{(s, e_j)}); u_s·Q^A·u_v relabels (s, z) to (s, z + v)
+        coset = window[i : i + (1 << n)]
+        gens = [(1 << (j - 1), sign) for j in sorted(_perm_support(coset[0].sigma))]
+        head = walsh_sum(coset.__getitem__, gens)
+        basis += [
+            AlgebraElement._trusted(head.den, {coset[g.bits ^ v]: d for g, d in head.ints.items()})
+            for v in range(1 << n)
         ]
-        for v in range(1 << n):
-            basis.append(AlgebraElement._trusted(1 << len(a), {coset[z ^ v]: d for z, d in head}))
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
 
@@ -691,11 +689,11 @@ def suite_e12(**_) -> dict:
 
 
 def _lamp_cylinder(m: int, word: int) -> AlgebraElement:
-    """The dual idempotent δ_word over the m lamp coordinates."""
-    out = unit(Lamplighter.identity(m))
-    for j in range(m):
-        out = out * half_projection(Lamplighter.lamp(m, j), -1 if (word >> j) & 1 else 1)
-    return out
+    """The dual idempotent δ_word = ∏_j ½(1 ± u_{lamp j}) over the m lamp
+    coordinates."""
+    return walsh_sum(
+        lambda z: Lamplighter(m, z, 0), [(1 << j, -1 if (word >> j) & 1 else 1) for j in range(m)]
+    )
 
 
 def _shift_orbits(m: int) -> list[list[int]]:
@@ -754,13 +752,8 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
             ]
             spec = SubalgebraSpec(f"lamp:{y_name},k={k}", basis, window)
             # the basis is independent, so the exact check multiplies
-            # |basis|² pivot pairs: it runs up to 64² (every span at
-            # m <= 4); above, where that grows as 4^m, 60 are sampled
-            if len(basis) ** 2 <= 4096:
-                closed = verify_closure(spec)
-            else:
-                pairs = [(i, (i * 7 + 3) % len(basis)) for i in range(60)]
-                closed = verify_closure(spec, pairs=pairs)
+            # |basis|² pivot pairs, up to (m·2^m)²
+            closed = verify_closure(spec)
             inv_shift = verify_invariance(spec, [shift])
             inv_lamp = verify_invariance(spec, [lamp0])
             checks.append(

@@ -99,6 +99,18 @@ class TestConvolve:
         with pytest.raises(FamilyMismatch):
             convolve(unit(Affine.identity()), unit(Wreath.identity()))
 
+    def test_lamplighter_moduli_never_meet(self):
+        # one family rule for every operation: a modulus is part of the group
+        x, y = unit(Lamplighter(4, 1, 0)), unit(Lamplighter(5, 1, 0))
+        with pytest.raises(FamilyMismatch):
+            AlgebraElement({Lamplighter(4, 1, 0): 1, Lamplighter(5, 1, 0): 1})
+        with pytest.raises(FamilyMismatch):
+            x + y
+        with pytest.raises(FamilyMismatch):
+            inner_product(x, y)
+        # the zero element meets every group
+        assert x + AlgebraElement({}) == x
+
     def test_associative_random(self):
         for fam, n in [("affine", 2), ("cantor", 2)]:
             xs = random_algebra_elements(fam, n, 12, seed=5)
@@ -283,10 +295,9 @@ class TestProductMemo:
         for m in (3, 5):
             with pytest.raises(FamilyMismatch):
                 ad(Lamplighter(m, 1, 0), x)
-            # one family, two moduli: the first term passes the entry
-            # check, the second reaches multiply
-            mixed = AlgebraElement({Lamplighter(4, 1, 0): 1, Lamplighter(m, 1, 0): 1})
+            # one family, two moduli: the element itself is refused
             with pytest.raises(FamilyMismatch):
+                mixed = AlgebraElement({Lamplighter(4, 1, 0): 1, Lamplighter(m, 1, 0): 1})
                 ad(g, mixed)
 
 

@@ -12,7 +12,7 @@ from isrlab.characters import parse_character
 from isrlab.cli import main
 from isrlab.expectation import spec_to_dict
 from isrlab.f2 import F2Vector
-from isrlab.groups import Affine
+from isrlab.groups import Affine, enumerate_group
 from isrlab.algebra import unit
 from isrlab.expectation import SubalgebraSpec
 from isrlab.serialize import decode_group
@@ -298,6 +298,17 @@ class TestExpect:
 
     def test_bad_element(self, capsys):
         assert main(["expect", "mexo:2", "not-json"]) == 2
+
+    def test_lamplighter_modulus_mismatch(self, tmp_path, capsys):
+        window = enumerate_group("lamplighter", 4)
+        spec = SubalgebraSpec("lamps", [unit(g) for g in window], window)
+        path = tmp_path / "lamp4.json"
+        path.write_text(json.dumps(spec_to_dict(spec)))
+        elem = '{"family": "lamplighter", "m": 5, "v": "10000", "t": 0}'
+        assert main(["expect", str(path), elem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "moduli" in err
 
 
 MALFORMED_CHARACTERS = [

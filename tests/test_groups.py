@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -306,6 +307,24 @@ class TestBFSAgainstInverseClosedReference:
         assert calls
         for seeds, cap in calls:
             assert subgroup_closure(seeds, cap) == reference_subgroup(list(seeds))
+
+
+class TestElementOrder:
+    # build_mexo and build_mq read each coset {(g, v)} off the window as
+    # one slice of 2^n elements, v ascending
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_affine_cosets_are_contiguous(self, n):
+        elements = Affine.elements(n)
+        assert elements == [
+            Affine(g, F2Vector(v)) for g in groups.gl_elements(n) for v in range(1 << n)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_wreath_cosets_are_contiguous(self, n):
+        elements = Wreath.elements(n)
+        assert elements == [
+            Wreath(p, F2Vector(v)) for p in itertools.permutations(range(n)) for v in range(1 << n)
+        ]
 
 
 class TestGenerators:

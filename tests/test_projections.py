@@ -10,22 +10,26 @@ from isrlab.f2 import F2Matrix, F2Vector, mat_inverse
 from isrlab.groups import (
     Affine,
     Cantor,
+    Lamplighter,
     Wreath,
     perm_mul,
     transposition,
 )
 from isrlab.projections import (
+    _MINUS,
+    _PLUS,
     STAR,
     CylinderWord,
     PartitionSpec,
     cylinder_conjugation_check,
-    cylinder_signed_sum,
+    half_projection,
     make_cylinder,
     make_f,
     make_part_generator,
     make_q_power,
     mu_fix,
     perm_sign,
+    walsh_sum,
     word_times_matrix,
 )
 
@@ -84,6 +88,27 @@ def merged_product(w, v, length):
     return CylinderWord(out)
 
 
+def factor_product(identity, factors) -> AlgebraElement:
+    """∏ ½(1 ± u_z) over (z, letter) factors, sign (−1)^letter, convolved."""
+    out = unit(identity)
+    for z, letter in factors:
+        out = out * half_projection(z, -1 if letter else 1)
+    return out
+
+
+def cylinder_signed_sum(letters) -> AlgebraElement:
+    """2^{-n} Σ_v (−1)^{w·v} u_v for a fully specified word w."""
+    n = len(letters)
+    return AlgebraElement(
+        {
+            Affine.vector(F2Vector(v)): Fraction(
+                (-1) ** sum(c for i, c in enumerate(letters) if v >> i & 1), 1 << n
+            )
+            for v in range(1 << n)
+        }
+    )
+
+
 class TestCylinders:
     def test_all_star_is_identity(self):
         assert make_cylinder(CylinderWord((STAR, STAR))) == unit(Affine.identity())
@@ -104,7 +129,11 @@ class TestCylinders:
         for n in range(1, 5):
             for letters in itertools.product((0, 1), repeat=n):
                 w = CylinderWord(letters)
-                assert make_cylinder(w) == cylinder_signed_sum(w)
+                product = factor_product(
+                    Affine.identity(),
+                    [(Affine.vector(F2Vector.basis(i)), c) for i, c in enumerate(letters, 1)],
+                )
+                assert make_cylinder(w) == product == cylinder_signed_sum(letters)
 
     def test_product_rule_exhaustive_len3(self):
         cache = {w.letters: make_cylinder(w) for w in words(3)}
@@ -275,6 +304,53 @@ class TestPartGeneratorClosedForm:
             make_part_generator(transposition(0, 2), PartitionSpec([{1, 2}, {3}]))
         with pytest.raises(BlockNotInvariant):
             make_part_generator((0, 1, 3, 2), PartitionSpec([{1, 2, 3}]))
+
+class TestWalshSum:
+    """walsh_sum is the one written-out form of a product of ½(1 ± u_b);
+    half_projection products are the reference."""
+
+    def test_empty_product_is_one(self):
+        assert walsh_sum(lambda z: Affine.vector(F2Vector(z)), []) == unit(Affine.identity())
+
+    def test_matches_factor_product_off_the_coordinate_masks(self):
+        gens = [(0b011, 1), (0b110, -1), (0b100, -1)]
+        element = lambda z: Wreath.vector(F2Vector(z))
+        expected = factor_product(Wreath.identity(), [(element(b), eps < 0) for b, eps in gens])
+        assert walsh_sum(element, gens) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_lamp_cylinders_match_factor_product(self, m):
+        total = AlgebraElement({})
+        for word in range(1 << m):
+            delta = zoo._lamp_cylinder(m, word)
+            lamps = [(Lamplighter.lamp(m, j), word >> j & 1) for j in range(m)]
+            assert delta == factor_product(Lamplighter.identity(m), lamps)
+            total = total + delta
+        assert total == unit(Lamplighter.identity(m))
+
+    def test_builders_make_no_convolution(self, monkeypatch):
+        def refuse(x, y):
+            raise AssertionError("convolve called")
+
+        # AlgebraElement.__mul__ reads the module global
+        monkeypatch.setattr(algebra, "convolve", refuse)
+        make_cylinder.cache_clear()
+        make_cylinder(CylinderWord((1, STAR, 0, 1)))
+        make_part_generator((1, 0, 3, 2), PartitionSpec([{1, 2}, {3, 4}]))
+        zoo._lamp_cylinder(5, 0b10110)
+        zoo.build_mq(4, -1)
+        with pytest.raises(AssertionError):
+            unit(Wreath.identity()) * unit(Wreath.identity())
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: zoo.build_mq(4, 1), lambda: zoo.build_mq(4, -1), lambda: zoo.build_mpart(4)],
+        ids=["mq4+", "mq4-", "mpart4"],
+    )
+    def test_terms_share_two_coefficient_pairs(self, build):
+        pairs = [p for b in build().basis for p in b.ints.values()]
+        assert all(p is _PLUS or p is _MINUS for p in pairs)
+
 
 class TestMuFix:
     def test_identity(self):

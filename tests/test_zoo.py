@@ -45,6 +45,14 @@ class TestMexo:
                     else:
                         assert block[u] != block[v]
 
+    @pytest.mark.parametrize("build", [zoo.build_mexo, zoo.build_mq], ids=["mexo3", "mq3"])
+    def test_basis_terms_are_window_objects(self, build):
+        # the builders read each coset off the window instead of making
+        # its elements again
+        spec = build(3)
+        window = {id(g) for g in spec.window}
+        assert all(id(g) in window for b in spec.basis for g in b.ints)
+
     def test_witness_takes_the_suite_spec(self):
         spec = zoo.build_mexo(3)
         assert zoo.mexo_exoticness_witness(3, spec)
@@ -239,6 +247,19 @@ class TestMemosCannotHideFailures:
         monkeypatch.setattr(zoo, "make_f", broken_make_f)
         assert zoo.f_calculus_report(n=2)["checks"][0]["pass"] is False
 
+    def test_signed_sum_row_fails_on_one_wrong_word(self, monkeypatch, cold_cylinders):
+        # [101] written as [100]: the suite's first row compares every
+        # word up to length 4 against its product of ½(1 ± u_{e_i})
+        make_cylinder = projections.make_cylinder
+        wrong = {(1, 0, 1): make_cylinder(CylinderWord((1, 0, 0)))}
+        assert zoo.report_passed(zoo.suite_cylinder(n=2))
+        monkeypatch.setattr(
+            zoo, "make_cylinder", lambda w: wrong.get(w.letters) or make_cylinder(w)
+        )
+        rows = zoo.suite_cylinder(n=2)["checks"]
+        assert rows[0]["description"].startswith("[w] equals its signed-sum expansion")
+        assert rows[0]["pass"] is False and rows[1]["pass"] is True
+
     def test_cylinder_check_fails_on_a_wrong_word(self, monkeypatch, cold_cylinders):
         # [1, ⋆] under the swap moves to [⋆, 1]; a word map that returns
         # w unchanged must make the in-hypothesis check fail
@@ -306,14 +327,32 @@ class TestLamplighter:
     def test_every_span_at_m4_gets_the_exact_closure_check(self, monkeypatch):
         calls = []
 
-        def record(spec, pairs=None):
-            calls.append((spec.label, pairs))
-            return verify_closure(spec, pairs)
+        def record(spec):
+            calls.append(spec.label)
+            return verify_closure(spec)
 
         monkeypatch.setattr(zoo, "verify_closure", record)
         zoo.lamplighter_scenarios(4)
-        assert ("lamp:full,k=1", None) in calls
-        assert len(calls) == 9 and all(pairs is None for _, pairs in calls)
+        assert "lamp:full,k=1" in calls
+        assert len(calls) == 9
+
+    def test_every_span_at_m5_gets_the_exact_closure_check(self, monkeypatch):
+        # (m·2^m)² = 25,600 basis pairs for Y = full, k = 1: the largest
+        # span under the default cap is checked on every pivot pair
+        calls = []
+
+        def record(spec):
+            closed = verify_closure(spec)
+            calls.append((spec.label, len(spec._orthogonal_basis()), closed))
+            return closed
+
+        monkeypatch.setattr(zoo, "verify_closure", record)
+        rep = zoo.lamplighter_scenarios(5)
+        assert zoo.report_passed(rep)
+        assert [label for label, _, _ in calls] == [
+            f"lamp:{y},k={k}" for y in ("scalars", "full", "shift-orbit-sums") for k in (1, 5)
+        ]
+        assert ("lamp:full,k=1", 160, True) in calls
 
     def test_closure_observations(self):
         rep = zoo.lamplighter_scenarios(4)
