@@ -250,7 +250,7 @@ def combine(alpha, x: AlgebraElement, beta, y: AlgebraElement) -> AlgebraElement
     return x.scale(alpha) + y.scale(beta)
 
 
-# the product memo of convolve and ad: _PRODUCTS[g][h] = g·h, each
+# the product memo of convolve: _PRODUCTS[g][h] = g·h, each
 # distinct product interned in _ELEMENTS; _stored counts the (g, h) entries
 _PRODUCTS: dict = {}
 _ELEMENTS: dict = {}
@@ -263,20 +263,6 @@ def _clear_products() -> None:
     _PRODUCTS.clear()
     _ELEMENTS.clear()
     _stored = 0
-
-
-def _product(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g·h through the memo, interned."""
-    global _stored
-    row = _PRODUCTS.get(g)
-    if row is None:
-        row = _PRODUCTS[g] = {}
-    k = row.get(h)
-    if k is None:
-        k = multiply(g, h)
-        k = row[h] = _ELEMENTS.setdefault(k, k)
-        _stored += 1
-    return k
 
 
 def convolve(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -352,19 +338,10 @@ def norm_sq(x: AlgebraElement) -> Fraction:
 
 
 def ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """The adjoint action u_g x u_g^{-1}, applied termwise.
-
-    Each term's (g·h)·g^{-1} comes from convolve's memo, under the same
-    rule: the memo is emptied before a term once it holds more than
-    _MEMO_LIMIT pairs, and a pair it lacks goes through ``multiply``.
-    """
+    """The adjoint action u_g x u_g^{-1}: each term moves through
+    ``g.conjugation()`` and keeps its coefficient."""
     if not x.ints:
         return x
     _check_family(g, next(iter(x.ints)))
-    ginv = inverse(g)
-    out = {}
-    for h, pair in x.ints.items():
-        if _stored > _MEMO_LIMIT:
-            _clear_products()
-        out[_product(_product(g, h), ginv)] = pair
-    return AlgebraElement._trusted(x.den, out)
+    conj = g.conjugation()
+    return AlgebraElement._trusted(x.den, {conj(h): pair for h, pair in x.ints.items()})

@@ -32,7 +32,7 @@ from .algebra import (
     unit,
 )
 from .errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
-from .groups import GroupElement, conjugate, inverse
+from .groups import GroupElement, _check_family, conjugate, inverse
 from .serialize import decode_algebra, decode_group, encode_algebra
 
 
@@ -69,6 +69,9 @@ class SubalgebraSpec:
             distinct[0]._check(b)
             if not window.issuperset(b.ints):
                 raise ValueError(f"basis element escapes the window: {b!r}")
+        g0 = next(iter(distinct[0].ints))
+        for w in window:
+            _check_family(g0, w)
         if not any(g.is_identity() for g in window):
             raise ValueError("window must contain the identity")
         self.label = label
@@ -114,8 +117,10 @@ def verify_invariance(spec: SubalgebraSpec, conjugators) -> bool:
     """
     conjugators = list(conjugators)
     for c in conjugators:
+        _check_family(c, next(iter(spec.window)))
+        conj = c.conjugation()
         for w in spec.window:
-            if conjugate(c, w) not in spec.window:
+            if conj(w) not in spec.window:
                 raise WindowNotNormalized(
                     f"conjugator {c!r} moves {w!r} out of the window"
                 )

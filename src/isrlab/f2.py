@@ -289,15 +289,22 @@ def mat_inverse(a: F2Matrix) -> F2Matrix:
     return F2Matrix(_inverse_rows(a.rows))
 
 
-def _rank_of_rows(rows) -> int:
+def _echelon(vectors) -> list[int]:
+    """A basis of the span of the vector bitmasks in echelon form:
+    leading bits distinct and descending, so v lies in the span iff
+    v -> min(v, v ^ b) over the basis, in order, ends at 0."""
     basis: list[int] = []
-    for r in rows:
+    for r in vectors:
         for b in basis:
             r = min(r, r ^ b)
         if r:
             basis.append(r)
             basis.sort(reverse=True)
-    return len(basis)
+    return basis
+
+
+def _rank_of_rows(rows) -> int:
+    return len(_echelon(rows))
 
 
 def _difference_rows(g: F2Matrix) -> list[int]:
@@ -311,9 +318,7 @@ def rank_defect(g: F2Matrix) -> int:
 
 
 def _range_basis(g: F2Matrix) -> list[int]:
-    """A basis of R(g - I) as vector bitmasks, in echelon form: leading
-    bits distinct and descending, so v lies in R(g - I) iff
-    v -> min(v, v ^ b) over the basis, in order, ends at 0."""
+    """An echelon basis of R(g - I) as vector bitmasks (``_echelon``)."""
     n = g.n
     diff = _difference_rows(g)
     cols = []
@@ -323,15 +328,7 @@ def _range_basis(g: F2Matrix) -> list[int]:
             if (diff[i] >> j) & 1:
                 c |= 1 << i
         cols.append(c)
-    basis: list[int] = []
-    for c in cols:
-        red = c
-        for b in basis:
-            red = min(red, red ^ b)
-        if red:
-            basis.append(red)
-            basis.sort(reverse=True)
-    return basis
+    return _echelon(cols)
 
 
 def range_subgroup(g: F2Matrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[F2Vector]:
@@ -341,10 +338,7 @@ def range_subgroup(g: F2Matrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[F2Vec
         raise RangeTooLarge(
             f"range subgroup has 2^{len(basis)} elements, cap is {cap}"
         )
-    span = [0]
-    for b in basis:
-        span += [x ^ b for x in span]
-    return frozenset(F2Vector(x) for x in span)
+    return frozenset(F2Vector(x) for x in _subset_sums(basis))
 
 
 def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:

@@ -160,6 +160,21 @@ class Affine(_Element):
             return self
         return _affine(_mat_inverse_cached(self.rows), _apply_rows(self.rows, self.bits))
 
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}, in closed form where self is a
+        translation (I, a): (g, w) -> (g, w + g^{-1}a + a); and where
+        self is a matrix (A, 0) and x a vector (I, w): (I, w) -> (I, Aw).
+        """
+        rows, a = self.rows, self.bits
+        if not rows:
+            return lambda x: _affine(
+                x.rows, _apply_rows(_mat_inverse_cached(x.rows), a) ^ x.bits ^ a
+            )
+        general = _Element.conjugation(self)
+        if a:
+            return general
+        return lambda x: general(x) if x.rows else _affine((), _apply_rows(rows, x.bits))
+
     @staticmethod
     def order(n: int) -> int:
         _check_level("affine", n)
@@ -824,6 +839,33 @@ def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupEl
     return cls.elements(n)
 
 
+def _reach(start: GroupElement, maps, cap: int, what: str) -> set[GroupElement]:
+    """Every element reached from start by the maps, by BFS; raises
+    Overflow once the set would pass cap elements."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for f in maps:
+                y = f(x)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise Overflow(f"{what} exceeds cap {cap}")
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def _right_multiplications(gens) -> list:
+    """The maps x -> x·s for s in gens, one family."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    for s in gens:
+        _check_family(gens[0], s)
+    return [lambda x, s=s: x.mul(s) for s in gens]
+
+
 def orbit_under(
     h: GroupElement, conjugators, cap: int = DEFAULT_CAP
 ) -> set[GroupElement]:
@@ -847,20 +889,7 @@ def orbit_under(
         if c not in paired:
             paired.update((c, c_inv))
             maps.append(c.conjugation())
-    orbit = {h}
-    frontier = [h]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for conj in maps:
-                y = conj(x)
-                if y not in orbit:
-                    if len(orbit) >= cap:
-                        raise Overflow(f"conjugation orbit exceeds cap {cap}")
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
+    return _reach(h, maps, cap, "conjugation orbit")
 
 
 def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
@@ -871,25 +900,8 @@ def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
     (g^{-1} = g^{k-1} for g of order k).
     """
     gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
-        _check_family(gens[0], g)
-    ident = gens[0].identity_like()
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = x.mul(s)
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise Overflow(f"subgroup closure exceeds cap {cap}")
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elems
+    maps = _right_multiplications(gens)
+    return _reach(gens[0].identity_like(), maps, cap, "subgroup closure")
 
 
 def normal_closure(
@@ -898,29 +910,26 @@ def normal_closure(
     """Smallest subgroup of the level-n truncation containing gens and
     closed under conjugation by the whole truncated group.
 
-    Conjugating by the truncation's generators alone suffices: a finite
-    subgroup H with tHt^{-1} ⊆ H has tHt^{-1} = H, so H is closed under
-    conjugation by t^{-1} too.
+    One search from the identity, by x -> x·s for s in gens and by
+    conjugation by each generator t of the truncation.  The reached set
+    N is the normal closure:
+
+    - each map sends a product of conjugates of gens to another, so N
+      lies in the normal closure;
+    - N is closed under conjugation by every t; it is finite, so
+      tNt^{-1} = N, and N is closed under conjugation by t^{-1} (a
+      power of t) too, and so by the whole group, which the t generate;
+    - x·csc^{-1} = c(c^{-1}xc·s)c^{-1} for s in gens, so N is closed
+      under right multiplication by every conjugate csc^{-1};
+    - N is finite and contains e, so it holds the subgroup those
+      conjugates generate, which is the normal closure.
     """
     gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    ggens = type(gens[0]).generators(n)
-    for t in ggens:
+    maps = _right_multiplications(gens)
+    for t in type(gens[0]).generators(n):
         _check_family(t, gens[0])
-    maps = [t.conjugation() for t in ggens]
-    seed = set(gens)
-    while True:
-        closure = subgroup_closure(seed, cap)
-        extra = set()
-        for x in closure:
-            for conj in maps:
-                y = conj(x)
-                if y not in closure:
-                    extra.add(y)
-        if not extra:
-            return closure
-        seed = closure | extra
+        maps.append(t.conjugation())
+    return _reach(gens[0].identity_like(), maps, cap, "normal closure")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, combine, one_like, unit
+from .algebra import AlgebraElement, ad, combine, one_like, unit
 from .errors import BlockNotInvariant, HypothesisViolated
 from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup
 from .groups import Affine, Cantor, GroupElement, Wreath, perm_canonical, perm_image
@@ -152,8 +152,6 @@ def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
     Requires the hypothesis that every ⋆-row of g^{-1} has exactly one
     nonzero entry; outside it the rule is not asserted.
     """
-    from .algebra import ad
-
     ginv = mat_inverse(g)
     n = max(len(w), g.n)
     for i in range(1, n + 1):

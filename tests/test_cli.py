@@ -50,6 +50,11 @@ class TestRun:
         # a tiny cap makes the closure BFS overflow, surfaced as exit 2
         assert main(["run", "--suite", "closures", "--cap", "10"]) == 2
 
+    def test_cap_binds_the_normal_closure(self, capsys):
+        # the affine n = 3 closure of swap(1,2) is the whole 1344-element group
+        assert main(["run", "--suite", "closures", "--cap", "100"]) == 2
+        assert capsys.readouterr().err == "error: normal closure exceeds cap 100\n"
+
     def test_cap_binds_fpc_orbits(self, capsys):
         # the fpc suite's conjugation orbits reach 3360 elements
         assert main(["run", "--suite", "fpc", "--cap", "10"]) == 2
@@ -282,6 +287,17 @@ class TestExpect:
         assert main(["expect", str(path), elem]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_mixed_window_spec_file(self, tmp_path, capsys):
+        basis = [unit(Affine.vector(F2Vector(b))) for b in range(2)]
+        spec = SubalgebraSpec("vectors", basis, [b.support().pop() for b in basis])
+        d = spec_to_dict(spec)
+        d["window"].append({"family": "lamplighter", "m": 5, "v": "10000", "t": 0})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
+        elem = '{"family":"affine","g":"1","v":"0","n":1}'
+        assert main(["expect", str(path), elem]) == 2
+        assert capsys.readouterr().err == "error: affine vs lamplighter\n"
 
     def test_bad_spec_name(self, capsys):
         assert main(["expect", "nope:2", SWAP_JSON]) == 2

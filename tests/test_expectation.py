@@ -137,6 +137,16 @@ class TestProjection:
         with pytest.raises(FamilyMismatch):
             SubalgebraSpec("two moduli", [unit(window[1]), other], window)
 
+    def test_mixed_window(self):
+        # the window is one group: each element is checked against the
+        # basis family, before any check conjugates it
+        lamp = Lamplighter.identity(4)
+        with pytest.raises(FamilyMismatch):
+            SubalgebraSpec("x", [unit(lamp)], [lamp, Lamplighter(5, 1, 0), Affine.identity()])
+        for stray in (Lamplighter(5, 1, 0), Affine.identity()):
+            with pytest.raises(FamilyMismatch):
+                SubalgebraSpec("x", [unit(lamp)], [lamp, stray])
+
 
 # ---------------------------------------------------------------------------
 # projection laws on random specs, against an exact dense solve of the Gram
@@ -283,6 +293,14 @@ class TestInvariance:
         rot = Affine.matrix(F2Matrix.from_lists([[0, 1], [1, 0]]))
         with pytest.raises(WindowNotNormalized):
             verify_invariance(spec2, [rot])
+
+    def test_conjugator_of_another_family(self):
+        with pytest.raises(FamilyMismatch):
+            verify_invariance(scalar_spec("affine"), [Wreath.identity()])
+        window = enumerate_group("lamplighter", 4)
+        spec = SubalgebraSpec("lamps", [unit(g) for g in window], window)
+        with pytest.raises(FamilyMismatch):
+            verify_invariance(spec, [Lamplighter.shift(5)])
 
     def test_non_invariant_span(self):
         s = Wreath.perm(transposition(0, 1))

@@ -301,12 +301,11 @@ class TestBFSAgainstInverseClosedReference:
             for seeds in (gens, type(gens[0]).generators(n) + list(gens)):
                 assert subgroup_closure(seeds) == reference_subgroup(list(seeds))
 
-    def test_subgroup_closure_inputs_of_the_closures(self, monkeypatch):
-        # the sets normal_closure closes along the way
-        calls = recorded_calls(monkeypatch, groups, "subgroup_closure", zoo.suite_closures)
-        assert calls
-        for seeds, cap in calls:
-            assert subgroup_closure(seeds, cap) == reference_subgroup(list(seeds))
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_lamplighter_normal_closures(self, m):
+        lamp, shift = Lamplighter.lamp(m, 0), Lamplighter.shift(m)
+        for seed in (multiply(lamp, shift), lamp, shift):
+            assert normal_closure([seed], m) == reference_normal_closure([seed], m)
 
 
 class TestElementOrder:
@@ -366,6 +365,20 @@ class TestNormalClosure:
         for bits in range(1, 8):
             got = normal_closure([Affine.vector(F2Vector(bits))], 3)
             assert len(got) == 8
+
+
+class TestAffineConjugation:
+    def test_closed_forms_match_the_default_map(self):
+        # every conjugator of the n = 3 window against every x its closed
+        # form covers (a translation: all x; a matrix: the vectors), and
+        # against a stride of the other cosets; all 1.8M pairs take 30 s
+        window = enumerate_group("affine", 3)
+        vectors = window[:8]
+        assert all(not x.rows for x in vectors)
+        for c in window:
+            xs = window if not c.rows else vectors + window[8::97]
+            fast, slow = c.conjugation(), groups._Element.conjugation(c)
+            assert list(map(fast, xs)) == list(map(slow, xs))
 
 
 class TestCaps:
