@@ -115,17 +115,23 @@ _BUILTIN_SPECS = {
 
 
 def _load_spec_arg(text: str, cap: int):
-    """A spec file path, or a builtin name like mexo:2, mq:3, mq:3:-,
-    built under cap."""
+    """A spec file path, or a builtin name, built under cap: mexo[:n],
+    mpart[:n] or mq[:n[:+|-]], with n = 2 by default."""
     if os.path.exists(text):
         return load_spec(text)
-    parts = text.split(":")
-    name = parts[0]
+    name, *rest = text.split(":")
     if name not in _BUILTIN_SPECS:
         raise IsrlabError(f"no spec file or builtin named {text!r}")
-    n = int(parts[1]) if len(parts) > 1 else 2
-    sign = -1 if len(parts) > 2 and parts[2] == "-" else 1
-    return _BUILTIN_SPECS[name](n, sign, cap)
+    if len(rest) > (2 if name == "mq" else 1):
+        usage = "mq[:n[:+|-]]" if name == "mq" else f"{name}[:n]"
+        raise IsrlabError(f"builtin spec {text!r} has too many parts; it reads {usage}")
+    try:
+        n = int(rest[0]) if rest else 2
+    except ValueError:
+        raise IsrlabError(f"builtin spec {text!r}: size {rest[0]!r} is not an integer") from None
+    if rest[1:] and rest[1] not in ("+", "-"):
+        raise IsrlabError(f"builtin spec {text!r}: sign {rest[1]!r} is not + or -")
+    return _BUILTIN_SPECS[name](n, -1 if rest[1:] == ["-"] else 1, cap)
 
 
 def _load_element_arg(text: str):

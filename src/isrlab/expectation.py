@@ -71,7 +71,10 @@ class SubalgebraSpec:
                 raise ValueError(f"basis element escapes the window: {b!r}")
         g0 = next(iter(distinct[0].ints))
         for w in window:
-            _check_family(g0, w)
+            try:
+                _check_family(g0, w)
+            except FamilyMismatch as exc:
+                raise FamilyMismatch(f"window leaves the basis group: {exc}") from None
         if not any(g.is_identity() for g in window):
             raise ValueError("window must contain the identity")
         self.label = label

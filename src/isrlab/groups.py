@@ -9,8 +9,9 @@ coordinate permutation (Wreath), cyclic shift (Lamplighter), or image
 of a point set (Cantor, with "+" the symmetric difference taken modulo
 complement).
 
-Elements are immutable and canonical: minimal truncation level, so
-equality across truncations is plain equality.
+Elements are immutable tuples of their fields, canonical at minimal
+truncation level, so equality across truncations is plain equality.
+The field order fixes each hash, and so the order of every set.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
 from .f2 import F2Matrix, F2Vector, _apply_rows, _inverse_rows, _mul_rows, _rank_of_rows
@@ -69,8 +71,14 @@ def cycle(n: int) -> tuple[int, ...]:
 # the four element types
 
 
-class _Element:
-    """Operations every family derives from its own ``mul`` / ``inv``.
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+class _Element(tuple):
+    """A tuple of the family's fields, read through properties, equal
+    only to an element of its own class (Affine.vector(v) and
+    Wreath.vector(v) share one tuple and hash but are unequal), plus the
+    operations every family derives from its own ``mul`` / ``inv``.
 
     Each family states the ``order``, ``elements`` and a small generating
     set (``generators``) of its level-n truncation, an exponent k with
@@ -81,6 +89,14 @@ class _Element:
     """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not self.__class__ or _tuple_ne(self, other)
+
+    __hash__ = tuple.__hash__
 
     def identity_like(self):
         return type(self).identity()
@@ -94,21 +110,19 @@ class _Element:
 class Affine(_Element):
     """Element (g, v) of GL(n,F2) ⋉ F2^n.
 
-    Stored as the canonical packed rows of g (``rows``) and the bits of
-    v (``bits``), with the hash of ``(rows, bits)`` computed once; it
-    equals the hash of ``(g, v)``.  ``g`` and ``v`` build the F2 objects
-    on read.
+    The tuple ``(rows, bits)``: the canonical packed rows of g and the
+    bits of v, so its hash equals the hash of ``(g, v)``.  ``g`` and
+    ``v`` build the F2 objects on read.
     """
 
-    __slots__ = ("rows", "bits", "_hash")
+    __slots__ = ()
 
     family = "affine"
+    rows = property(itemgetter(0))
+    bits = property(itemgetter(1))
 
     def __new__(cls, g: F2Matrix, v: F2Vector):
         return _affine(g.rows, v.bits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Affine is immutable")
 
     @property
     def g(self) -> F2Matrix:
@@ -117,14 +131,6 @@ class Affine(_Element):
     @property
     def v(self) -> F2Vector:
         return F2Vector(self.bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not Affine:
-            return NotImplemented
-        return self.bits == other.bits and self.rows == other.rows
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Affine(g={self.g!r}, v={self.v!r})"
@@ -148,24 +154,26 @@ class Affine(_Element):
         return (self.rows, self.bits)
 
     def mul(self, other: "Affine") -> "Affine":
-        if not other.rows:  # vector factors are the common hot path
-            return _affine(self.rows, self.bits ^ other.bits)
+        rows, bits = self
+        orows, obits = other
+        if not orows:  # vector factors are the common hot path
+            return _affine(rows, bits ^ obits)
         return _affine(
-            _mul_rows(self.rows, other.rows),
-            _apply_rows(_mat_inverse_cached(other.rows), self.bits) ^ other.bits,
+            _mul_rows(rows, orows), _apply_rows(_mat_inverse_cached(orows), bits) ^ obits
         )
 
     def inv(self) -> "Affine":
-        if not self.rows:
+        rows, bits = self
+        if not rows:
             return self
-        return _affine(_mat_inverse_cached(self.rows), _apply_rows(self.rows, self.bits))
+        return _affine(_mat_inverse_cached(rows), _apply_rows(rows, bits))
 
     def conjugation(self):
         """The map x -> self·x·self^{-1}, in closed form where self is a
         translation (I, a): (g, w) -> (g, w + g^{-1}a + a); and where
         self is a matrix (A, 0) and x a vector (I, w): (I, w) -> (I, Aw).
         """
-        rows, a = self.rows, self.bits
+        rows, a = self
         if not rows:
             return lambda x: _affine(
                 x.rows, _apply_rows(_mat_inverse_cached(x.rows), a) ^ x.bits ^ a
@@ -216,50 +224,31 @@ class Affine(_Element):
         return Affine(g, F2Vector.from_bitstring(_bits(d.get("v"), "v")))
 
 
-_set_a_rows = Affine.rows.__set__
-_set_a_bits = Affine.bits.__set__
-_set_a_hash = Affine._hash.__set__
-
-
 def _affine(rows: tuple[int, ...], bits: int) -> Affine:
     """The element with canonical rows and vector bits, unchecked."""
-    a = object.__new__(Affine)
-    _set_a_rows(a, rows)
-    _set_a_bits(a, bits)
-    _set_a_hash(a, hash((rows, bits)))
-    return a
+    return tuple.__new__(Affine, (rows, bits))
 
 
 class Wreath(_Element):
     """Element (σ, v) of S_n ⋉ Z2^n; σ permutes the n lamp coordinates.
 
-    Stored as σ without trailing fixed points (``sigma``) and the bits
-    of v (``bits``), with the hash of ``(sigma, bits)`` computed once;
-    it equals the hash of ``(sigma, v)``.  ``v`` builds the F2Vector on
-    read.
+    The tuple ``(sigma, bits)``: σ without trailing fixed points and the
+    bits of v, so its hash equals the hash of ``(sigma, v)``.  ``v``
+    builds the F2Vector on read.
     """
 
-    __slots__ = ("sigma", "bits", "_hash")
+    __slots__ = ()
 
     family = "wreath"
+    sigma = property(itemgetter(0))
+    bits = property(itemgetter(1))
 
     def __new__(cls, sigma, v: F2Vector):
         return _wreath(perm_canonical(sigma), v.bits)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Wreath is immutable")
-
     @property
     def v(self) -> F2Vector:
         return F2Vector(self.bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not Wreath:
-            return NotImplemented
-        return self.bits == other.bits and self.sigma == other.sigma
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Wreath(sigma={self.sigma!r}, v={self.v!r})"
@@ -284,15 +273,16 @@ class Wreath(_Element):
 
     def mul(self, other: "Wreath") -> "Wreath":
         # σ2^{-1}(v1) has coordinate j equal to coordinate σ2(j) of v1
-        s2, v1 = other.sigma, self.bits
+        s1, v1 = self
+        s2, v2 = other
         n = len(s2)
         bits = v1 >> n << n
         for j in range(n):
             bits |= ((v1 >> s2[j]) & 1) << j
-        return _wreath(perm_mul(self.sigma, s2), bits ^ other.bits)
+        return _wreath(perm_mul(s1, s2), bits ^ v2)
 
     def inv(self) -> "Wreath":
-        sigma, v = self.sigma, self.bits
+        sigma, v = self
         n = len(sigma)
         inv = [0] * n
         bits = v >> n << n
@@ -344,46 +334,28 @@ class Wreath(_Element):
         )
 
 
-_set_w_sigma = Wreath.sigma.__set__
-_set_w_bits = Wreath.bits.__set__
-_set_w_hash = Wreath._hash.__set__
-
-
 def _wreath(sigma: tuple[int, ...], bits: int) -> Wreath:
     """The element with canonical σ and vector bits, unchecked."""
-    w = object.__new__(Wreath)
-    _set_w_sigma(w, sigma)
-    _set_w_bits(w, bits)
-    _set_w_hash(w, hash((sigma, bits)))
-    return w
+    return tuple.__new__(Wreath, (sigma, bits))
 
 
 class Lamplighter(_Element):
     """Element (v, t) of Z2 ≀ (Z/m): lamps v indexed by Z/m, shift t.
 
-    ``v`` is the lamp bitmask over Z/m.  The hash of ``(m, v, t)`` is
-    computed once.
+    The tuple ``(m, v, t)``; ``v`` is the lamp bitmask over Z/m.
     """
 
-    __slots__ = ("m", "v", "t", "_hash")
+    __slots__ = ()
 
     family = "lamplighter"
+    m = property(itemgetter(0))
+    v = property(itemgetter(1))
+    t = property(itemgetter(2))
 
     def __new__(cls, m: int, v: int, t: int):
         if m < 1:
             raise ValueError("modulus must be positive")
         return _lamplighter(m, v & ((1 << m) - 1), t % m)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Lamplighter is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not Lamplighter:
-            return NotImplemented
-        return self.v == other.v and self.t == other.t and self.m == other.m
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Lamplighter(m={self.m!r}, v={self.v!r}, t={self.t!r})"
@@ -411,14 +383,13 @@ class Lamplighter(_Element):
         return (self.m, self.t, self.v)
 
     def mul(self, other: "Lamplighter") -> "Lamplighter":
-        m = self.m
-        return _lamplighter(
-            m, _shift_bits(self.v, -other.t, m) ^ other.v, (self.t + other.t) % m
-        )
+        m, v1, t1 = self
+        _, v2, t2 = other
+        return _lamplighter(m, _shift_bits(v1, -t2, m) ^ v2, (t1 + t2) % m)
 
     def inv(self) -> "Lamplighter":
-        m, t = self.m, self.t
-        return _lamplighter(m, _shift_bits(self.v, t, m), -t % m)
+        m, v, t = self
+        return _lamplighter(m, _shift_bits(v, t, m), -t % m)
 
     @staticmethod
     def order(m: int) -> int:
@@ -452,21 +423,10 @@ class Lamplighter(_Element):
         return Lamplighter(_int(d.get("m"), "m"), v.bits, _int(d.get("t"), "t"))
 
 
-_set_l_m = Lamplighter.m.__set__
-_set_l_v = Lamplighter.v.__set__
-_set_l_t = Lamplighter.t.__set__
-_set_l_hash = Lamplighter._hash.__set__
-
-
 def _lamplighter(m: int, v: int, t: int) -> Lamplighter:
     """The element with modulus m, lamps v < 2^m and shift 0 <= t < m,
     unchecked."""
-    x = object.__new__(Lamplighter)
-    _set_l_m(x, m)
-    _set_l_v(x, v)
-    _set_l_t(x, t)
-    _set_l_hash(x, hash((m, v, t)))
-    return x
+    return tuple.__new__(Lamplighter, (m, v, t))
 
 
 def _shift_bits(v: int, t: int, m: int) -> int:
@@ -489,21 +449,27 @@ def _points(mask: int) -> list[int]:
 class Cantor(_Element):
     """Element (σ, A) of S(2^m) ⋉ C̃_m.
 
-    Points of the level-m Cantor truncation are ints in [0, 2^m); bit
-    j-1 of a point is its j-th letter.  σ is a tuple of 2^m point
-    images.  A is a point set taken modulo complement, stored as the
+    The tuple ``(sigma, mask)``.  Points of the level-m Cantor
+    truncation are ints in [0, 2^m); bit j-1 of a point is its j-th
+    letter.  σ is a tuple of 2^m point images, so ``m`` is read off its
+    length.  A is a point set taken modulo complement, stored as the
     int ``mask`` whose bit p is point p; the stored representative
     omits the all-zeros point, so bit 0 is always clear (a set holding
     point 0 is replaced by its complement, ``mask ^ full``).  The level
     is minimal under the duplicating embedding s -> (s, s), which maps
     point w to the pair {w, w + 2^m}: ``mask | mask << 2^m`` one level
-    up.  ``a`` is the point set as a frozenset.  The hash of
-    ``(sigma, mask)`` is computed once.
+    up.  ``a`` is the point set as a frozenset.
     """
 
-    __slots__ = ("m", "sigma", "mask", "_hash")
+    __slots__ = ()
 
     family = "cantor"
+    sigma = property(itemgetter(0))
+    mask = property(itemgetter(1))
+
+    @property
+    def m(self) -> int:
+        return len(self[0]).bit_length() - 1
 
     def __new__(cls, m: int, sigma, a=()):
         sigma = tuple(sigma)
@@ -516,20 +482,9 @@ class Cantor(_Element):
             raise ValueError("point outside the level-m truncation")
         return _cantor(m, sigma, mask)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Cantor is immutable")
-
     @property
     def a(self) -> frozenset[int]:
         return frozenset(_points(self.mask))
-
-    def __eq__(self, other):
-        if not isinstance(other, Cantor):
-            return NotImplemented
-        return self.mask == other.mask and self.sigma == other.sigma
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Cantor(m={self.m!r}, sigma={self.sigma!r}, a={self.a!r})"
@@ -552,7 +507,7 @@ class Cantor(_Element):
 
     def _lift(self, m: int) -> tuple[tuple[int, ...], int]:
         """The (σ, mask) payload embedded to level m ≥ self.m."""
-        sigma, mask = self.sigma, self.mask
+        sigma, mask = self
         for lvl in range(self.m, m):
             half = 1 << lvl
             sigma = sigma + tuple([x + half for x in sigma])
@@ -577,12 +532,12 @@ class Cantor(_Element):
         return _cantor(m, tuple([s1[j] for j in s2]), a2)
 
     def inv(self) -> "Cantor":
-        sigma = self.sigma
+        sigma, mask = self
         inv = [0] * len(sigma)
         image = 0
         for i, j in enumerate(sigma):
             inv[j] = i
-        for p in _points(self.mask):
+        for p in _points(mask):
             image |= 1 << sigma[p]
         return _cantor(self.m, tuple(inv), image)
 
@@ -643,9 +598,12 @@ class Cantor(_Element):
         the first x that needs it.
         """
         at_level: dict = {}
+        own = self.m
 
         def conj(x: "Cantor") -> "Cantor":
-            m = x.m if x.m > self.m else self.m
+            m = x.m
+            if m < own:
+                m = own
             f = at_level.get(m)
             if f is None:
                 f = at_level[m] = self._conjugation_at(m)
@@ -684,12 +642,6 @@ class Cantor(_Element):
         return conj
 
 
-_set_m = Cantor.m.__set__
-_set_sigma = Cantor.sigma.__set__
-_set_mask = Cantor.mask.__set__
-_set_c_hash = Cantor._hash.__set__
-
-
 def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
     """The canonical element of a level-m payload: bit 0 of the mask
     clear and the level minimal."""
@@ -709,12 +661,7 @@ def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
         m -= 1
         sigma = sigma[:half]
         mask &= low
-    g = object.__new__(Cantor)
-    _set_m(g, m)
-    _set_sigma(g, sigma)
-    _set_mask(g, mask)
-    _set_c_hash(g, hash((sigma, mask)))
-    return g
+    return tuple.__new__(Cantor, (sigma, mask))
 
 
 GroupElement = Affine | Wreath | Lamplighter | Cantor

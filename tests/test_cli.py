@@ -297,11 +297,31 @@ class TestExpect:
         path.write_text(json.dumps(d))
         elem = '{"family":"affine","g":"1","v":"0","n":1}'
         assert main(["expect", str(path), elem]) == 2
-        assert capsys.readouterr().err == "error: affine vs lamplighter\n"
+        assert capsys.readouterr().err == (
+            "error: window leaves the basis group: affine vs lamplighter\n"
+        )
 
     def test_bad_spec_name(self, capsys):
         assert main(["expect", "nope:2", SWAP_JSON]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["mq:3:x", "mq:3:", "mq:2:+:1", "mpart:2:-", "mexo:2:-", "mexo:2:3:4", "mexo:x", "mexo:"],
+    )
+    def test_strict_builtin_spec_name(self, capsys, name):
+        assert main(["expect", name, SWAP_JSON]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: builtin spec {name!r}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["mq:2:+", "mq:2:-", "mq:2", "mq"])
+    def test_builtin_mq_signs(self, capsys, name):
+        elem = '{"family": "wreath", "n": 2, "perm": [2, 1], "v": "00"}'
+        assert main(["expect", name, elem]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # E(u_swap) carries u_(swap, e1) with sign ± 1/4, from Q = ½(1 ± u_e1)
+        (coeff,) = [t["re"] for t in doc["expectation"] if t["g"]["v"] == "10"]
+        assert coeff == ("-1/4" if name.endswith("-") else "1/4")
 
     def test_builtin_spec_honours_cap_env(self, monkeypatch, capsys):
         # the 24-element affine truncation is above a cap of 10

@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from isrlab import groups, zoo
+from isrlab.algebra import convolve, unit
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
@@ -424,3 +426,67 @@ class TestCaps:
         gl4 = Affine.order(4) >> 4
         assert gl4 == 20160
         assert groups._mat_inverse_cached.cache_info().maxsize > gl4
+
+
+# every name an element answers to, fields of the tuple first, in order
+ELEMENT_NAMES = {
+    Affine: (("rows", "bits"), ("g", "v")),
+    Wreath: (("sigma", "bits"), ("v",)),
+    Lamplighter: (("m", "v", "t"), ()),
+    Cantor: (("sigma", "mask"), ("m", "a")),
+}
+ONE_OF_EACH = [
+    Affine(F2Matrix.transvection(1, 2), F2Vector(3)),
+    Wreath((1, 2, 0), F2Vector(5)),
+    Lamplighter(5, 9, 2),
+    Cantor(2, (1, 0, 3, 2), {1, 2}),
+]
+
+
+class TestElementTuples:
+    """Elements are tuples of their fields; the class still decides
+    equality, and no element can be changed."""
+
+    def test_equal_payloads_of_two_families_are_unequal(self):
+        v = F2Vector(5)
+        for a, w in ((Affine.vector(v), Wreath.vector(v)), (Affine.identity(), Wreath.identity())):
+            assert tuple(a) == tuple(w) and hash(a) == hash(w)
+            assert (a == w, w == a, a != w, w != a) == (False, False, True, True)
+            assert len({a, w}) == 2 and len({unit(a), unit(w)}) == 2
+            assert unit(a) != unit(w) and not unit(a) == unit(w)
+            assert a != tuple(a) and not a == tuple(a) and not tuple(a) == a
+
+    def test_equal_elements(self):
+        for x in ONE_OF_EACH:
+            y = x.mul(x.identity_like())
+            assert y is not x
+            assert (x == y, x != y, hash(x) == hash(y)) == (True, False, True)
+
+    def test_convolve_memo_keeps_families_apart(self):
+        # one product memo serves every family: a Wreath pair right after
+        # the Affine pair with the same payloads must not read its entry
+        v1, v2, v12 = F2Vector(1), F2Vector(2), F2Vector(3)
+        for first, then in ((Affine, Wreath), (Wreath, Affine)):
+            convolve(unit(first.vector(v1)), unit(first.vector(v2)))
+            z = convolve(unit(then.vector(v1)), unit(then.vector(v2)))
+            assert [type(g) for g in z.ints] == [then]
+            assert z == unit(then.vector(v12))
+
+    @pytest.mark.parametrize("x", ONE_OF_EACH, ids=lambda x: x.family)
+    def test_fields_are_the_tuple(self, x):
+        fields, _ = ELEMENT_NAMES[type(x)]
+        assert tuple(x) == tuple(getattr(x, name) for name in fields)
+        assert hash(x) == hash(tuple(x))
+
+    @pytest.mark.parametrize("x", ONE_OF_EACH, ids=lambda x: x.family)
+    def test_immutable(self, x):
+        fields, derived = ELEMENT_NAMES[type(x)]
+        before = tuple(x)
+        for name in fields + derived + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 0)
+        assert tuple(x) == before
+        assert not hasattr(x, "__dict__")
+        assert sys.getsizeof(x) == sys.getsizeof(before)
+        for cls in type(x).__mro__[:-2]:  # all but tuple and object
+            assert vars(cls).get("__slots__") == ()
