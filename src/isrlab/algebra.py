@@ -156,6 +156,9 @@ class AlgebraElement:
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
+    def __reduce__(self):
+        return AlgebraElement._trusted, (self.den, self.ints)
+
     # -- structure ---------------------------------------------------------
 
     @property

@@ -4,8 +4,10 @@ Implemented families:
 
 * ``affine:k=…,d=…`` on GL(n,F2) ⋉ F2^n:
   χ_{k,1}(g·v) = 2^{-k·rank(g-I)}; χ_{k,0} additionally vanishes
-  unless v ∈ R(g-I).  For k = inf both collapse to the indicator of
-  the vector subgroup (the pointwise limit).
+  unless v ∈ R(g-I).  For k = inf both are the indicator of the vector
+  subgroup, the character of the expectation onto L(F2^n).  For d = 1
+  that is the pointwise limit in k; for d = 0 it is not, since
+  χ_{k,0}(I, e1) = 0 at every finite k but χ_{inf,0}(I, e1) = 1.
 * ``gl:m=…`` on pure GL elements: 2^{-m·rank(g-I)}.
 * ``cantor:k=…`` on point permutations: μ(Fix(g))^k; k = inf gives
   the delta at the identity.

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("tables", help="print character/fpc/closure tables as TSV")
     tab.add_argument("--table", choices=["characters", "fpc", "closures", "all"], default="all")
     tab.add_argument("--character", default="affine:k=1,d=1")
-    tab.add_argument("--n", type=int, default=None)
+    tab.add_argument("--n", type=int, default=None, help="characters table only (default 2)")
     tab.add_argument("--cap", type=int, default=None)
     tab.set_defaults(fn=cmd_tables)
     return p

@@ -13,10 +13,6 @@ class IdentityInput(IsrlabError):
     """Raised when an operation requires a non-identity input."""
 
 
-class RangeTooLarge(IsrlabError):
-    """Raised when enumerating a GF(2) subspace would exceed the cap."""
-
-
 class FamilyMismatch(IsrlabError):
     """Raised when group or algebra elements from different families meet."""
 

@@ -323,8 +323,8 @@ class _Span:
 # -- JSON spec files -------------------------------------------------------
 
 
-def spec_to_dict(spec: SubalgebraSpec, truncation: int | None = None) -> dict:
-    d = {
+def spec_to_dict(spec: SubalgebraSpec) -> dict:
+    return {
         "label": spec.label,
         "family": spec.family,
         "basis": [encode_algebra(b) for b in spec.basis],
@@ -332,9 +332,6 @@ def spec_to_dict(spec: SubalgebraSpec, truncation: int | None = None) -> dict:
             (g.to_json() for g in spec.window), key=json.dumps
         ),
     }
-    if truncation is not None:
-        d["truncation"] = truncation
-    return d
 
 
 def spec_from_dict(d: dict) -> SubalgebraSpec:

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import IdentityInput, RangeTooLarge, SingularMatrix
-
-DEFAULT_RANGE_CAP = 1 << 16
+from .errors import IdentityInput, SingularMatrix
 
 
 def _parity(x: int) -> int:
@@ -40,6 +38,9 @@ class F2Vector:
 
     def __setattr__(self, *a):
         raise AttributeError("F2Vector is immutable")
+
+    def __reduce__(self):
+        return F2Vector, (self.bits,)
 
     @classmethod
     def basis(cls, i: int) -> "F2Vector":
@@ -129,6 +130,9 @@ class F2Matrix:
 
     def __setattr__(self, *a):
         raise AttributeError("F2Matrix is immutable")
+
+    def __reduce__(self):
+        return F2Matrix, (self.rows,)
 
     @classmethod
     def identity(cls) -> "F2Matrix":
@@ -331,14 +335,9 @@ def _range_basis(g: F2Matrix) -> list[int]:
     return _echelon(cols)
 
 
-def range_subgroup(g: F2Matrix, cap: int = DEFAULT_RANGE_CAP) -> frozenset[F2Vector]:
+def range_subgroup(g: F2Matrix) -> frozenset[F2Vector]:
     """The enumerated subspace R(g - I), of size 2**rank_defect(g)."""
-    basis = _range_basis(g)
-    if 1 << len(basis) > cap:
-        raise RangeTooLarge(
-            f"range subgroup has 2^{len(basis)} elements, cap is {cap}"
-        )
-    return frozenset(F2Vector(x) for x in _subset_sums(basis))
+    return frozenset(F2Vector(x) for x in _subset_sums(_range_basis(g)))
 
 
 def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:

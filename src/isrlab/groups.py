@@ -98,6 +98,9 @@ class _Element(tuple):
 
     __hash__ = tuple.__hash__
 
+    def __reduce__(self):
+        return tuple.__new__, (type(self), tuple(self))
+
     def identity_like(self):
         return type(self).identity()
 

@@ -13,7 +13,7 @@ from functools import cache
 
 from .algebra import AlgebraElement, ad, combine, one_like, unit
 from .errors import BlockNotInvariant, HypothesisViolated
-from .f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup
+from .f2 import F2Matrix, F2Vector, _range_basis, mat_inverse
 from .groups import Affine, Cantor, GroupElement, Wreath, perm_canonical, perm_image
 
 
@@ -84,10 +84,9 @@ class PartitionSpec:
 
 
 def make_f(g: F2Matrix) -> AlgebraElement:
-    """f_g: the normalized indicator projection of R(g - I)."""
-    vs = range_subgroup(g)
-    w = Fraction(1, len(vs))
-    return AlgebraElement({Affine.vector(v): w for v in vs})
+    """f_g = ∏ ½(1 + u_b) over a basis b of R(g − I): the normalized
+    indicator projection of R(g − I)."""
+    return walsh_sum(lambda z: Affine.vector(F2Vector(z)), [(b, 1) for b in _range_basis(g)])
 
 
 def half_projection(z: GroupElement, sign: int) -> AlgebraElement:

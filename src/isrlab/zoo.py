@@ -32,6 +32,7 @@ from .expectation import (
 from .f2 import (
     F2Matrix,
     F2Vector,
+    _range_basis,
     _subset_sums,
     mat_inverse,
     range_subgroup,
@@ -53,7 +54,6 @@ from .groups import (
     multiply,
     normal_closure,
     orbit_under,
-    perm_image,
     transposition,
 )
 from .projections import (
@@ -127,27 +127,38 @@ def report_passed(rep: dict) -> bool:
 # M_exo: the subalgebra spanned by {u_g f_g u_v} in the affine family
 
 
+def _coset_basis(window, n: int, gens_of) -> list:
+    """head·u_v for each 2^n-element coset {(g, v)} of the window (contiguous,
+    v ascending, in ``elements`` order) and each v, for the head
+    walsh_sum(coset.__getitem__, gens_of(coset[0])) = 2^{-k} Σ_z ε_z u_{(g, z)}:
+    the relabel (g, z) -> coset[z ^ v].  v + z gives ε_z times v's vector,
+    so one vector is shared per class of v modulo the z with ε_z = +1; a −1
+    class gets its own relabel, keeping walsh_sum's shared coefficient pairs."""
+    basis = []
+    for i in range(0, len(window), 1 << n):
+        coset = window[i : i + (1 << n)]
+        head = walsh_sum(coset.__getitem__, gens_of(coset[0]))
+        terms = [(g.bits, d) for g, d in head.ints.items()]
+        plus = [z for z, d in terms if d[0] > 0]
+        made: list = [None] * (1 << n)
+        for v in range(1 << n):
+            if made[v] is None:
+                b = head if not v else AlgebraElement._trusted(
+                    head.den, {coset[z ^ v]: d for z, d in terms}
+                )
+                for z in plus:
+                    made[z ^ v] = b
+        basis += made
+    return basis
+
+
 def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_g·f_g·u_v : g ∈ GL(n,F2), v ∈ F2^n}; contains every u_v
     (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h."""
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
     window = enumerate_group("affine", n, cap)
-    basis = []
-    for i in range(0, len(window), 1 << n):
-        # the window's coset of g: coset[v] = (g, v), and
-        # u_g·f_g·u_v = |R|⁻¹ Σ_{w ∈ R} u_{(g, w+v)}, R = R(g − I): it
-        # depends on v only through the coset v + R, so each coset's
-        # vector is made once, at its least v, and stands at every v in it
-        coset = window[i : i + (1 << n)]
-        r = [w.bits for w in range_subgroup(coset[0].g)]
-        made: list = [None] * (1 << n)
-        for v in range(1 << n):
-            if made[v] is None:
-                b = AlgebraElement._trusted(len(r), {coset[w ^ v]: (1, 0) for w in r})
-                for w in r:
-                    made[w ^ v] = b
-        basis += made
+    basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.g)])
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
 
@@ -423,27 +434,15 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
 # M_Q and M_Part in the wreath family
 
 
-def _perm_support(p) -> set[int]:
-    """Moved lamp coordinates of a permutation tuple, 1-indexed."""
-    return {i + 1 for i in range(len(p)) if perm_image(p, i) != i}
-
-
 def build_mq(n: int, sign: int = 1, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
-    """Span of {u_s·Q^{supp(s)}·u_v : s ∈ S_n, v ∈ Z2^n}."""
+    """Span of {u_s·Q^{supp(s)}·u_v : s ∈ S_n, v ∈ Z2^n};
+    u_s·Q^{supp(s)} = ∏ ½(1 ± u_{(s, e_j)}) over the e_j that s moves."""
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mq truncation {n} not in [2, 4]")
     window = enumerate_group("wreath", n, cap)
-    basis = []
-    for i in range(0, len(window), 1 << n):
-        # the window's coset of s: coset[v] = (s, v).  u_s·Q^A, A = supp s,
-        # is ∏_{j ∈ A} ½(1 ± u_{(s, e_j)}); u_s·Q^A·u_v relabels (s, z) to (s, z + v)
-        coset = window[i : i + (1 << n)]
-        gens = [(1 << (j - 1), sign) for j in sorted(_perm_support(coset[0].sigma))]
-        head = walsh_sum(coset.__getitem__, gens)
-        basis += [
-            AlgebraElement._trusted(head.den, {coset[g.bits ^ v]: d for g, d in head.ints.items()})
-            for v in range(1 << n)
-        ]
+    basis = _coset_basis(
+        window, n, lambda x: [(1 << i, sign) for i, j in enumerate(x.sigma) if i != j]
+    )
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
 

@@ -543,7 +543,7 @@ class TestCharacterOf:
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         spec = vector_spec()
-        d = spec_to_dict(spec, truncation=2)
+        d = spec_to_dict(spec)
         blob = json.dumps(d, sort_keys=True)
         back = spec_from_dict(json.loads(blob))
         assert back.label == spec.label

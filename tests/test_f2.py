@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isrlab.errors import IdentityInput, RangeTooLarge, SingularMatrix
+from isrlab.errors import IdentityInput, SingularMatrix
 from isrlab.f2 import (
     F2Matrix,
     F2Vector,
@@ -194,10 +194,6 @@ class TestRangeSubgroup:
     def test_size_matches_rank(self):
         for g in all_gl(3):
             assert len(range_subgroup(g)) == 1 << rank_defect(g)
-
-    def test_cap(self):
-        with pytest.raises(RangeTooLarge):
-            range_subgroup(T, cap=2)
 
     def test_containment_under_product(self):
         gl3 = all_gl(3)

@@ -1,11 +1,14 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from isrlab import groups, zoo
-from isrlab.algebra import convolve, unit
+from isrlab.algebra import AlgebraElement, GaussianRational, convolve, unit
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
 from isrlab.f2 import F2Matrix, F2Vector
 from isrlab.groups import (
@@ -490,3 +493,41 @@ class TestElementTuples:
         assert sys.getsizeof(x) == sys.getsizeof(before)
         for cls in type(x).__mro__[:-2]:  # all but tuple and object
             assert vars(cls).get("__slots__") == ()
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+def _values():
+    """Every element of four small windows, the F2 parts of the affine
+    ones, and an algebra element with a non-real coefficient."""
+    out = []
+    for family, n in [("affine", 2), ("wreath", 2), ("lamplighter", 3), ("cantor", 1)]:
+        out += enumerate_group(family, n)
+    for x in enumerate_group("affine", 2):
+        out += [x.g, x.v]
+    out.append(
+        AlgebraElement({
+            Affine.identity(): GaussianRational(Fraction(1, 2), Fraction(-1, 3)),
+            Affine.matrix(S): 1,
+        })
+    )
+    return out
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    def test_round_trip_keeps_value_class_and_hash(self, round_trip):
+        values = _values()
+        assert {type(x).__name__ for x in values} == {
+            "Affine", "Wreath", "Lamplighter", "Cantor", "F2Matrix", "F2Vector", "AlgebraElement",
+        }
+        for x in values:
+            y = round_trip(x)
+            assert y == x
+            assert type(y) is type(x)
+            assert hash(y) == hash(x)

@@ -12,6 +12,7 @@ from isrlab.groups import (
     Cantor,
     Lamplighter,
     Wreath,
+    gl_elements,
     perm_mul,
     transposition,
 )
@@ -339,13 +340,21 @@ class TestWalshSum:
         make_part_generator((1, 0, 3, 2), PartitionSpec([{1, 2}, {3, 4}]))
         zoo._lamp_cylinder(5, 0b10110)
         zoo.build_mq(4, -1)
+        zoo.build_mexo(3)
+        for g in gl_elements(3):
+            make_f(g)
         with pytest.raises(AssertionError):
             unit(Wreath.identity()) * unit(Wreath.identity())
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: zoo.build_mq(4, 1), lambda: zoo.build_mq(4, -1), lambda: zoo.build_mpart(4)],
-        ids=["mq4+", "mq4-", "mpart4"],
+        [
+            lambda: zoo.build_mexo(3),
+            lambda: zoo.build_mq(4, 1),
+            lambda: zoo.build_mq(4, -1),
+            lambda: zoo.build_mpart(4),
+        ],
+        ids=["mexo3", "mq4+", "mq4-", "mpart4"],
     )
     def test_terms_share_two_coefficient_pairs(self, build):
         pairs = [p for b in build().basis for p in b.ints.values()]

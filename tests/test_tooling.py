@@ -1,0 +1,33 @@
+"""The repository's scripts: the demos run, and the two pins of the
+seed-7 report hash agree."""
+
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PIN = re.compile(r'^SEED7_REPORT_SHA256 = "([0-9a-f]{64})"$', re.MULTILINE)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+
+
+def test_seed7_pins_agree():
+    # the benchmark's verify-all check pins the same report hash
+    pins = [
+        PIN.findall((ROOT / path).read_text())
+        for path in ("tests/test_acceptance.py", "perfbench/workloads.py")
+    ]
+    assert len(pins[0]) == 1
+    assert pins[0] == pins[1]

@@ -32,18 +32,31 @@ class TestMexo:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_vector_per_coset(self, n):
-        # u_g·f_g·u_v depends on v only through v + R(g − I): the vectors
-        # of one coset are one object, those of two cosets are not equal
-        basis = zoo.build_mexo(n).basis
-        for i, g in enumerate(gl_elements(n)):
-            r = [w.bits for w in range_subgroup(g)]
-            block = basis[i << n:(i + 1) << n]
-            for v in range(1 << n):
-                for u in range(1 << n):
-                    if u ^ v in r:
-                        assert block[u] is block[v]
-                    else:
-                        assert block[u] != block[v]
+        # head·u_v depends on v only through v + span, up to the sign ε_z
+        # of z = u + v in the span: v and v + z are one object when ε_z = +1
+        # and negatives of each other when ε_z = −1; outside the span the
+        # vectors are not equal.  mexo's head u_g·f_g has the +1 span
+        # R(g − I), mq's head u_s·Q^{supp s} the span of the moved e_j
+        # with ε_z = sign^|z|
+        mexo_signs = [{w.bits: 1 for w in range_subgroup(g)} for g in gl_elements(n)]
+        models = [(zoo.build_mexo(n), mexo_signs)]
+        for sign in (1, -1):
+            signs = []
+            for p in itertools.permutations(range(n)):
+                moved = sum(1 << i for i in range(n) if p[i] != i)
+                signs.append({z: sign ** z.bit_count() for z in range(1 << n) if not z & ~moved})
+            models.append((zoo.build_mq(n, sign), signs))
+        for spec, signs in models:
+            for i, eps in enumerate(signs):
+                block = spec.basis[i << n:(i + 1) << n]
+                for v in range(1 << n):
+                    for u in range(1 << n):
+                        if eps.get(u ^ v) == 1:
+                            assert block[u] is block[v]
+                        elif eps.get(u ^ v) == -1:
+                            assert block[u] == -block[v]
+                        else:
+                            assert block[u] != block[v]
 
     @pytest.mark.parametrize("build", [zoo.build_mexo, zoo.build_mq], ids=["mexo3", "mq3"])
     def test_basis_terms_are_window_objects(self, build):
