@@ -43,7 +43,9 @@ class CharacterSpec:
             return
         k = self.k
         if not (k == INF or (isinstance(k, int) and k >= 0)):
-            raise ValueError("parameter k must be a nonnegative integer or 'inf'")
+            # gl's m is stored as k
+            key = _PARAMETERS[self.kind][0]
+            raise ValueError(f"parameter {key} must be a nonnegative integer or 'inf'")
         if self.kind == "affine" and self.d not in (0, 1):
             raise ValueError("affine characters need d in {0, 1}")
 
@@ -73,8 +75,8 @@ _DOMAINS = {
 
 def parse_character(name: str) -> CharacterSpec:
     """Parse CLI names like "affine:k=1,d=1", "gl:m=2", "cantor:k=inf".
-    An unknown kind, an unknown or missing parameter and a value that is
-    neither an integer nor "inf" raise ValueError."""
+    An unknown kind, an unknown, missing or repeated parameter and a
+    value that is neither an integer nor "inf" raise ValueError."""
     kind, _, params = name.partition(":")
     kind = kind.strip().lower()
     if kind not in _PARAMETERS:
@@ -89,6 +91,8 @@ def parse_character(name: str) -> CharacterSpec:
         val = val.strip().lower()
         if key not in needed:
             raise ValueError(f"character {name!r} takes no parameter {key!r}")
+        if key in kv:
+            raise ValueError(f"character {name!r} repeats parameter {key!r}")
         try:
             kv[key] = INF if val in (INF, "∞") else int(val)
         except ValueError:

@@ -1,15 +1,20 @@
 """Named subalgebra constructions, witness computations, and growth suites.
 
-Every scenario here is deterministic given its parameters and emits a
-JSON-ready report {name, anchor, parameters, checks}.  Checks carry
-exact values only — rationals are rendered as "p/q" strings, never
-floats.  Each builder's support window is licensed by a finite-orbit
-containment; the anchor string names the statement being instantiated.
+Every scenario here is deterministic given its parameters.  A suite is
+a generator under ``suite``: it yields one row at a time, in report
+order, and the ``suite`` driver builds the JSON-ready report {name,
+anchor, parameters, checks} from them; the driver is the only code that
+knows that layout.  Checks carry exact values only — rationals are
+rendered as "p/q" strings, never floats.  Each builder's support window
+is licensed by a finite-orbit containment; the anchor string names the
+statement being instantiated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -93,30 +98,42 @@ def _render(v):
     return str(v)
 
 
-def check_eq(description: str, expected, actual) -> dict:
+def check(description: str, expected, actual, passed: bool | None = None) -> dict:
+    """One report row.  It passes when the rendered expected and actual
+    agree, or, for a predicate row, when ``passed`` holds."""
     e, a = _render(expected), _render(actual)
-    return {"description": description, "expected": e, "actual": a, "pass": e == a}
-
-
-def check_pred(description: str, expected: str, actual, passed: bool) -> dict:
-    """A check whose pass verdict is a predicate, not literal equality."""
     return {
         "description": description,
-        "expected": expected,
-        "actual": _render(actual),
-        "pass": bool(passed),
+        "expected": e,
+        "actual": a,
+        "pass": e == a if passed is None else bool(passed),
     }
 
 
-def report(name: str, anchor: str, parameters: dict, checks: list[dict], **extra) -> dict:
-    out = {
-        "name": name,
-        "anchor": anchor,
-        "parameters": _render(parameters),
-        "checks": checks,
-    }
-    out.update(extra)
-    return out
+def suite(body):
+    """Runs a suite body, the only code that knows the report's layout.
+
+    The body is a generator.  It yields the argument tuple of one
+    ``check`` per row, in report order, and returns (name, anchor,
+    parameters) or (name, anchor, parameters, extra keys).  Rows are
+    pulled one at a time, so each one is computed after the rows above
+    it, and a body that refuses its input raises from the call."""
+
+    @functools.wraps(body)
+    def run(*args, **kwargs) -> dict:
+        rows = body(*args, **kwargs)
+        checks = []
+        try:
+            while True:
+                checks.append(check(*next(rows)))
+        except StopIteration as done:
+            name, anchor, parameters, *extra = done.value
+        out = {"name": name, "anchor": anchor, "parameters": _render(parameters), "checks": checks}
+        for keys in extra:  # observations, tables
+            out.update(_render(keys))
+        return out
+
+    return run
 
 
 def report_passed(rep: dict) -> bool:
@@ -217,43 +234,38 @@ def mexo_fproduct_identity(g: F2Matrix) -> bool:
     return prod == make_f(g)
 
 
-def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
     spec = build_mexo(n, cap)
-    checks = []
     if n == 2:
-        checks.append(check_eq("closure of the span", True, verify_closure(spec)))
+        yield "closure of the span", True, verify_closure(spec)
         conj = [Affine.matrix(g) for g in gl_elements(n)] + [
             Affine.vector(F2Vector(b)) for b in range(1 << n)
         ]
-        checks.append(
-            check_eq("invariance under the full truncation", True, verify_invariance(spec, conj))
-        )
+        yield "invariance under the full truncation", True, verify_invariance(spec, conj)
         pool = enumerate_group("affine", n, cap)
     else:
         rng = random.Random(seed)
         full = enumerate_group("affine", n, cap)
         pool = [full[rng.randrange(len(full))] for _ in range(50)]
-    ok = all(spec.expect_unit(x) == mexo_expected_expectation(x) for x in pool)
-    checks.append(
-        check_eq(f"E(u_g·v) = u_g f_g u_v on {len(pool)} elements", True, ok)
+    yield f"E(u_g·v) = u_g f_g u_v on {len(pool)} elements", True, all(
+        spec.expect_unit(x) == mexo_expected_expectation(x) for x in pool
     )
     chi = CharacterSpec("affine", k=1, d=1)
-    chi_ok = all(character_of(spec, x) == evaluate(chi, x) for x in pool)
-    checks.append(check_eq("expectation character is 2^{-rank(g-I)}", True, chi_ok))
-    s12 = Affine.matrix(F2Matrix.swap(1, 2))
-    checks.append(
-        check_eq(
-            "E(u_s) for the coordinate swap is u_s([0,0]+[1,1])",
-            mexo_expected_expectation(s12),
-            spec.expect_unit(s12),
-        )
+    yield "expectation character is 2^{-rank(g-I)}", True, all(
+        character_of(spec, x) == evaluate(chi, x) for x in pool
     )
-    checks.append(check_eq("exoticness witness", True, mexo_exoticness_witness(n, spec)))
-    return report(
+    s12 = Affine.matrix(F2Matrix.swap(1, 2))
+    yield (
+        "E(u_s) for the coordinate swap is u_s([0,0]+[1,1])",
+        mexo_expected_expectation(s12),
+        spec.expect_unit(s12),
+    )
+    yield "exoticness witness", True, mexo_exoticness_witness(n, spec)
+    return (
         f"mexo:n={n}",
         "span{u_g f_g u_v} is an invariant subalgebra strictly between L(F2^n) and L(G)",
         {"n": n, "seed": seed, "basis_size": len(spec.basis)},
-        checks,
     )
 
 
@@ -300,7 +312,8 @@ def _f_calculus_keys(gl, n: int) -> tuple[dict, set, dict]:
     return r, dom, conj
 
 
-def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
     """f_g f_h = f_h f_g ≤ f_{gh} on all GL(n,F2) pairs, plus recomposition
     and range-sum checks of transvection_factorize and the conjugated
     f-product identity, for every non-identity element.  The pair check
@@ -323,49 +336,34 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
     products = {(a, b): f[a] * f[b] for a in f for b in f}
     units = {h: unit(Affine.matrix(h)) for h in gl}
     # a key outside f marks a product row set that is not in GL(n, F2)
-    laws = (
+    yield (
+        f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {pairs} pairs",
+        True,
         all(p == products[b, a] for (a, b), p in products.items())
         # p ≤ q for projections means pq = p
         and all(c in f and products[a, b] * f[c] == products[a, b] for a, b, c in dom)
         # f_g u_h = u_h f_{h^{-1}gh}
-        and all(c in f and f[a] * units[h] == units[h] * f[c] for (a, h), c in conj.items())
+        and all(c in f and f[a] * units[h] == units[h] * f[c] for (a, h), c in conj.items()),
     )
-    checks = [
-        check_eq(
-            f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {pairs} pairs",
-            True,
-            laws,
-        )
-    ]
-    recompose = True
-    range_sum = True
-    fproduct = True
-    for g in gl:
-        if g.is_identity():
-            continue
-        factors = transvection_factorize(g)
-        prod = F2Matrix.identity()
-        span: set = {F2Vector(0)}
-        for s in factors:
-            prod = prod * s
-            add = range_subgroup(s)
-            span = {a + b for a in span for b in add}
-        if prod != g:
-            recompose = False
-        if frozenset(span) != range_subgroup(g):
-            range_sum = False
-        if not mexo_fproduct_identity(g):
-            fproduct = False
-    checks.append(check_eq("factorizations recompose to g", True, recompose))
-    checks.append(check_eq("factor ranges sum to R(g-I)", True, range_sum))
-    checks.append(
-        check_eq("conjugated f-product equals f_g for every g ≠ I", True, fproduct)
+    factored = {g: transvection_factorize(g) for g in gl if not g.is_identity()}
+    yield "factorizations recompose to g", True, all(
+        math.prod(factors, start=F2Matrix.identity()) == g for g, factors in factored.items()
     )
-    return report(
+
+    def add(span, s):  # the subgroup sum span + R(s - I)
+        return {a + b for a in span for b in range_subgroup(s)}
+
+    yield "factor ranges sum to R(g-I)", True, all(
+        functools.reduce(add, factors, {F2Vector(0)}) == range_subgroup(g)
+        for g, factors in factored.items()
+    )
+    yield "conjugated f-product equals f_g for every g ≠ I", True, all(
+        mexo_fproduct_identity(g) for g in factored
+    )
+    return (
         f"fcalculus:n={n}",
         "f_g is the range projection of R(g-I); products obey the subspace-sum law",
         {"n": n, "pairs": pairs},
-        checks,
     )
 
 
@@ -373,7 +371,8 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
 # cylinder calculus
 
 
-def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_):
     """Fully specified words match their signed-sum form; the conjugation
     rule u_g[w]u_g* = [w·g^{-1}] holds on every in-hypothesis pair.  The
     pair loop is refused when GL(n,F2) × the words has more than cap
@@ -395,6 +394,7 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
             for i, c in enumerate(bits, 1):
                 product = product * half_projection(Affine.vector(F2Vector.basis(i)), (-1) ** c)
             signed_ok &= make_cylinder(CylinderWord(bits)) == product
+    yield "[w] equals its signed-sum expansion, words up to length 4", True, signed_ok
     conj_total = 0
     conj_ok = True
     letters = (0, 1, "*")
@@ -416,17 +416,11 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
             conj_total += 1
             if not cylinder_conjugation_check(w, g):
                 conj_ok = False
-    checks = [
-        check_eq("[w] equals its signed-sum expansion, words up to length 4", True, signed_ok),
-        check_eq(
-            f"u_g[w]u_g* = [w·g^-1] on {conj_total} in-hypothesis pairs", True, conj_ok
-        ),
-    ]
-    return report(
+    yield f"u_g[w]u_g* = [w·g^-1] on {conj_total} in-hypothesis pairs", True, conj_ok
+    return (
         f"cylinder:n={n}",
         "cylinder idempotents transform as row vectors under the GL action",
         {"n": n, "in_hypothesis_pairs": conj_total},
-        checks,
     )
 
 
@@ -490,55 +484,45 @@ def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     return SubalgebraSpec(f"mpart:n={n}", basis, window)
 
 
-def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_):
     spec = build_mq(n, 1, cap)
     s12 = Wreath.perm(transposition(0, 1))
     expected = unit(s12) * make_q_power(1, {1, 2})
-    actual = spec.expect_unit(s12)
+    yield "closure of the span", True, verify_closure(spec)
+    yield "E(u_(12)) = u_(12)·Q^{1,2}", expected, spec.expect_unit(s12)
     resid = unit(s12) - expected
-    orth = all(inner_product(b, resid).is_zero() for b in spec._distinct)
-    checks = [
-        check_eq("closure of the span", True, verify_closure(spec)),
-        check_eq("E(u_(12)) = u_(12)·Q^{1,2}", expected, actual),
-        check_eq("u_(12) − u_(12)Q^{1,2} is orthogonal to the span", True, orth),
-        check_eq(
-            "expectation character at (12) is 1/4",
-            GaussianRational(Fraction(1, 4)),
-            character_of(spec, s12),
-        ),
-    ]
-    return report(
+    yield "u_(12) − u_(12)Q^{1,2} is orthogonal to the span", True, all(
+        inner_product(b, resid).is_zero() for b in spec._distinct
+    )
+    quarter = GaussianRational(Fraction(1, 4))
+    yield "expectation character at (12) is 1/4", quarter, character_of(spec, s12)
+    return (
         f"mq:n={n},sign=+",
         "span{u_s Q^{supp(s)} u_v} is invariant; E(u_s) = u_s Q^{supp(s)}",
         {"n": n, "sign": 1, "basis_size": len(spec.basis)},
-        checks,
     )
 
 
-def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
     spec = build_mpart(n, cap)
-    s12 = Wreath.perm(transposition(0, 1))
+    yield "closure of the span", True, verify_closure(spec)
+    yield "E(u_(12)) = 0", AlgebraElement({}), spec.expect_unit(Wreath.perm(transposition(0, 1)))
     center = combine(1, make_q_power(1, {1, 2}), 1, make_q_power(-1, {1, 2}))
-    rng = random.Random(seed)
     pool = list(spec.basis)
+    yield "P1^{1,2}+P2^{1,2} commutes with every generator", True, all(
+        center * b == b * center for b in pool
+    )
+    rng = random.Random(seed)
     sample = [pool[rng.randrange(len(pool))] for _ in range(50)]
-    commutes = all(center * b == b * center for b in pool)
-    sample_commutes = all(center * b == b * center for b in sample)
-    checks = [
-        check_eq("closure of the span", True, verify_closure(spec)),
-        check_eq("E(u_(12)) = 0", AlgebraElement({}), spec.expect_unit(s12)),
-        check_eq("P1^{1,2}+P2^{1,2} commutes with every generator", True, commutes),
-        check_eq(
-            "P1^{1,2}+P2^{1,2} commutes with 50 sampled generators",
-            True,
-            sample_commutes,
-        ),
-    ]
-    return report(
+    yield "P1^{1,2}+P2^{1,2} commutes with 50 sampled generators", True, all(
+        center * b == b * center for b in sample
+    )
+    return (
         f"mpart:n={n}",
         "the partition-generator span kills u_(12) under E and has P1+P2 central",
         {"n": n, "seed": seed, "basis_size": len(spec.basis)},
-        checks,
     )
 
 
@@ -577,15 +561,13 @@ def cantor_case3_witness() -> bool:
     return True
 
 
-def suite_cantor(**_) -> dict:
-    checks = [
-        check_eq("both signed candidates fail to commute with f̃_A", True, cantor_case3_witness())
-    ]
-    return report(
+@suite
+def suite_cantor(**_):
+    yield "both signed candidates fail to commute with f̃_A", True, cantor_case3_witness()
+    return (
         "cantor-case3",
         "no invariant subalgebra element ½g(1 ± f̃_B) commutes with every f̃_A",
         {"level": 3},
-        checks,
     )
 
 
@@ -666,20 +648,16 @@ def affine_e12_vanishing_check() -> bool:
     return True
 
 
-def suite_e12(**_) -> dict:
-    checks = [
-        check_eq(
-            "both symbolic expansions match the displayed monomial lists",
-            True,
-            affine_e12_vanishing_check(),
-        )
-    ]
-    return report(
+@suite
+def suite_e12(**_):
+    yield "both symbolic expansions match the displayed monomial lists", True, (
+        affine_e12_vanishing_check()
+    )
+    return (
         "affine-e12-vanishing",
         "the coordinate-swap expectation classification: A_g·h^{-1}A_g h expands "
         "into squares and cross terms whose vanishing forces the coefficient law",
         {"cases": 2, "generic_coefficients": 4},
-        checks,
     )
 
 
@@ -706,7 +684,8 @@ def _shift_orbits(m: int) -> list[list[int]]:
     return list(orbits.values())
 
 
-def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_):
     """Finite-cyclic analog suites: shift-invariant function subalgebras
     joined with a shift subgroup, and the normal closure of the lamp-shift
     generator.  The infinite statement concerns the integer lamplighter;
@@ -729,8 +708,6 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
     window = enumerate_group("lamplighter", m, cap)
     shift = Lamplighter.shift(m, 1)
     lamp0 = Lamplighter.lamp(m, 0)
-    checks = []
-    observations = {}
 
     # (a) span(Y ∪ u_{s^k}·Y) for shift-invariant Y and divisors k of m
     orbit_sums = [
@@ -755,25 +732,19 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
             closed = verify_closure(spec)
             inv_shift = verify_invariance(spec, [shift])
             inv_lamp = verify_invariance(spec, [lamp0])
-            checks.append(
-                check_pred(
-                    f"Y={y_name}, k={k}: closure / shift-invariance / lamp-invariance",
-                    "reported",
-                    {"closed": closed, "shift": inv_shift, "lamp": inv_lamp},
-                    True,
-                )
+            yield (
+                f"Y={y_name}, k={k}: closure / shift-invariance / lamp-invariance",
+                "reported",
+                {"closed": closed, "shift": inv_shift, "lamp": inv_lamp},
+                True,
             )
             if y_name == "scalars" and k == 1:
-                checks.append(
-                    check_eq("Y=scalars, k=1 is invariant under the shift", True, inv_shift)
-                )
+                yield "Y=scalars, k=1 is invariant under the shift", True, inv_shift
             if y_name == "full" and k == 1:
-                checks.append(
-                    check_eq(
-                        "Y=full, k=1 is the whole group algebra (E = identity)",
-                        True,
-                        closed and inv_shift and inv_lamp,
-                    )
+                yield (
+                    "Y=full, k=1 is the whole group algebra (E = identity)",
+                    True,
+                    closed and inv_shift and inv_lamp,
                 )
 
     # (b) normal closure of the lamp-shift generator
@@ -790,26 +761,25 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
     semidirect = bool(k0) and len(n_set) == len(n_cap_a) * len(shifts) and all(
         t % k0 == 0 for t in shifts
     )
-    observations["closure_size"] = len(n_set)
-    observations["closure_cap_a_size"] = len(n_cap_a)
-    observations["cap_a_equals_even_support"] = n_cap_a == even
-    observations["shift_exponents"] = shifts
-    observations["semidirect_over_k"] = {"k": k0, "holds": semidirect}
-    checks.append(
-        check_pred(
-            "normal closure of (lamp at 0)·(shift): size and A-part comparison",
-            "reported",
-            observations,
-            True,
-        )
+    observations = {
+        "closure_size": len(n_set),
+        "closure_cap_a_size": len(n_cap_a),
+        "cap_a_equals_even_support": n_cap_a == even,
+        "shift_exponents": shifts,
+        "semidirect_over_k": {"k": k0, "holds": semidirect},
+    }
+    yield (
+        "normal closure of (lamp at 0)·(shift): size and A-part comparison",
+        "reported",
+        observations,
+        True,
     )
-    return report(
+    return (
         f"lamplighter:m={m}",
         "finite-cyclic analog of the lamplighter invariant-subalgebra splitting; "
         "the shift generator has finite order here, so divergences are expected",
         {"m": m, "group_order": len(window)},
-        checks,
-        observations=_render(observations),
+        {"observations": observations},
     )
 
 
@@ -817,44 +787,36 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_) -> dict:
 # finite-partial-centralizer (fpc) orbit growth
 
 
-def _sizes_monotone(sizes: list[int]) -> bool:
-    return all(a < b for a, b in zip(sizes, sizes[1:]))
-
-
-def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def fpc_growth_suite(cap: int = DEFAULT_CAP, **_):
     """Orbit sizes under centralizer conjugation, across truncations.
 
     Claimed members of each fpc set must have constant orbit size ≤ 2;
     sampled non-members must grow strictly across three truncations.
     Every orbit is bounded by cap.
     """
-    rows = []
 
     def run(lemma, trunc_label, truncations, gens_of, members, nonmembers):
         for label, el in members:
             sizes = [len(orbit_under(el, gens_of(t), cap)) for t in truncations]
-            rows.append(
-                check_pred(
-                    f"{lemma}: member {label} at {trunc_label}={truncations}",
-                    "constant orbit of size <= 2",
-                    sizes,
-                    all(s <= 2 for s in sizes) and len(set(sizes)) == 1,
-                )
+            yield (
+                f"{lemma}: member {label} at {trunc_label}={truncations}",
+                "constant orbit of size <= 2",
+                sizes,
+                all(s <= 2 for s in sizes) and len(set(sizes)) == 1,
             )
         for label, el in nonmembers:
             sizes = [len(orbit_under(el, gens_of(t), cap)) for t in truncations]
-            rows.append(
-                check_pred(
-                    f"{lemma}: non-member {label} at {trunc_label}={truncations}",
-                    "strictly increasing orbit sizes",
-                    sizes,
-                    _sizes_monotone(sizes),
-                )
+            yield (
+                f"{lemma}: non-member {label} at {trunc_label}={truncations}",
+                "strictly increasing orbit sizes",
+                sizes,
+                all(a < b for a, b in zip(sizes, sizes[1:])),
             )
 
     # fpc of a pure vector in the affine family: {e, v}
     e1 = Affine.vector(F2Vector.basis(1))
-    run(
+    yield from run(
         "fpc(v)={v,e}",
         "n",
         [3, 4, 5],
@@ -872,7 +834,7 @@ def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
     def indicator_gens(m):
         return cantor_indicator_centralizer_gens(m, cylinder_points("1", m))
 
-    run(
+    yield from run(
         "fpc(f̃_A)={e,f̃_A}",
         "m",
         [2, 3, 4],
@@ -891,7 +853,7 @@ def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
     def involution_gens(m):
         return cantor_involution_centralizer_gens(m, s_el)
 
-    run(
+    yield from run(
         "fpc(s)={e,s,f̃_supp,s·f̃_supp}",
         "m",
         [2, 3, 4],
@@ -907,12 +869,11 @@ def fpc_growth_suite(cap: int = DEFAULT_CAP, **_) -> dict:
             ("swap([01],[11])", Cantor.perm(2, (0, 1, 3, 2))),
         ],
     )
-    return report(
+    return (
         "fpc-growth",
         "orbit finiteness under the centralizer detects fpc membership; "
         "outside the fpc set the conjugation orbit diverges with the truncation",
         {"lemmas": 3},
-        rows,
     )
 
 
@@ -945,40 +906,20 @@ def closure_table(family: str, n: int, cap: int = DEFAULT_CAP) -> list[tuple[str
     return [(label, len(normal_closure([g], n, cap))) for label, g in seeds]
 
 
-def suite_closures(cap: int = DEFAULT_CAP, **_) -> dict:
-    affine = closure_table("affine", 3, cap)
-    wreath = closure_table("wreath", 4, cap)
-    cantor = closure_table("cantor", 2, cap)
-    checks = [
-        check_eq(
-            "affine n=3 closure sizes are {1, 8, 1344}",
-            [1, 8, 1344],
-            [size for _, size in affine],
-        ),
-        check_pred(
-            "wreath n=4 closure table computed under cap",
-            "no overflow",
-            {label: size for label, size in wreath},
-            True,
-        ),
-        check_pred(
-            "cantor m=2 closure table computed under cap",
-            "no overflow",
-            {label: size for label, size in cantor},
-            True,
-        ),
-    ]
-    return report(
+@suite
+def suite_closures(cap: int = DEFAULT_CAP, **_):
+    affine = dict(closure_table("affine", 3, cap))
+    yield "affine n=3 closure sizes are {1, 8, 1344}", [1, 8, 1344], list(affine.values())
+    wreath = dict(closure_table("wreath", 4, cap))
+    yield "wreath n=4 closure table computed under cap", "no overflow", wreath, True
+    cantor = dict(closure_table("cantor", 2, cap))
+    yield "cantor m=2 closure table computed under cap", "no overflow", cantor, True
+    return (
         "normal-closures",
         "truncation shadow: the only proper nontrivial normal subgroup of the "
         "affine group is the vector subgroup",
         {"cap": cap},
-        checks,
-        tables={
-            "affine:n=3": _render(dict(affine)),
-            "wreath:n=4": _render(dict(wreath)),
-            "cantor:m=2": _render(dict(cantor)),
-        },
+        {"tables": {"affine:n=3": affine, "wreath:n=4": wreath, "cantor:m=2": cantor}},
     )
 
 
@@ -986,11 +927,11 @@ def suite_closures(cap: int = DEFAULT_CAP, **_) -> dict:
 # character suites
 
 
-def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
+@suite
+def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
     rng = random.Random(seed)
     specs = [(CharacterSpec("affine", k=k, d=d), 3) for k in (1, 2) for d in (0, 1)]
     specs += [(CharacterSpec("cantor", k=k), 2) for k in (1, 2)]
-    checks = []
     for chi, n in specs:
         pool = [g for g in enumerate_group(chi.family, n, cap) if chi.accepts(g)]
         psd = all(
@@ -1001,21 +942,16 @@ def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> d
             (pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))])
             for _ in range(100)
         ]
-        central = is_central(chi, pairs)
-        ident = pool[0].identity_like()
-        checks.append(
-            check_eq(
-                f"{chi.name()}: PSD on 20 Grams, central on 100 pairs, normalized",
-                [True, True, Fraction(1)],
-                [psd, central, evaluate(chi, ident)],
-            )
+        yield (
+            f"{chi.name()}: PSD on 20 Grams, central on 100 pairs, normalized",
+            [True, True, Fraction(1)],
+            [psd, is_central(chi, pairs), evaluate(chi, pool[0].identity_like())],
         )
-    return report(
+    return (
         "characters",
         "the rank and fixed-point-measure formulas define normalized central "
         "positive-definite functions",
         {"seed": seed, "samples_per_gram": 8, "grams": 20, "central_pairs": 100},
-        checks,
     )
 
 
@@ -1023,55 +959,44 @@ def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> d
 # structural expectation properties
 
 
-def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_) -> dict:
-    checks = []
-    mexo = build_mexo(2, cap)
-    checks.append(
-        check_eq(
-            "expectation identities hold on mexo:n=2, full truncation",
-            True,
-            check_E_properties(mexo, enumerate_group("affine", 2, cap)),
-        )
+@suite
+def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
+    yield (
+        "expectation identities hold on mexo:n=2, full truncation",
+        True,
+        check_E_properties(build_mexo(2, cap), enumerate_group("affine", 2, cap)),
     )
     rng = random.Random(seed)
     wpool = enumerate_group("wreath", 3, cap)
     wsample = [Wreath.identity()] + [
         wpool[rng.randrange(len(wpool))] for _ in range(11)
     ]
-    checks.append(
-        check_eq(
-            "expectation identities hold on mq:n=3 samples",
-            True,
-            check_E_properties(build_mq(3, cap=cap), wsample),
-        )
+    yield (
+        "expectation identities hold on mq:n=3 samples",
+        True,
+        check_E_properties(build_mq(3, cap=cap), wsample),
     )
-    checks.append(
-        check_eq(
-            "expectation identities hold on mpart:n=3 samples",
-            True,
-            check_E_properties(build_mpart(3, cap), wsample),
-        )
+    yield (
+        "expectation identities hold on mpart:n=3 samples",
+        True,
+        check_E_properties(build_mpart(3, cap), wsample),
     )
     # E(S) ⊆ S for S = the (12)-coset of L(Z2^2) against the mq span
-    mq2 = build_mq(2, cap=cap)
     s12 = Wreath.perm(transposition(0, 1))
     a_basis = [unit(Wreath.vector(F2Vector(b))) for b in range(4)]
     s_basis = [
         unit(multiply(s12, Wreath.vector(F2Vector(b)))) for b in range(4)
     ]
-    checks.append(
-        check_eq(
-            "E(S) ⊆ S for the swap coset against mq:n=2",
-            True,
-            check_ES_subset_S(mq2, a_basis, s_basis),
-        )
+    yield (
+        "E(S) ⊆ S for the swap coset against mq:n=2",
+        True,
+        check_ES_subset_S(build_mq(2, cap=cap), a_basis, s_basis),
     )
-    return report(
+    return (
         "expectation-properties",
         "trace compatibility, equivariance, relative commutants, the 0/1 "
         "dichotomy, and the coset-stability criterion",
         {"seed": seed},
-        checks,
     )
 
 

@@ -356,6 +356,10 @@ MALFORMED_CHARACTERS = [
     "gl:m=1,zz=3",
     "affine:k=1,d=1,kk=2",
     "regular:x=1",
+    # gl's m is range-checked as the spec's k field
+    "gl:m=-1",
+    # a parameter given twice
+    "affine:k=1,d=1,d=0",
 ]
 
 
@@ -371,6 +375,18 @@ class TestTables:
     @pytest.mark.parametrize("name,key", [("gl:m=1,zz=3", "zz"), ("regular:x=1", "x")])
     def test_unknown_character_key_is_named(self, name, key):
         with pytest.raises(ValueError, match=f"no parameter '{key}'"):
+            parse_character(name)
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("gl:m=-1", "parameter m must be"),
+            ("cantor:k=-1", "parameter k must be"),
+            ("affine:k=1,d=1,d=0", "repeats parameter 'd'"),
+        ],
+    )
+    def test_bad_character_parameter_is_named(self, name, message):
+        with pytest.raises(ValueError, match=message):
             parse_character(name)
 
     @pytest.mark.parametrize(

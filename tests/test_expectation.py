@@ -35,11 +35,13 @@ from isrlab.groups import (
     Affine,
     Lamplighter,
     Wreath,
+    conjugate,
     enumerate_group,
     gl_elements,
     inverse,
     transposition,
 )
+from isrlab.projections import half_projection
 
 
 def scalar_spec(family="wreath"):
@@ -328,6 +330,19 @@ class TestClosure:
     def test_vectors_closed(self):
         assert verify_closure(vector_spec())
 
+    def test_star_closure_is_checked(self):
+        # e = p + p·u_g·(1 − p) is an idempotent that is not self-adjoint,
+        # so span{1, e} is closed under products but not under *
+        window = enumerate_group("wreath", 2)
+        one = unit(Wreath.identity())
+        p = half_projection(Wreath.vector(F2Vector.basis(1)), 1)
+        e = p + p * unit(Wreath.perm(transposition(0, 1))) * (one - p)
+        assert e * e == e and e.adjoint() != e
+        spec = SubalgebraSpec("idempotent", [one, e], window)
+        assert all(spec.contains(a * b) for a in (one, e) for b in (one, e))
+        assert not spec.contains(e.adjoint())
+        assert not verify_closure(spec)
+
 
 
 def closure_over_basis(spec):
@@ -502,6 +517,19 @@ class TestEProperties:
     def test_vector_subalgebra(self):
         samples = enumerate_group("affine", 2)
         assert check_E_properties(vector_spec(), samples)
+
+    def test_equivariance_can_fail_alone(self):
+        # ⟨swap⟩ is a subgroup that is not normal: the expectation onto its
+        # group algebra keeps laws (1), (3) and (5) but is not equivariant
+        window = enumerate_group("affine", 2)
+        swap = Affine.matrix(F2Matrix.swap(1, 2))
+        spec = SubalgebraSpec("swap", [unit(Affine.identity()), unit(swap)], window)
+        assert any(
+            ad(s, spec.expect_unit(g)) != spec.expect_unit(conjugate(s, g))
+            for s in window
+            for g in window
+        )
+        assert not check_E_properties(spec, window)
 
 
 class TestESSubsetS:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from isrlab.algebra import AlgebraElement, unit
-from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange
+from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange, Overflow
 from isrlab.expectation import SubalgebraSpec, verify_closure, verify_invariance
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
 from isrlab.groups import Affine, Wreath, enumerate_group, gl_elements, transposition
@@ -465,3 +465,59 @@ class TestSuites:
 
         for name in ("cantor", "e12", "mpart", "closures"):
             scan(zoo.SUITES[name]())
+
+    def test_registry_holds_the_module_functions(self):
+        # perfbench/tracer.py wraps the module's functions, skipping
+        # generator functions, and then swaps each registry entry for the
+        # wrapper of the same object
+        for name, fn in zoo.SUITES.items():
+            assert fn is getattr(zoo, fn.__name__), name
+            assert not inspect.isgeneratorfunction(fn), name
+
+    def test_predicate_row_fails_on_its_verdict(self):
+        row = zoo.check("agreeing but refuted", "reported", "reported", passed=False)
+        assert row == {
+            "description": "agreeing but refuted",
+            "expected": "reported",
+            "actual": "reported",
+            "pass": False,
+        }
+        assert zoo.check("rendered alike", Fraction(1, 2), "1/2")["pass"]
+        assert not zoo.check("rendered apart", True, False)["pass"]
+
+    def test_refused_input_raises_from_the_call(self):
+        with pytest.raises(ModulusOutOfRange):
+            zoo.lamplighter_scenarios(9)
+        with pytest.raises(Overflow):
+            zoo.fpc_growth_suite(cap=10)
+
+    def test_driver_builds_the_report_in_row_order(self):
+        computed = []
+
+        def row(i):
+            computed.append(i)
+            return i
+
+        @zoo.suite
+        def toy(k: int = 2, **_):
+            """A toy suite."""
+            for i in range(k):
+                # each row is computed only after the rows above it are built
+                yield f"row {i}", len(computed), row(i)
+            return "toy", "an anchor", {"k": k, "half": Fraction(1, 2)}, {"tables": {"t": [True]}}
+
+        assert toy.__name__ == "toy" and toy.__doc__ == "A toy suite."
+        assert list(inspect.signature(toy).parameters) == ["k", "_"]
+        rep = toy(k=3)
+        assert computed == [0, 1, 2]
+        assert rep == {
+            "name": "toy",
+            "anchor": "an anchor",
+            "parameters": {"k": 3, "half": "1/2"},
+            "checks": [
+                {"description": f"row {i}", "expected": i, "actual": i, "pass": True}
+                for i in range(3)
+            ],
+            "tables": {"t": [True]},
+        }
+        assert zoo.report_passed(rep)
