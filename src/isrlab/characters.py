@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import FamilyMismatch
-from .f2 import _range_basis, rank_defect
+from .f2 import _range_basis
 from .groups import GroupElement, conjugate, inverse, multiply
 from .projections import mu_fix
 
@@ -113,25 +113,22 @@ def evaluate(spec: CharacterSpec, g: GroupElement) -> Fraction:
         raise FamilyMismatch(f"{spec.name()} character is not defined on {g!r}")
     if spec.kind == "regular":
         return Fraction(1 if g.is_identity() else 0)
-    if spec.kind == "affine":
+    if spec.kind == "cantor":
         if spec.k == INF:
-            return Fraction(1 if g.g.is_identity() else 0)
-        basis = _range_basis(g.g)
-        if spec.d == 0:
-            v = g.bits
-            for b in basis:
-                v = min(v, v ^ b)
-            if v:  # v is not in R(g-I)
-                return Fraction(0)
-        return Fraction(1, 1 << (spec.k * len(basis)))
-    if spec.kind == "gl":
-        if spec.k == INF:
-            return Fraction(1 if g.g.is_identity() else 0)
-        return Fraction(1, 1 << (spec.k * rank_defect(g.g)))
-    # cantor
+            return Fraction(1 if g.is_identity() else 0)
+        return mu_fix(g) ** spec.k
+    # affine and gl: k = inf is the indicator of the vector subgroup, and
+    # rank(g - I) is the size of the cached echelon basis of R(g - I)
     if spec.k == INF:
-        return Fraction(1 if g.is_identity() else 0)
-    return mu_fix(g) ** spec.k
+        return Fraction(0 if g.rows else 1)
+    basis = _range_basis(g.rows)
+    if spec.d == 0:
+        v = g.bits
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:  # v is not in R(g-I)
+            return Fraction(0)
+    return Fraction(1, 1 << (spec.k * len(basis)))
 
 
 def is_positive_semidefinite_matrix(m: list[list[Fraction]]) -> bool:

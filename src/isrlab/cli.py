@@ -28,16 +28,22 @@ from . import zoo
 
 
 def _resolve_cap(args) -> int:
-    """--cap, else ISRLAB_CAP, else DEFAULT_CAP; 0 is a cap like any other."""
+    """--cap, else ISRLAB_CAP, else DEFAULT_CAP; 0 is a cap like any
+    other, and a negative cap is refused before any work."""
     if getattr(args, "cap", None) is not None:
+        if args.cap < 0:
+            raise IsrlabError(f"--cap must be a nonnegative integer, got {args.cap}")
         return args.cap
     env = os.environ.get("ISRLAB_CAP")
     if not env:
         return DEFAULT_CAP
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
-        raise IsrlabError(f"ISRLAB_CAP must be an integer, got {env!r}") from None
+        cap = -1  # refused below, with the text as given
+    if cap < 0:
+        raise IsrlabError(f"ISRLAB_CAP must be a nonnegative integer, got {env!r}")
+    return cap
 
 
 def _suite_kwargs(args) -> dict:

@@ -12,6 +12,7 @@ bit ``i`` of ``F2Vector.bits`` is coordinate ``i+1``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from .errors import IdentityInput, SingularMatrix
@@ -272,6 +273,11 @@ def _inverse_rows(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([r >> n for r in aug])
 
 
+# inverses of packed matrix rows, shared by ``mat_inverse`` and every
+# Affine product; the bound holds all of GL(4, F2), 20,160 matrices
+_mat_inverse_cached = lru_cache(maxsize=1 << 15)(_inverse_rows)
+
+
 def _apply_rows(rows: tuple[int, ...], bits: int) -> int:
     """The vector g(v) for g given by rows: coordinates beyond the
     stored block pass through unchanged."""
@@ -290,7 +296,7 @@ def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 
 def mat_inverse(a: F2Matrix) -> F2Matrix:
     """Inverse over GF(2); raises SingularMatrix on rank deficiency."""
-    return F2Matrix(_inverse_rows(a.rows))
+    return F2Matrix(_mat_inverse_cached(a.rows))
 
 
 def _echelon(vectors) -> list[int]:
@@ -311,33 +317,30 @@ def _rank_of_rows(rows) -> int:
     return len(_echelon(rows))
 
 
-def _difference_rows(g: F2Matrix) -> list[int]:
-    """Rows of g - I within the canonical block."""
-    return [g.rows[i] ^ (1 << i) for i in range(g.n)]
-
-
-def rank_defect(g: F2Matrix) -> int:
-    """rank(g - I) over GF(2); invariant under identity-embedding."""
-    return _rank_of_rows(_difference_rows(g))
-
-
-def _range_basis(g: F2Matrix) -> list[int]:
-    """An echelon basis of R(g - I) as vector bitmasks (``_echelon``)."""
-    n = g.n
-    diff = _difference_rows(g)
+@lru_cache(maxsize=1 << 15)
+def _range_basis(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """An echelon basis of R(g - I) as vector bitmasks (``_echelon``),
+    for g given by its canonical rows; cached, like the inverse, over
+    all of GL(4, F2), and a tuple, so no caller can change the cache."""
+    n = len(rows)
     cols = []
     for j in range(n):
         c = 0
         for i in range(n):
-            if (diff[i] >> j) & 1:
+            if (rows[i] ^ (1 << i)) >> j & 1:
                 c |= 1 << i
         cols.append(c)
-    return _echelon(cols)
+    return tuple(_echelon(cols))
+
+
+def rank_defect(g: F2Matrix) -> int:
+    """rank(g - I) over GF(2); invariant under identity-embedding."""
+    return len(_range_basis(g.rows))
 
 
 def range_subgroup(g: F2Matrix) -> frozenset[F2Vector]:
     """The enumerated subspace R(g - I), of size 2**rank_defect(g)."""
-    return frozenset(F2Vector(x) for x in _subset_sums(_range_basis(g)))
+    return frozenset(F2Vector(x) for x in _subset_sums(_range_basis(g.rows)))
 
 
 def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:

@@ -22,14 +22,9 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
-from .f2 import F2Matrix, F2Vector, _apply_rows, _inverse_rows, _mul_rows, _rank_of_rows
+from .f2 import F2Matrix, F2Vector, _apply_rows, _mat_inverse_cached, _mul_rows, _rank_of_rows
 
 DEFAULT_CAP = 10**6
-
-
-# inverses of packed matrix rows, shared by every Affine product; the
-# bound holds all of GL(4, F2), 20,160 matrices
-_mat_inverse_cached = lru_cache(maxsize=1 << 15)(_inverse_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +103,11 @@ class _Element(tuple):
         """The map x -> self·x·self^{-1}, with the inverse computed once."""
         mul, inv = self.mul, self.inv()
         return lambda x: mul(x).mul(inv)
+
+    def _orbit(self, conjugators, cap: int) -> set:
+        """The BFS of ``orbit_under``: self under the conjugations by the
+        conjugators."""
+        return _reach(self, [c.conjugation() for c in conjugators], cap, "conjugation orbit")
 
 
 class Affine(_Element):
@@ -275,26 +275,30 @@ class Wreath(_Element):
         return (self.sigma, self.bits)
 
     def mul(self, other: "Wreath") -> "Wreath":
-        # σ2^{-1}(v1) has coordinate j equal to coordinate σ2(j) of v1
         s1, v1 = self
         s2, v2 = other
-        n = len(s2)
-        bits = v1 >> n << n
-        for j in range(n):
-            bits |= ((v1 >> s2[j]) & 1) << j
-        return _wreath(perm_mul(s1, s2), bits ^ v2)
+        return _wreath(perm_mul(s1, s2), _pull_bits(s2, v1) ^ v2)
 
     def inv(self) -> "Wreath":
         sigma, v = self
-        n = len(sigma)
-        inv = [0] * n
-        bits = v >> n << n
-        for i in range(n):
-            j = sigma[i]
+        inv = [0] * len(sigma)
+        for i, j in enumerate(sigma):
             inv[j] = i
-            bits |= ((v >> i) & 1) << j
         # σ^{-1} fixes its last point only if σ does, so it is canonical
-        return _wreath(tuple(inv), bits)
+        return _wreath(tuple(inv), _push_bits(sigma, v))
+
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}, in closed form where self is a
+        vector (id, a): (τ, w) -> (τ, w + τ^{-1}(a) + a); and where self
+        is a permutation (σ, 0) and x a vector (id, w): (id, w) -> (id, σ(w)).
+        """
+        sigma, a = self
+        if not sigma:
+            return lambda x: _wreath(x.sigma, _pull_bits(x.sigma, a) ^ x.bits ^ a)
+        general = _Element.conjugation(self)
+        if a:
+            return general
+        return lambda x: general(x) if x.sigma else _wreath((), _push_bits(sigma, x.bits))
 
     @staticmethod
     def order(n: int) -> int:
@@ -340,6 +344,24 @@ class Wreath(_Element):
 def _wreath(sigma: tuple[int, ...], bits: int) -> Wreath:
     """The element with canonical σ and vector bits, unchecked."""
     return tuple.__new__(Wreath, (sigma, bits))
+
+
+def _pull_bits(sigma, v: int) -> int:
+    """σ^{-1}(v): coordinate j is coordinate σ(j) of v."""
+    n = len(sigma)
+    out = v >> n << n
+    for j in range(n):
+        out |= ((v >> sigma[j]) & 1) << j
+    return out
+
+
+def _push_bits(sigma, v: int) -> int:
+    """σ(v): coordinate σ(i) is coordinate i of v."""
+    n = len(sigma)
+    out = v >> n << n
+    for i in range(n):
+        out |= ((v >> i) & 1) << sigma[i]
+    return out
 
 
 class Lamplighter(_Element):
@@ -590,16 +612,18 @@ class Cantor(_Element):
             raise ValueError("perm must have 2^m entries")
         return Cantor(m, sigma, pts)
 
-    def conjugation(self):
-        """The map x -> self·x·self^{-1}, touching only the points of B
-        and the points τ moves.  For x = (σ, A) and self = (τ, B) =
-        τ·f̃_B, conjugation by f̃_B adds B + σ^{-1}(B) to A, and
-        conjugation by τ then maps (σ, A) to (τστ^{-1}, τ(A)).
+    def _payload(self, m: int):
+        """The level-m payload (σ, mask) that ``_conjugation_at(m)`` maps,
+        for m ≥ self.m: σ as bytes while its 2^m points fit in a byte,
+        as a tuple above that.  Payloads and elements of level ≤ m are in
+        bijection, the mask's bit 0 cleared by complement."""
+        sigma, mask = self._lift(m)
+        return (bytes(sigma) if m <= 8 else sigma), mask
 
-        Both act at the higher of the two levels: x is lifted to self's
-        level, or self to x's.  The map at each level is built once, on
-        the first x that needs it.
-        """
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}: x's payload at the higher of
+        the two levels, through that level's ``_conjugation_at`` (built
+        once, on the first x that needs it), made canonical."""
         at_level: dict = {}
         own = self.m
 
@@ -610,39 +634,61 @@ class Cantor(_Element):
             f = at_level.get(m)
             if f is None:
                 f = at_level[m] = self._conjugation_at(m)
-            return f(x)
+            sigma, mask = f(x._payload(m))
+            return _cantor(m, tuple(sigma), mask)
 
         return conj
 
     def _conjugation_at(self, m: int):
-        """The one-pass conjugation map on elements of level ≤ m, for
-        m ≥ self.m."""
+        """self's conjugation as a map on level-m payloads, m ≥ self.m,
+        touching only the points τ moves and those of B or its complement,
+        whichever is smaller (B is taken modulo complement).  For
+        x = (σ, A) and self = (τ, B) = τ·f̃_B, conjugation by f̃_B adds
+        B + σ^{-1}(B) to A (σ^{-1}(b) is ``σ.index(b)``), and conjugation
+        by τ then maps (σ, A) to (τστ^{-1}, τ(A)): τ∘σ relabels the
+        images and the reorder by τ^{-1} moves the positions."""
         tau, bmask = self._lift(m)
+        full = (1 << (1 << m)) - 1
+        if bmask.bit_count() > (1 << m) // 2:
+            bmask ^= full
         bpts = _points(bmask)
-        moved = [i for i, j in enumerate(tau) if i != j]
-        pmask = sum(1 << i for i in moved)
+        moves = [(1 << i, 1 << j) for i, j in enumerate(tau) if i != j]
+        pmask = sum(src for src, _ in moves)
+        reorder = itemgetter(*self.inv()._lift(m)[0])
+        if m <= 8:
+            table = bytes(tau) + bytes(range(len(tau), 256))
 
-        def conj(x: "Cantor") -> "Cantor":
-            sigma, mask = x._lift(m)
+            def relabel(sigma):
+                return bytes(reorder(sigma.translate(table)))
+        else:
+
+            def relabel(sigma):
+                return reorder(tuple(map(tau.__getitem__, sigma)))
+
+        def conj(payload):
+            sigma, mask = payload
             if bpts:
                 mask ^= bmask
                 for b in bpts:
                     mask ^= 1 << sigma.index(b)
-            if moved:
-                new = list(sigma)
+            if moves:
+                sigma = relabel(sigma)
                 image = mask & ~pmask
-                for i in moved:
-                    new[tau[i]] = tau[sigma[i]]
-                    if mask >> i & 1:
-                        image |= 1 << tau[i]
-                for j in moved:
-                    k = sigma.index(j)
-                    if tau[k] == k:
-                        new[k] = tau[j]
-                sigma, mask = tuple(new), image
-            return _cantor(m, sigma, mask)
+                for src, dst in moves:
+                    if mask & src:
+                        image |= dst
+                mask = image
+            return sigma, mask ^ full if mask & 1 else mask
 
         return conj
+
+    def _orbit(self, conjugators, cap: int) -> set["Cantor"]:
+        """The BFS of ``orbit_under`` on payloads at the top level of self
+        and the conjugators, each orbit element made canonical once."""
+        m = max([self.m] + [c.m for c in conjugators])
+        maps = [c._conjugation_at(m) for c in conjugators]
+        seen = _reach(self._payload(m), maps, cap, "conjugation orbit")
+        return {_cantor(m, tuple(sigma), mask) for sigma, mask in seen}
 
 
 def _cantor(m: int, sigma: tuple[int, ...], mask: int) -> Cantor:
@@ -830,7 +876,7 @@ def orbit_under(
     """
     conjugators = list(conjugators)
     cset = set(conjugators)
-    maps, paired = [], set()
+    steps, paired = [], set()
     for c in conjugators:
         _check_family(c, h)
         c_inv = inverse(c)
@@ -838,8 +884,8 @@ def orbit_under(
             raise NotSymmetric(f"conjugator set lacks the inverse of {c!r}")
         if c not in paired:
             paired.update((c, c_inv))
-            maps.append(c.conjugation())
-    return _reach(h, maps, cap, "conjugation orbit")
+            steps.append(c)
+    return h._orbit(steps, cap)
 
 
 def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:

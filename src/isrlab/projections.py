@@ -86,7 +86,7 @@ class PartitionSpec:
 def make_f(g: F2Matrix) -> AlgebraElement:
     """f_g = ∏ ½(1 + u_b) over a basis b of R(g − I): the normalized
     indicator projection of R(g − I)."""
-    return walsh_sum(lambda z: Affine.vector(F2Vector(z)), [(b, 1) for b in _range_basis(g)])
+    return walsh_sum(lambda z: Affine.vector(F2Vector(z)), [(b, 1) for b in _range_basis(g.rows)])
 
 
 def half_projection(z: GroupElement, sign: int) -> AlgebraElement:
@@ -127,22 +127,17 @@ def make_cylinder(w: CylinderWord) -> AlgebraElement:
 
 def word_times_matrix(w: CylinderWord, ginv: F2Matrix) -> CylinderWord:
     """The row-vector product w·g^{-1} with ⋆-arithmetic:
-    ⋆·0 = 0, ⋆·1 = ⋆, and ⋆ absorbs addition."""
+    ⋆·0 = 0, ⋆·1 = ⋆, and ⋆ absorbs addition.  Letter j is ⋆ where a ⋆
+    row of g^{-1} has bit j, else bit j of the sum of the 1 rows."""
     n = max(len(w), ginv.n)
-    out = []
-    for j in range(1, n + 1):
-        acc = 0
-        star = False
-        for i in range(1, n + 1):
-            if not ginv.entry(i, j):
-                continue
-            c = w.letter(i)
-            if c == STAR:
-                star = True
-            else:
-                acc ^= c
-        out.append(STAR if star else acc)
-    return CylinderWord(out)
+    stars = ones = 0
+    for i in range(n):
+        c = w.letter(i + 1)
+        if c == STAR:
+            stars |= ginv.row(i)
+        elif c:
+            ones ^= ginv.row(i)
+    return CylinderWord([STAR if stars >> j & 1 else ones >> j & 1 for j in range(n)])
 
 
 def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
@@ -170,10 +165,9 @@ def make_q_power(sign: int, a) -> AlgebraElement:
     """Q^A = ∏_{n∈A} ½(1 ± u_{z^{(n)}}) in the wreath family."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = unit(Wreath.identity())
-    for j in sorted(a):
-        out = out * half_projection(Wreath.vector(F2Vector.basis(j)), sign)
-    return out
+    # each factor is idempotent, so a repeated n counts once
+    gens = [(1 << (j - 1), sign) for j in sorted(set(a))]
+    return walsh_sum(lambda z: Wreath.vector(F2Vector(z)), gens)
 
 
 def perm_sign(p) -> int:

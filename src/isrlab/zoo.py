@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraElement, GaussianRational, combine, inner_product, trace, unit
+from .algebra import AlgebraElement, GaussianRational, ad, combine, inner_product, trace, unit
 from .characters import (
     CharacterSpec,
     evaluate,
@@ -175,7 +175,7 @@ def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     if not 2 <= n <= 4:
         raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
     window = enumerate_group("affine", n, cap)
-    basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.g)])
+    basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.rows)])
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
 
@@ -334,7 +334,6 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
     f = {r[g]: make_f(g) for g in gl}
     # every pair of subspaces occurs as (R_g, R_h)
     products = {(a, b): f[a] * f[b] for a in f for b in f}
-    units = {h: unit(Affine.matrix(h)) for h in gl}
     # a key outside f marks a product row set that is not in GL(n, F2)
     yield (
         f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {pairs} pairs",
@@ -342,8 +341,8 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
         all(p == products[b, a] for (a, b), p in products.items())
         # p ≤ q for projections means pq = p
         and all(c in f and products[a, b] * f[c] == products[a, b] for a, b, c in dom)
-        # f_g u_h = u_h f_{h^{-1}gh}
-        and all(c in f and f[a] * units[h] == units[h] * f[c] for (a, h), c in conj.items()),
+        # f_g u_h = u_h f_{h^{-1}gh}, read as u_h f_{h^{-1}gh} u_h^{-1} = f_g
+        and all(c in f and ad(Affine.matrix(h), f[c]) == f[a] for (a, h), c in conj.items()),
     )
     factored = {g: transvection_factorize(g) for g in gl if not g.is_identity()}
     yield "factorizations recompose to g", True, all(
@@ -727,8 +726,10 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_):
                 for y in y_basis
             ]
             spec = SubalgebraSpec(f"lamp:{y_name},k={k}", basis, window)
-            # the basis is independent, so the exact check multiplies
-            # |basis|² pivot pairs, up to (m·2^m)²
+            # the basis is independent: the exact check convolves its
+            # |basis|² pivot pairs, or, for the unit spans (Y=scalars and
+            # Y=full), makes |basis|² group products; the cap estimate
+            # above counts (m·2^m)² for every span alike
             closed = verify_closure(spec)
             inv_shift = verify_invariance(spec, [shift])
             inv_lamp = verify_invariance(spec, [lamp0])

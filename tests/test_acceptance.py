@@ -29,6 +29,8 @@ from isrlab.projections import CylinderWord, make_cylinder, make_q_power
 SEED = 7
 # sha256 of `run --suite all --seed 7`: the report bytes are a contract
 SEED7_REPORT_SHA256 = "05b154d9b30c6e82ee0b50267da903aeba43bb4887da5943b0dae5f37c24faa1"
+# sha256 of `run --suite all --seed 31`: a second seed under the same contract
+SEED31_REPORT_SHA256 = "05483904c4ed82226724dc829e7d7878e776a1f609639ff343141eebb0c6c51e"
 
 
 @lru_cache(maxsize=None)
@@ -201,3 +203,12 @@ def test_criterion_12_determinism(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == SEED7_REPORT_SHA256
     dt = time.perf_counter() - t0
     print(f"criterion 12 (determinism): PASS in {dt:.1f}s")
+
+
+def test_criterion_12_seed31_report(tmp_path):
+    t0 = time.perf_counter()
+    out = tmp_path / "seed31.json"
+    assert main(["run", "--suite", "all", "--seed", "31", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED31_REPORT_SHA256
+    dt = time.perf_counter() - t0
+    print(f"criterion 12 (seed-31 report): PASS in {dt:.1f}s")

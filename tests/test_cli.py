@@ -430,3 +430,39 @@ class TestTables:
             vals = [int(s) for s in sizes.split(",")]
             if "non-member" in desc:
                 assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+class TestNegativeCap:
+    """A negative cap is refused before any work, naming its source."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--suite", "all", "--cap", "-1"],
+        ["run", "--suite", "fpc", "--cap", "-7"],
+        ["tables", "--table", "fpc", "--cap", "-1"],
+        ["tables", "--table", "characters", "--cap", "-1"],
+    ])
+    def test_flag(self, capsys, monkeypatch, argv):
+        def never(**_):
+            raise AssertionError("a suite ran before the cap check")
+
+        for name in zoo.SUITES:
+            monkeypatch.setitem(zoo.SUITES, name, never)
+        monkeypatch.setattr(zoo, "fpc_growth_suite", never)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --cap must be a nonnegative integer, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--suite", "closures"],
+        ["tables", "--table", "fpc"],
+        ["expect", "mexo:2", '{"family": "affine", "n": 1, "g": "1", "v": "0"}'],
+    ])
+    def test_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ISRLAB_CAP", "-3")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ISRLAB_CAP must be a nonnegative integer, got '-3'\n"
+
+    def test_zero_stays_a_cap(self, capsys):
+        assert main(["run", "--suite", "closures", "--cap", "0"]) == 2
+        assert capsys.readouterr().err == "error: normal closure exceeds cap 0\n"

@@ -1,0 +1,334 @@
+"""Differential tests of the fast paths against the forms they replaced,
+which are kept here as the references: the Cantor orbit search on
+level-m payloads against an element-level search, the unit-span closure
+check against the pivot-product check, the row-mask ⋆-product against
+the entry loop, the conjugation law of the f-calculus read through
+``ad`` against its two-product form, the cached R(g − I) kernel against
+the uncached echelon, and the Wreath conjugation closed forms against
+``mul`` / ``inv``."""
+
+import itertools
+import random
+from itertools import chain
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isrlab import zoo
+from isrlab.algebra import AlgebraElement, ad, unit
+from isrlab.errors import Overflow
+from isrlab.expectation import SubalgebraSpec, verify_closure
+from isrlab.f2 import F2Matrix, F2Vector, _echelon, _range_basis, range_subgroup, rank_defect
+from isrlab.groups import (
+    Affine,
+    Cantor,
+    Lamplighter,
+    Wreath,
+    _reach,
+    cantor_indicator_centralizer_gens,
+    cantor_involution_centralizer_gens,
+    conjugate,
+    cylinder_points,
+    enumerate_group,
+    gl_elements,
+    multiply,
+    orbit_under,
+    subgroup_closure,
+    transposition,
+)
+from isrlab.projections import STAR, CylinderWord, make_f, word_times_matrix
+
+# ---------------------------------------------------------------------------
+# Cantor orbits on payloads against the element-level search
+
+
+def element_orbit(h, conjugators, cap):
+    """The search orbit_under ran before payloads: _reach over elements,
+    one ``conjugate`` per step, by one of each pair {c, c^{-1}}."""
+    steps, paired = [], set()
+    for c in conjugators:
+        if c not in paired:
+            paired.update((c, c.inv()))
+            steps.append(c)
+    maps = [lambda x, c=c: conjugate(c, x) for c in steps]
+    return _reach(h, maps, cap, "conjugation orbit")
+
+
+def product_conjugate(c, x):
+    return multiply(multiply(c, x), c.inv())
+
+
+S_EL = Cantor.perm(2, (1, 0, 2, 3))
+FPC_INPUTS = [
+    (lambda m: cantor_indicator_centralizer_gens(m, cylinder_points("1", m)),
+     [Cantor.identity(), Cantor.indicator(1, {1}),
+      Cantor.indicator(2, cylinder_points("01", 2)), Cantor.perm(2, (2, 1, 0, 3))]),
+    (lambda m: cantor_involution_centralizer_gens(m, S_EL),
+     [Cantor.identity(), S_EL, Cantor.indicator(2, {0, 1}),
+      multiply(S_EL, Cantor.indicator(2, {0, 1})), Cantor.indicator(2, {2}),
+      Cantor.perm(2, (0, 1, 3, 2))]),
+]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("case", range(len(FPC_INPUTS)))
+def test_fpc_orbits_match_the_element_search(m, case):
+    gens_of, elements = FPC_INPUTS[case]
+    gens = gens_of(m)
+    for h in elements:
+        assert orbit_under(h, gens) == element_orbit(h, gens, 10**6)
+
+
+def test_orbit_cap_boundary():
+    gens = cantor_indicator_centralizer_gens(3, cylinder_points("1", 3))
+    h = Cantor.perm(2, (2, 1, 0, 3))
+    size = len(element_orbit(h, gens, 10**6))
+    assert size > 2
+    assert len(orbit_under(h, gens, size)) == size
+    with pytest.raises(Overflow, match=f"^conjugation orbit exceeds cap {size - 1}$"):
+        orbit_under(h, gens, size - 1)
+
+
+def cantor(m):
+    npts = 1 << m
+    return st.builds(
+        Cantor, st.just(m), st.permutations(range(npts)), st.sets(st.integers(0, npts - 1))
+    )
+
+
+any_cantor = st.integers(0, 3).flatmap(cantor)
+
+
+@given(h=any_cantor, cs=st.lists(any_cantor, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_drawn_orbits_match_the_element_search(h, cs):
+    conjugators = list(dict.fromkeys(cs + [c.inv() for c in cs]))
+    cap = 300
+    try:
+        expected = element_orbit(h, conjugators, cap)
+    except Overflow as exc:
+        with pytest.raises(Overflow, match=f"^{exc}$"):
+            orbit_under(h, conjugators, cap)
+    else:
+        assert orbit_under(h, conjugators, cap) == expected
+
+
+@given(x=any_cantor, c=any_cantor, up=st.integers(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_drawn_conjugations_match_products(x, c, up):
+    y = product_conjugate(c, x)
+    assert conjugate(c, x) == y
+    # the kernel maps payloads to payloads: the conjugate's own, bit 0
+    # of the mask cleared by complement, at the top level and above it
+    m = max(x.m, c.m) + up
+    assert c._conjugation_at(m)(x._payload(m)) == y._payload(m)
+
+
+def test_conjugation_above_a_byte():
+    # 2^9 points do not fit in a byte: the payload's σ is a tuple
+    rng = random.Random(9)
+    npts = 1 << 9
+
+    def draw():
+        sigma = list(range(npts))
+        rng.shuffle(sigma)
+        return Cantor(9, sigma, rng.sample(range(npts), 40))
+
+    for _ in range(3):
+        x, c = draw(), draw()
+        assert conjugate(c, x) == product_conjugate(c, x)
+        # across levels: x below c, and c below x
+        low = Cantor.perm(2, (1, 2, 3, 0))
+        assert conjugate(c, low) == product_conjugate(c, low)
+        assert conjugate(low, x) == product_conjugate(low, x)
+    swap = Cantor.perm(9, transposition(0, npts - 1))
+    flip = Cantor.indicator(9, {3, 500})
+    h = multiply(swap, Cantor.indicator(9, {1, 2}))
+    assert orbit_under(h, [swap, flip]) == element_orbit(h, [swap, flip], 10**6)
+
+
+# ---------------------------------------------------------------------------
+# unit-span closure against the pivot-product check
+
+
+def closure_over_basis(spec):
+    """verify_closure before unit spans: every adjoint and pairwise
+    product of the pivots lies in the window and in the span."""
+    pivots = spec._orthogonal_basis().pivots
+    return all(
+        x.support() <= spec.window and spec.contains(x)
+        for x in chain((b.adjoint() for b in pivots), (a * b for a in pivots for b in pivots))
+    )
+
+
+def unit_spec(elements, window, scale=1):
+    return SubalgebraSpec("units", [unit(g).scale(scale) for g in elements], window)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_lamplighter_unit_spans(m):
+    window = enumerate_group("lamplighter", m)
+    for k in (k for k in range(1, m + 1) if m % k == 0):
+        for y in ([Lamplighter.identity(m)], [Lamplighter(m, b, 0) for b in range(1 << m)]):
+            basis = [
+                unit(Lamplighter.shift(m, k * t)) * unit(g) for t in range(m // k) for g in y
+            ]
+            spec = SubalgebraSpec("lamp", basis, window)
+            assert verify_closure(spec) == closure_over_basis(spec) is True
+
+
+SUBGROUP_SEEDS = [
+    ("affine", 2, [Affine.matrix(F2Matrix.swap(1, 2))]),
+    ("affine", 2, Affine.generators(2)),
+    ("wreath", 3, [Wreath.perm(transposition(0, 1)), Wreath.perm((1, 2, 0))]),
+    ("wreath", 3, Wreath.generators(3)[:1]),
+    ("lamplighter", 4, [Lamplighter.shift(4, 2)]),
+    ("lamplighter", 4, [Lamplighter.lamp(4, 0), Lamplighter.shift(4, 2)]),
+    ("cantor", 1, Cantor.generators(1)),
+    ("cantor", 2, [Cantor.indicator(2, {1}), Cantor.perm(2, (1, 0, 2, 3))]),
+]
+
+
+@pytest.mark.parametrize("family, n, gens", SUBGROUP_SEEDS)
+def test_subgroup_spans_are_closed(family, n, gens):
+    group = subgroup_closure(gens)
+    window = enumerate_group(family, n) if family != "cantor" or n < 2 else group
+    for scale in (1, 2):
+        spec = unit_spec(group, window, scale)
+        assert verify_closure(spec) == closure_over_basis(spec) is True
+
+
+@pytest.mark.parametrize("family, n", [("affine", 2), ("wreath", 3), ("lamplighter", 3),
+                                       ("cantor", 2)])
+def test_unit_spans_that_are_not_closed(family, n):
+    window = enumerate_group(family, n)
+    rng = random.Random(n)
+    e = window[0].identity_like()
+    verdicts = set()
+    for size in (2, 3, 5, len(window) // 2):
+        for _ in range(6):
+            elements = [e] + rng.sample(window, size)
+            spec = unit_spec(elements, window)
+            verdict = verify_closure(spec)
+            assert verdict == closure_over_basis(spec)
+            verdicts.add(verdict)
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("elements, closed", [
+    # involutions: closed under inverses, not under products
+    ([Lamplighter.identity(3), Lamplighter.lamp(3, 0), Lamplighter.lamp(3, 1)], False),
+    # products of the shift stay, but its inverse is missing
+    ([Lamplighter.identity(3), Lamplighter.shift(3, 1)], False),
+    ([Lamplighter.identity(3), Lamplighter.shift(3, 1), Lamplighter.shift(3, 2)], True),
+])
+def test_inverse_and_product_failures(elements, closed):
+    spec = unit_spec(elements, enumerate_group("lamplighter", 3))
+    assert verify_closure(spec) is closure_over_basis(spec) is closed
+
+
+def test_mixed_spans_keep_the_pivot_check():
+    # one pivot with two terms sends the check down the general path
+    window = enumerate_group("affine", 2)
+    half = AlgebraElement({Affine.identity(): 1, Affine.vector(F2Vector(1)): 1})
+    spec = SubalgebraSpec("mixed", [half, unit(Affine.matrix(F2Matrix.swap(1, 2)))], window)
+    assert verify_closure(spec) == closure_over_basis(spec)
+
+
+# ---------------------------------------------------------------------------
+# the ⋆-product of words by matrices
+
+
+def old_word_times_matrix(w, ginv):
+    """The n² entry loop word_times_matrix replaced."""
+    n = max(len(w), ginv.n)
+    out = []
+    for j in range(1, n + 1):
+        acc = 0
+        star = False
+        for i in range(1, n + 1):
+            if not ginv.entry(i, j):
+                continue
+            c = w.letter(i)
+            if c == STAR:
+                star = True
+            else:
+                acc ^= c
+        out.append(STAR if star else acc)
+    return CylinderWord(out)
+
+
+def test_word_times_matrix_matches_the_entry_loop():
+    words = [
+        CylinderWord(t) for k in range(4) for t in itertools.product((0, 1, STAR), repeat=k)
+    ]
+    for g in gl_elements(3):
+        for w in words:
+            assert word_times_matrix(w, g) == old_word_times_matrix(w, g)
+
+
+# ---------------------------------------------------------------------------
+# the f-calculus conjugation law
+
+
+def test_conjugation_law_through_ad_matches_the_two_products():
+    gl = gl_elements(3)
+    r, _, conj = zoo._f_calculus_keys(gl, 3)
+    f = {r[g]: make_f(g) for g in gl}
+    keys = list(f)
+    agreed = set()
+    for (a, h), c in conj.items():
+        u = unit(Affine.matrix(h))
+        # the true partner c, and a wrong one
+        for cand in (c, keys[(keys.index(c) + 1) % len(keys)]):
+            via_ad = ad(Affine.matrix(h), f[cand]) == f[a]
+            via_products = f[a] * u == u * f[cand]
+            assert via_ad == via_products
+            agreed.add(via_ad)
+        assert ad(Affine.matrix(h), f[c]) == f[a]
+    assert agreed == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the cached R(g − I) kernel
+
+
+def uncached_range_basis(g):
+    """The echelon basis of R(g − I) built afresh from the columns."""
+    diff = [g.rows[i] ^ (1 << i) for i in range(g.n)]
+    cols = [sum(((d >> j) & 1) << i for i, d in enumerate(diff)) for j in range(g.n)]
+    return _echelon(cols)
+
+
+def gl4_sample():
+    rng = random.Random(4)
+    out = []
+    while len(out) < 300:
+        rows = tuple(rng.randrange(16) for _ in range(4))
+        g = F2Matrix(rows)
+        if len(_echelon(g.rows)) == g.n:
+            out.append(g)
+    return out
+
+
+def test_cached_range_kernel_matches_the_echelon():
+    for g in list(gl_elements(3)) + gl4_sample():
+        basis = _range_basis(g.rows)
+        assert isinstance(basis, tuple)
+        assert list(basis) == uncached_range_basis(g)
+        assert _range_basis(g.rows) is basis  # served from the cache
+        assert rank_defect(g) == len(basis)
+        assert len(range_subgroup(g)) == 1 << len(basis)
+
+
+# ---------------------------------------------------------------------------
+# Wreath conjugation closed forms
+
+
+def test_wreath_conjugation_matches_products_on_wreath3():
+    elements = enumerate_group("wreath", 3)
+    for c in elements:
+        conj = c.conjugation()
+        for x in elements:
+            assert conj(x) == c.mul(x).mul(c.inv())
