@@ -22,11 +22,6 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _low_bit(x: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (x & -x).bit_length() - 1
-
-
 class F2Vector:
     """A finitely supported column vector over GF(2)."""
 
@@ -350,37 +345,58 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
     Each step peels one factor: with D = g - I, x = e_j for the lowest
     nonzero column j of D and v = D·x, it picks phi in the row space of
     D with phi(v) = 0 and phi(x) = 1.  Then t = I + v·phi is a rank-1
-    involution with range in R(g - I), and t·g - I has rank one less
-    (its kernel gains x).  Such phi always exists over GF(2): D·v = v
-    would force g·v = 0, so some row of D, or a sum of two rows,
-    separates x from v.  Raises SingularMatrix for singular g.
+    involution with range in R(g - I), and t·g - I = D + v·(phi·g) has
+    rank one less: it kills x, and it kills ker D, where phi·g = phi
+    and phi, a sum of rows of D, vanishes.
+    Such phi is the row of D at an index in supp v ∖ supp D·v or, failing
+    that, the sum of the rows at an index in supp v and one in
+    supp D·v ∖ supp v.
+
+    Singular g is found inside the loop, with no rank pass up front.
+    When neither choice exists, D·v = v, so g·v = 0 and g is singular.
+    Conversely, each step that finds phi lowers rank(g - I) by one
+    without using invertibility, and a product of invertible t's with a
+    singular g is never I: so for singular g the loop meets D·v = v
+    within rank(g - I) steps and raises SingularMatrix there.
     """
     if g.is_identity():
         raise IdentityInput("cannot factorize the identity")
-    if _rank_of_rows(g.rows) != g.n:
-        raise SingularMatrix(f"matrix of dimension {g.n} is singular")
-    rows = list(g.rows)
+    n = g.n
+    bits = [1 << i for i in range(n)]
+    diff = [r ^ b for r, b in zip(g.rows, bits)]  # the rows of D
     factors: list[F2Matrix] = []
     while True:
-        diff = [r ^ (1 << i) for i, r in enumerate(rows)]
         cols = 0
         for d in diff:
             cols |= d
         if not cols:
             return factors
-        j = _low_bit(cols)
-        v = sum(((d >> j) & 1) << i for i, d in enumerate(diff))
-        dv = sum(_parity(d & v) << i for i, d in enumerate(diff))
-        if v & ~dv:
-            phi = diff[_low_bit(v & ~dv)]
+        low = cols & -cols
+        v = dv = 0
+        for d, b in zip(diff, bits):
+            if d & low:
+                v |= b
+        for d, b in zip(diff, bits):
+            if (d & v).bit_count() & 1:
+                dv |= b
+        m = v & ~dv
+        if m:
+            phi = diff[(m & -m).bit_length() - 1]
         else:
-            phi = diff[_low_bit(v)] ^ diff[_low_bit(dv & ~v)]
-        factors.append(
-            F2Matrix([(1 << i) ^ (phi if (v >> i) & 1 else 0) for i in range(len(rows))])
-        )
-        # t·g = g + v·(phi·g): the rows in supp v gain phi·g
-        phi_g = 0
-        for i, r in enumerate(rows):
-            if (phi >> i) & 1:
-                phi_g ^= r
-        rows = [r ^ phi_g if (v >> i) & 1 else r for i, r in enumerate(rows)]
+            m = dv ^ v  # supp D·v ∖ supp v, as v ⊆ D·v here
+            if not m:
+                raise SingularMatrix(f"matrix of dimension {n} is singular")
+            phi = diff[(v & -v).bit_length() - 1] ^ diff[(m & -m).bit_length() - 1]
+        # t·g - I = D + v·(phi·g), and phi·g = phi + phi·D
+        phi_g = phi
+        for d, b in zip(diff, bits):
+            if phi & b:
+                phi_g ^= d
+        t = bits.copy()
+        while v:
+            low = v & -v
+            i = low.bit_length() - 1
+            t[i] ^= phi
+            diff[i] ^= phi_g
+            v ^= low
+        factors.append(F2Matrix(t))

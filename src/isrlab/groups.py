@@ -100,9 +100,17 @@ class _Element(tuple):
         return type(self).identity()
 
     def conjugation(self):
-        """The map x -> self·x·self^{-1}, with the inverse computed once."""
-        mul, inv = self.mul, self.inv()
-        return lambda x: mul(x).mul(inv)
+        """The map x -> self·x·self^{-1}, with the inverse computed once,
+        on the first call: a family's closed forms may serve every x."""
+        mul, inv = self.mul, None
+
+        def conj(x):
+            nonlocal inv
+            if inv is None:
+                inv = self.inv()
+            return mul(x).mul(inv)
+
+        return conj
 
     def _orbit(self, conjugators, cap: int) -> set:
         """The BFS of ``orbit_under``: self under the conjugations by the

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,6 +23,11 @@ from isrlab.f2 import (
 I = F2Matrix.identity()
 S = F2Matrix.from_lists([[0, 1], [1, 0]])
 T = F2Matrix.from_lists([[0, 1], [1, 1]])
+
+# sha256 pins of transvection_factorize output (see TestFactorizeGolden)
+GOLDEN_GL3 = "adb4738ca7a14783bef2762e21be84afd4a4dc137b37cdc07304e6a4409b8eb4"
+GOLDEN_GL4 = "bb7cb47e03ef5b75384081afe41a00adc663f1d71bd747e4c27421966fb92e31"
+GOLDEN_SINGULAR4 = "95602dcc0e67f99d162f261578ed569e216b061dc6c12c893f78da62edb23941"
 
 
 def all_gl(n):
@@ -282,3 +288,76 @@ class TestFactorize:
                     transvection_factorize(g)
                 count += 1
         assert count == 10 + 344
+
+
+def sample4(count, seed, invertible):
+    """count seeded uniform draws of 4 x 4 matrices: from GL(4, F2) minus
+    the identity, or singular ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = F2Matrix([rng.randrange(16) for _ in range(4)])
+        if g != I and is_invertible(g) == invertible:
+            out.append(g)
+    return out
+
+
+def factor_digest(ms):
+    """sha256 over the factor row tuples of each matrix, in order."""
+    h = hashlib.sha256()
+    for g in ms:
+        h.update(repr(tuple(t.rows for t in transvection_factorize(g))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def singular_messages(ms):
+    out = []
+    for g in ms:
+        with pytest.raises(SingularMatrix) as exc:
+            transvection_factorize(g)
+        out.append(str(exc.value))
+    return out
+
+
+class TestFactorizeGolden:
+    """The factors and singular-input messages, pinned from the
+    factorization that checked invertibility up front: the f-calculus
+    rows and the reports read the factors in this order."""
+
+    def test_gl3(self):
+        gl3 = [g for g in all_gl(3) if g != I]
+        assert len(gl3) == 167
+        assert factor_digest(gl3) == GOLDEN_GL3
+
+    def test_gl4_sample(self):
+        assert factor_digest(sample4(2000, 23, invertible=True)) == GOLDEN_GL4
+
+    def test_singular4_messages(self):
+        ms = sample4(500, 29, invertible=False)
+        messages = singular_messages(ms)
+        assert messages == [f"matrix of dimension {g.n} is singular" for g in ms]
+        assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == GOLDEN_SINGULAR4
+
+
+@st.composite
+def rank_deficient(draw):
+    """An n x n matrix, 5 <= n <= 8, one of whose rows is the sum of a
+    subset of the others (the empty sum included)."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    subset = draw(st.integers(0, (1 << n) - 1)) & ~(1 << k)
+    rows[k] = 0
+    for i in range(n):
+        if subset >> i & 1:
+            rows[k] ^= rows[i]
+    return F2Matrix(rows)
+
+
+class TestFactorizeSingular:
+    @given(rank_deficient())
+    @settings(max_examples=200)
+    def test_rank_deficient_raises(self, g):
+        assert not is_invertible(g)
+        with pytest.raises(SingularMatrix, match=f"^matrix of dimension {g.n} is singular$"):
+            transvection_factorize(g)

@@ -18,6 +18,7 @@ from isrlab.groups import (
     Lamplighter,
     Wreath,
     conjugate,
+    cycle,
     capped_count,
     cylinder_points,
     enumerate_group,
@@ -384,6 +385,26 @@ class TestAffineConjugation:
             xs = window if not c.rows else vectors + window[8::97]
             fast, slow = c.conjugation(), groups._Element.conjugation(c)
             assert list(map(fast, xs)) == list(map(slow, xs))
+
+    @pytest.mark.parametrize("cls,c,vectors,other", [
+        (Affine, Affine.matrix(F2Matrix.transvection(1, 3)),
+         [Affine.vector(F2Vector(b)) for b in range(8)], Affine.matrix(F2Matrix.swap(1, 2))),
+        (Wreath, Wreath.perm(cycle(3)),
+         [Wreath.vector(F2Vector(b)) for b in range(8)], Wreath.perm(transposition(0, 1))),
+    ], ids=["affine", "wreath"])
+    def test_pure_conjugator_inverts_only_for_non_vectors(self, monkeypatch, cls, c,
+                                                          vectors, other):
+        # by (A, 0) or (σ, 0), vectors take the closed form and need no
+        # inverse; c is inverted once, on the first x that is no vector
+        calls = []
+        inv = cls.inv
+        monkeypatch.setattr(cls, "inv", lambda self: calls.append(self) or inv(self))
+        conj = c.conjugation()
+        assert [conj(x) for x in vectors] == [c.mul(x).mul(inv(c)) for x in vectors]
+        assert calls == []
+        xs = [other, vectors[5], other.mul(vectors[3])]
+        assert [conj(x) for x in xs] == [c.mul(x).mul(inv(c)) for x in xs]
+        assert calls == [c]
 
 
 class TestCaps:

@@ -3,6 +3,7 @@ seed-7 report hash agree."""
 
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -31,3 +32,21 @@ def test_seed7_pins_agree():
     ]
     assert len(pins[0]) == 1
     assert pins[0] == pins[1]
+
+
+def test_factorize_fills_no_cache():
+    # factor-dim4's peak_rss_mb stays flat only while factoring leaves
+    # the inverse and range caches as they were
+    from isrlab.f2 import (F2Matrix, _mat_inverse_cached, _range_basis, _rank_of_rows,
+                           transvection_factorize)
+
+    rng = random.Random(5)
+    sample = []
+    while len(sample) < 1000:
+        g = F2Matrix([rng.randrange(16) for _ in range(4)])
+        if not g.is_identity() and _rank_of_rows(g.rows) == g.n:
+            sample.append(g)
+    before = _mat_inverse_cached.cache_info(), _range_basis.cache_info()
+    for g in sample:
+        transvection_factorize(g)
+    assert (_mat_inverse_cached.cache_info(), _range_basis.cache_info()) == before
