@@ -16,7 +16,7 @@ from .algebra import unit
 from .characters import evaluate, parse_character
 from .errors import IsrlabError
 from .expectation import conditional_expectation, load_spec
-from .groups import DEFAULT_CAP, enumerate_group
+from .groups import DEFAULT_CAP, _check_family, enumerate_group
 from .serialize import (
     decode_group,
     encode_algebra,
@@ -151,6 +151,10 @@ def cmd_expect(args) -> int:
     try:
         spec = _load_spec_arg(args.spec, _resolve_cap(args))
         g = _load_element_arg(args.element)
+        # outside the window the projection reads 0, a wrong E
+        _check_family(next(iter(spec.window)), g)
+        if g not in spec.window:
+            raise IsrlabError(f"element lies outside the window of spec {spec.label}")
         rep = conditional_expectation(unit(g), spec)
     except (IsrlabError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

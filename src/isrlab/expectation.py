@@ -53,10 +53,11 @@ class SubalgebraSpec:
     (each zoo scenario records the containment that licenses it).
 
     ``basis`` keeps the generating family as given, repeats included.
-    Each vector is hashed once: the family and window checks and the
-    Gram–Schmidt run over ``_distinct``, the basis with exact repeats
-    (equal ``(den, ints)``) dropped, since a repeat lies in the span
-    its first copy already gave and touches no new element.
+    The family and window checks and the Gram–Schmidt run over
+    ``_distinct``, the basis with repeats up to sign dropped: a vector
+    equal to an earlier one (equal ``(den, ints)``) or to the negation
+    of an earlier one lies in the span that one already gave and
+    touches no new element.
     """
 
     def __init__(self, label: str, basis, window):
@@ -64,7 +65,16 @@ class SubalgebraSpec:
         window = frozenset(window)
         if not basis:
             raise ValueError("spec needs at least one nonzero basis element")
-        distinct = tuple(dict.fromkeys(basis))
+        # x and −x share a support, so a vector is compared only with the
+        # earlier ones of its support; a repeated object is dropped first
+        supports: dict[frozenset, list[AlgebraElement]] = {}
+        distinct = []
+        for b in {id(b): b for b in basis}.values():
+            same = supports.setdefault(frozenset(b.ints), [])
+            if not same or (b not in same and -b not in same):
+                same.append(b)
+                distinct.append(b)
+        distinct = tuple(distinct)
         for b in distinct:
             distinct[0]._check(b)
             if not window.issuperset(b.ints):

@@ -12,6 +12,12 @@ complement).
 Elements are immutable tuples of their fields, canonical at minimal
 truncation level, so equality across truncations is plain equality.
 The field order fixes each hash, and so the order of every set.
+
+Affine and Wreath share ``_Semidirect``: the rule above, the inverse
+and the conjugation closed forms over four hooks of H (product, inverse,
+action on a bitmask both ways).  Lamplighter (its ``(m, v, t)`` layout)
+and Cantor (factors lifted to a common level, canonical modulo
+complement) keep their own ``mul`` and ``inv``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ def perm_mul(p, q) -> tuple[int, ...]:
     out = [p[j] if j < lp else j for j in q]
     out.extend(p[len(out):])
     return perm_canonical(out)
+
+
+def _perm_inverse(p) -> tuple[int, ...]:
+    """p^{-1}; canonical when p is, since p^{-1} fixes its last point
+    only if p does."""
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 def transposition(i: int, j: int) -> tuple[int, ...]:
@@ -118,81 +133,106 @@ class _Element(tuple):
         return _reach(self, [c.conjugation() for c in conjugators], cap, "conjugation orbit")
 
 
-class Affine(_Element):
-    """Element (g, v) of GL(n,F2) ⋉ F2^n.
+class _Semidirect(_Element):
+    """Element (h, v) of H ⋉ ⊕Z2, the tuple ``(h, bits)``: h in H's
+    canonical form, with H's identity stored as ``()``, and the bits of v,
+    so its hash equals the hash of ``(h, bits)``.  ``v`` builds the
+    F2Vector on read.
 
-    The tuple ``(rows, bits)``: the canonical packed rows of g and the
-    bits of v, so its hash equals the hash of ``(g, v)``.  ``g`` and
-    ``v`` build the F2 objects on read.
+    The product rule, the inverse and the conjugation closed forms are
+    written here once; a family supplies four hooks: H's product
+    ``_h_mul``, H's inverse ``_h_inv``, and H's action on a bitmask,
+    ``_push(h, v)`` = h(v) and ``_pull(h, v)`` = h^{-1}(v).
+    """
+
+    __slots__ = ()
+
+    bits = property(itemgetter(1))
+
+    @property
+    def v(self) -> F2Vector:
+        return F2Vector(self.bits)
+
+    @classmethod
+    def _of(cls, h, bits: int):
+        """The element with canonical h and vector bits, unchecked."""
+        return tuple.__new__(cls, (h, bits))
+
+    @classmethod
+    def identity(cls):
+        return cls._of((), 0)
+
+    @classmethod
+    def vector(cls, v: F2Vector):
+        return cls._of((), v.bits)
+
+    def is_identity(self) -> bool:
+        return not self[0] and not self[1]
+
+    def sort_key(self):
+        return tuple(self)
+
+    # mul, inv and the conjugation maps build their results with
+    # tuple.__new__ inline, not through _of: they are the hot path
+    def mul(self, other):
+        h1, v1 = self
+        h2, v2 = other
+        if not h2:  # vector factors are the common hot path
+            return tuple.__new__(self.__class__, (h1, v1 ^ v2))
+        return tuple.__new__(self.__class__, (self._h_mul(h1, h2), self._pull(h2, v1) ^ v2))
+
+    def inv(self):
+        h, v = self
+        if not h:
+            return self
+        return tuple.__new__(self.__class__, (self._h_inv(h), self._push(h, v)))
+
+    def conjugation(self):
+        """The map x -> self·x·self^{-1}, in closed form where self is a
+        vector (e, a): (h, w) -> (h, w + h^{-1}(a) + a); and where self is
+        (h, 0) and x a vector (e, w): (e, w) -> (e, h(w)).  Every other
+        pair takes the general map, which inverts self only once an x
+        that is not a vector shows up."""
+        h, a = self
+        cls, pull, push = self.__class__, self._pull, self._push
+        if not h:
+            return lambda x: tuple.__new__(cls, (x[0], pull(x[0], a) ^ x[1] ^ a))
+        general = _Element.conjugation(self)
+        if a:
+            return general
+        return lambda x: general(x) if x[0] else tuple.__new__(cls, ((), push(h, x[1])))
+
+
+class Affine(_Semidirect):
+    """Element (g, v) of GL(n,F2) ⋉ F2^n: the tuple ``(rows, bits)``, g
+    as canonical packed rows.  ``g`` builds the F2Matrix on read.
     """
 
     __slots__ = ()
 
     family = "affine"
     rows = property(itemgetter(0))
-    bits = property(itemgetter(1))
+    _h_mul = staticmethod(_mul_rows)
+    _h_inv = staticmethod(_mat_inverse_cached)
+    _push = staticmethod(_apply_rows)
+
+    @staticmethod
+    def _pull(rows, v: int) -> int:
+        return _apply_rows(_mat_inverse_cached(rows), v)
 
     def __new__(cls, g: F2Matrix, v: F2Vector):
-        return _affine(g.rows, v.bits)
+        return cls._of(g.rows, v.bits)
 
     @property
     def g(self) -> F2Matrix:
         return F2Matrix(self.rows)
 
-    @property
-    def v(self) -> F2Vector:
-        return F2Vector(self.bits)
-
     def __repr__(self):
         return f"Affine(g={self.g!r}, v={self.v!r})"
 
     @staticmethod
-    def identity() -> "Affine":
-        return _affine((), 0)
-
-    @staticmethod
-    def vector(v: F2Vector) -> "Affine":
-        return _affine((), v.bits)
-
-    @staticmethod
     def matrix(g: F2Matrix) -> "Affine":
-        return _affine(g.rows, 0)
-
-    def is_identity(self) -> bool:
-        return not self.rows and not self.bits
-
-    def sort_key(self):
-        return (self.rows, self.bits)
-
-    def mul(self, other: "Affine") -> "Affine":
-        rows, bits = self
-        orows, obits = other
-        if not orows:  # vector factors are the common hot path
-            return _affine(rows, bits ^ obits)
-        return _affine(
-            _mul_rows(rows, orows), _apply_rows(_mat_inverse_cached(orows), bits) ^ obits
-        )
-
-    def inv(self) -> "Affine":
-        rows, bits = self
-        if not rows:
-            return self
-        return _affine(_mat_inverse_cached(rows), _apply_rows(rows, bits))
-
-    def conjugation(self):
-        """The map x -> self·x·self^{-1}, in closed form where self is a
-        translation (I, a): (g, w) -> (g, w + g^{-1}a + a); and where
-        self is a matrix (A, 0) and x a vector (I, w): (I, w) -> (I, Aw).
-        """
-        rows, a = self
-        if not rows:
-            return lambda x: _affine(
-                x.rows, _apply_rows(_mat_inverse_cached(x.rows), a) ^ x.bits ^ a
-            )
-        general = _Element.conjugation(self)
-        if a:
-            return general
-        return lambda x: general(x) if x.rows else _affine((), _apply_rows(rows, x.bits))
+        return Affine._of(g.rows, 0)
 
     @staticmethod
     def order(n: int) -> int:
@@ -207,7 +247,7 @@ class Affine(_Element):
     @staticmethod
     def elements(n: int) -> list["Affine"]:
         """Cosets in ``gl_elements`` order, v ascending: (g_i, v) is at i·2^n + v."""
-        return [_affine(g.rows, bits) for g in gl_elements(n) for bits in range(1 << n)]
+        return [Affine._of(g.rows, bits) for g in gl_elements(n) for bits in range(1 << n)]
 
     @staticmethod
     def generators(n: int) -> list["Affine"]:
@@ -235,78 +275,46 @@ class Affine(_Element):
         return Affine(g, F2Vector.from_bitstring(_bits(d.get("v"), "v")))
 
 
-def _affine(rows: tuple[int, ...], bits: int) -> Affine:
-    """The element with canonical rows and vector bits, unchecked."""
-    return tuple.__new__(Affine, (rows, bits))
 
-
-class Wreath(_Element):
+class Wreath(_Semidirect):
     """Element (σ, v) of S_n ⋉ Z2^n; σ permutes the n lamp coordinates.
-
-    The tuple ``(sigma, bits)``: σ without trailing fixed points and the
-    bits of v, so its hash equals the hash of ``(sigma, v)``.  ``v``
-    builds the F2Vector on read.
+    The tuple ``(sigma, bits)``, σ without trailing fixed points.
     """
 
     __slots__ = ()
 
     family = "wreath"
     sigma = property(itemgetter(0))
-    bits = property(itemgetter(1))
+    _h_mul = staticmethod(perm_mul)
+    _h_inv = staticmethod(_perm_inverse)
+
+    @staticmethod
+    def _pull(sigma, v: int) -> int:
+        """σ^{-1}(v): coordinate j is coordinate σ(j) of v."""
+        n = len(sigma)
+        out = v >> n << n
+        for j in range(n):
+            out |= ((v >> sigma[j]) & 1) << j
+        return out
+
+    @staticmethod
+    def _push(sigma, v: int) -> int:
+        """σ(v): coordinate σ(i) is coordinate i of v."""
+        n = len(sigma)
+        out = v >> n << n
+        for i in range(n):
+            out |= ((v >> i) & 1) << sigma[i]
+        return out
 
     def __new__(cls, sigma, v: F2Vector):
-        return _wreath(perm_canonical(sigma), v.bits)
-
-    @property
-    def v(self) -> F2Vector:
-        return F2Vector(self.bits)
+        return cls._of(perm_canonical(sigma), v.bits)
 
     def __repr__(self):
         return f"Wreath(sigma={self.sigma!r}, v={self.v!r})"
 
     @staticmethod
-    def identity() -> "Wreath":
-        return _wreath((), 0)
-
-    @staticmethod
-    def vector(v: F2Vector) -> "Wreath":
-        return _wreath((), v.bits)
-
-    @staticmethod
     def perm(p) -> "Wreath":
-        return _wreath(perm_canonical(p), 0)
-
-    def is_identity(self) -> bool:
-        return not self.sigma and not self.bits
-
-    def sort_key(self):
-        return (self.sigma, self.bits)
-
-    def mul(self, other: "Wreath") -> "Wreath":
-        s1, v1 = self
-        s2, v2 = other
-        return _wreath(perm_mul(s1, s2), _pull_bits(s2, v1) ^ v2)
-
-    def inv(self) -> "Wreath":
-        sigma, v = self
-        inv = [0] * len(sigma)
-        for i, j in enumerate(sigma):
-            inv[j] = i
-        # σ^{-1} fixes its last point only if σ does, so it is canonical
-        return _wreath(tuple(inv), _push_bits(sigma, v))
-
-    def conjugation(self):
-        """The map x -> self·x·self^{-1}, in closed form where self is a
-        vector (id, a): (τ, w) -> (τ, w + τ^{-1}(a) + a); and where self
-        is a permutation (σ, 0) and x a vector (id, w): (id, w) -> (id, σ(w)).
-        """
-        sigma, a = self
-        if not sigma:
-            return lambda x: _wreath(x.sigma, _pull_bits(x.sigma, a) ^ x.bits ^ a)
-        general = _Element.conjugation(self)
-        if a:
-            return general
-        return lambda x: general(x) if x.sigma else _wreath((), _push_bits(sigma, x.bits))
+        return Wreath._of(perm_canonical(p), 0)
 
     @staticmethod
     def order(n: int) -> int:
@@ -322,7 +330,7 @@ class Wreath(_Element):
     def elements(n: int) -> list["Wreath"]:
         """Cosets in ``permutations`` order, v ascending: (σ_i, v) is at i·2^n + v."""
         perms = map(perm_canonical, itertools.permutations(range(n)))
-        return [_wreath(sigma, bits) for sigma in perms for bits in range(1 << n)]
+        return [Wreath._of(sigma, bits) for sigma in perms for bits in range(1 << n)]
 
     @staticmethod
     def generators(n: int) -> list["Wreath"]:
@@ -348,28 +356,6 @@ class Wreath(_Element):
             F2Vector.from_bitstring(_bits(d.get("v"), "v")),
         )
 
-
-def _wreath(sigma: tuple[int, ...], bits: int) -> Wreath:
-    """The element with canonical σ and vector bits, unchecked."""
-    return tuple.__new__(Wreath, (sigma, bits))
-
-
-def _pull_bits(sigma, v: int) -> int:
-    """σ^{-1}(v): coordinate j is coordinate σ(j) of v."""
-    n = len(sigma)
-    out = v >> n << n
-    for j in range(n):
-        out |= ((v >> sigma[j]) & 1) << j
-    return out
-
-
-def _push_bits(sigma, v: int) -> int:
-    """σ(v): coordinate σ(i) is coordinate i of v."""
-    n = len(sigma)
-    out = v >> n << n
-    for i in range(n):
-        out |= ((v >> i) & 1) << sigma[i]
-    return out
 
 
 class Lamplighter(_Element):
@@ -566,13 +552,10 @@ class Cantor(_Element):
 
     def inv(self) -> "Cantor":
         sigma, mask = self
-        inv = [0] * len(sigma)
         image = 0
-        for i, j in enumerate(sigma):
-            inv[j] = i
         for p in _points(mask):
             image |= 1 << sigma[p]
-        return _cantor(self.m, tuple(inv), image)
+        return _cantor(self.m, _perm_inverse(sigma), image)
 
     @staticmethod
     def order(m: int) -> int:
@@ -662,7 +645,7 @@ class Cantor(_Element):
         bpts = _points(bmask)
         moves = [(1 << i, 1 << j) for i, j in enumerate(tau) if i != j]
         pmask = sum(src for src, _ in moves)
-        reorder = itemgetter(*self.inv()._lift(m)[0])
+        reorder = itemgetter(*_perm_inverse(tau))
         if m <= 8:
             table = bytes(tau) + bytes(range(len(tau), 256))
 

@@ -140,6 +140,13 @@ def word_times_matrix(w: CylinderWord, ginv: F2Matrix) -> CylinderWord:
     return CylinderWord([STAR if stars >> j & 1 else ones >> j & 1 for j in range(n)])
 
 
+def _star_rows_are_units(w: CylinderWord, ginv: F2Matrix) -> bool:
+    """The hypothesis of the cylinder conjugation rule: every ⋆-row of
+    g^{-1} has exactly one nonzero entry."""
+    n = max(len(w), ginv.n)
+    return all(ginv.row(i).bit_count() == 1 for i in range(n) if w.letter(i + 1) == STAR)
+
+
 def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
     """Whether u_g [w] u_g* = [w·g^{-1}] holds termwise.
 
@@ -147,15 +154,8 @@ def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
     nonzero entry; outside it the rule is not asserted.
     """
     ginv = mat_inverse(g)
-    n = max(len(w), g.n)
-    for i in range(1, n + 1):
-        if w.letter(i) == STAR:
-            row = ginv.row(i - 1)
-            if bin(row).count("1") != 1:
-                raise HypothesisViolated(
-                    f"row {i} of the inverse has {bin(row).count('1')} "
-                    "nonzero entries under a ⋆ letter"
-                )
+    if not _star_rows_are_units(w, ginv):
+        raise HypothesisViolated("a ⋆-row of the inverse has other than one nonzero entry")
     lhs = ad(Affine.matrix(g), make_cylinder(w))
     rhs = make_cylinder(word_times_matrix(w, ginv))
     return lhs == rhs

@@ -64,6 +64,7 @@ from .groups import (
 from .projections import (
     CylinderWord,
     PartitionSpec,
+    _star_rows_are_units,
     cylinder_conjugation_check,
     half_projection,
     make_cylinder,
@@ -405,12 +406,7 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_):
     for g in gl_elements(n):
         ginv = mat_inverse(g)
         for w in words:
-            in_hyp = all(
-                bin(ginv.row(i - 1)).count("1") == 1
-                for i in range(1, n + 1)
-                if w.letter(i) == "*"
-            )
-            if not in_hyp:
+            if not _star_rows_are_units(w, ginv):
                 continue
             conj_total += 1
             if not cylinder_conjugation_check(w, g):

@@ -266,6 +266,18 @@ class TestExpect:
         doc = json.loads(capsys.readouterr().out)
         assert doc["character"] == {"re": "1/4", "im": "0/1"}
 
+    def test_element_outside_the_window(self, capsys):
+        # u_(12)·u_{e3} lies in the mq:3 window but not in the mq:2 one,
+        # where E would read as 0 against the closed form u_(12)·Q^{1,2}·u_{e3}
+        elem = '{"family": "wreath", "perm": [2, 1, 3], "v": "001"}'
+        assert main(["expect", "mq:2", elem]) == 2
+        assert capsys.readouterr().err == (
+            "error: element lies outside the window of spec mq:n=2,sign=+\n"
+        )
+        assert main(["expect", "mq:3", elem]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["character"] == {"re": "1/4", "im": "0/1"}
+
     def test_spec_file(self, tmp_path, capsys):
         basis = [unit(Affine.vector(F2Vector(b))) for b in range(4)]
         spec = SubalgebraSpec("vectors", basis, [b.support().pop() for b in basis])

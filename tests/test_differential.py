@@ -4,8 +4,8 @@ level-m payloads against an element-level search, the unit-span closure
 check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
-the uncached echelon, and the Wreath conjugation closed forms against
-``mul`` / ``inv``."""
+the uncached echelon, and the spec's Gram–Schmidt over its vectors
+distinct up to sign against the one that keeps the sign twins."""
 
 import itertools
 import random
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from isrlab import zoo
 from isrlab.algebra import AlgebraElement, ad, unit
 from isrlab.errors import Overflow
-from isrlab.expectation import SubalgebraSpec, verify_closure
+from isrlab.expectation import SubalgebraSpec, _Span, verify_closure
 from isrlab.f2 import F2Matrix, F2Vector, _echelon, _range_basis, range_subgroup, rank_defect
 from isrlab.groups import (
     Affine,
@@ -323,12 +323,36 @@ def test_cached_range_kernel_matches_the_echelon():
 
 
 # ---------------------------------------------------------------------------
-# Wreath conjugation closed forms
+# the spec's Gram–Schmidt without sign twins, against the one with them
+
+BUILDERS = {
+    "mexo": zoo.build_mexo,
+    "mq+": lambda n: zoo.build_mq(n, 1),
+    "mq-": lambda n: zoo.build_mq(n, -1),
+    "mpart": zoo.build_mpart,
+}
+# (spec, vectors distinct up to exact repeats, distinct up to sign)
+BUILTIN_SPECS = [
+    ("mexo:2", 12, 12), ("mq+:2", 5, 5), ("mq-:2", 6, 5), ("mpart:2", 3, 3),
+    ("mexo:3", 336, 336), ("mq+:3", 16, 16), ("mq-:3", 24, 16), ("mpart:3", 13, 13),
+    ("mexo:4", 40320, 40320), ("mq+:4", 65, 65), ("mq-:4", 114, 65), ("mpart:4", 73, 73),
+]
 
 
-def test_wreath_conjugation_matches_products_on_wreath3():
-    elements = enumerate_group("wreath", 3)
-    for c in elements:
-        conj = c.conjugation()
-        for x in elements:
-            assert conj(x) == c.mul(x).mul(c.inv())
+@pytest.mark.parametrize("label,exact,kept", BUILTIN_SPECS, ids=[row[0] for row in BUILTIN_SPECS])
+def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label, exact, kept):
+    name, n = label.split(":")
+    spec = BUILDERS[name](int(n))
+    with_twins = list(dict.fromkeys(spec.basis))
+    calls = []
+    reduce = _Span._reduce
+    monkeypatch.setattr(_Span, "_reduce", lambda self, row: calls.append(1) or reduce(self, row))
+    span = spec._orthogonal_basis()
+    # one reduction per vector kept: 65 for mq:4−, not 114
+    assert (len(with_twins), len(calls)) == (exact, kept)
+    if exact != kept:
+        whole = _Span(with_twins)
+        assert span.ids == whole.ids
+        assert span.rows == whole.rows
+        assert [id(b) for b in span.pivots] == [id(b) for b in whole.pivots]
+

@@ -459,7 +459,8 @@ class TestPivotChecks:
         assert not verify_closure(spec)
 
 
-# (builder, len(spec.basis), len(spec._distinct)) on the project workload's specs
+# (builder, len(spec.basis), its exact-distinct count) on the project
+# workload's specs; spec._distinct further drops the sign twins of mq:4−
 REPEATING_SPECS = [
     (lambda: zoo.build_mexo(3), 1344, 336),
     (lambda: zoo.build_mq(4, 1), 384, 65),
@@ -469,9 +470,10 @@ REPEATING_SPECS = [
 
 
 class TestRepeatsSkipped:
-    """The spec hashes each basis vector once and orthogonalizes only the
-    distinct ones; a repeat lies in the span already, so the Gram–Schmidt
-    over the whole basis (kept here as the reference) ends the same."""
+    """The spec orthogonalizes only the vectors distinct up to sign; a
+    repeat or a negated repeat lies in the span already, so the
+    Gram–Schmidt over the whole basis (kept here as the reference) ends
+    the same."""
 
     @pytest.mark.parametrize("build,size,distinct", REPEATING_SPECS)
     def test_same_span_as_the_whole_basis(self, build, size, distinct):
@@ -487,16 +489,19 @@ class TestRepeatsSkipped:
     def test_basis_keeps_its_repeats(self, build, size, distinct):
         spec = build()
         assert len(spec.basis) == size
-        assert len(spec._distinct) == distinct
-        assert set(spec._distinct) == set(spec.basis)
+        assert len(set(spec.basis)) == distinct
+        kept = set(spec._distinct)
+        assert len(kept) == len(spec._distinct)
+        assert kept <= set(spec.basis) <= kept | {-b for b in kept}
+        assert not any(-b in kept for b in kept)
 
     def test_equal_vectors_are_one_whatever_their_object(self):
         v = Affine.vector(F2Vector.basis(1))
         b = unit(Affine.identity()) + unit(v)
         spec = SubalgebraSpec("twice", [b, unit(v) + unit(Affine.identity()), -b],
                               [Affine.identity(), v])
-        # equal (den, ints) is one vector; the proportional −b stays
-        assert spec._distinct == (b, -b)
+        # equal (den, ints) is one vector, and so is its negation −b
+        assert spec._distinct == (b,)
         assert len(spec._orthogonal_basis()) == 1
 
     def test_checks_still_raise_past_repeats(self):

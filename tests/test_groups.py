@@ -373,19 +373,23 @@ class TestNormalClosure:
             assert len(got) == 8
 
 
-class TestAffineConjugation:
-    def test_closed_forms_match_the_default_map(self):
-        # every conjugator of the n = 3 window against every x its closed
-        # form covers (a translation: all x; a matrix: the vectors), and
-        # against a stride of the other cosets; all 1.8M pairs take 30 s
-        window = enumerate_group("affine", 3)
-        vectors = window[:8]
-        assert all(not x.rows for x in vectors)
-        for c in window:
-            xs = window if not c.rows else vectors + window[8::97]
-            fast, slow = c.conjugation(), groups._Element.conjugation(c)
-            assert list(map(fast, xs)) == list(map(slow, xs))
+@pytest.mark.parametrize("family,n,stride", [
+    ("affine", 2, 1), ("affine", 3, 97), ("wreath", 3, 1),
+], ids=["affine:2", "affine:3", "wreath:3"])
+def test_semidirect_conjugation_matches_products(family, n, stride):
+    # every conjugator against every x its closed form covers (a vector:
+    # all x; (h, 0): the vectors) and against the other cosets, every
+    # stride-th one: all 1.8M pairs of affine:3 take 30 s
+    window = enumerate_group(family, n)
+    vectors = window[: 1 << n]
+    assert all(not x[0] for x in vectors)
+    for c in window:
+        xs = window if not c[0] else vectors + window[1 << n :: stride]
+        conj, c_inv = c.conjugation(), c.inv()
+        assert [conj(x) for x in xs] == [c.mul(x).mul(c_inv) for x in xs]
 
+
+class TestAffineConjugation:
     @pytest.mark.parametrize("cls,c,vectors,other", [
         (Affine, Affine.matrix(F2Matrix.transvection(1, 3)),
          [Affine.vector(F2Vector(b)) for b in range(8)], Affine.matrix(F2Matrix.swap(1, 2))),

@@ -50,3 +50,19 @@ def test_factorize_fills_no_cache():
     for g in sample:
         transvection_factorize(g)
     assert (_mat_inverse_cached.cache_info(), _range_basis.cache_info()) == before
+
+
+def test_library_tour_names_live_code():
+    # every identifier the README's library tour names in backticks, as
+    # `name` or `name(…)`, read by its last dotted part, still occurs in
+    # the library source, so a rename cannot leave the tour stale
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    source = "\n".join(p.read_text() for p in sorted((ROOT / "src" / "isrlab").glob("*.py")))
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", tour):
+        m = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span)
+        if m:
+            names.add(m.group(1).rpartition(".")[2])
+    assert len(names) > 50
+    assert sorted(w for w in names if not re.search(rf"\b{re.escape(w)}\b", source)) == []
