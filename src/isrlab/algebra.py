@@ -199,10 +199,12 @@ class AlgebraElement:
         return AlgebraElement._trusted(den, {g: p for g, p in out.items() if p != (0, 0)})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return self.scale(-1)
+        return AlgebraElement._trusted(
+            self.den, {g: (-re, -im) for g, (re, im) in self.ints.items()}
+        )
 
     def scale(self, c) -> "AlgebraElement":
         c = as_gaussian(c)

@@ -10,8 +10,10 @@ projection does not change when a vector is rescaled, so each
 orthogonal vector is kept primitive (its entries share no factor) with
 its integer norm, and the update needs no fractions.  An inverted index
 from ids to the rows that touch them makes every dot product visit only
-the rows meeting the vector's support.  E(x) goes back as an integer
-form over den(x)·L, for the L that clears the row's projection.
+the rows meeting the vector's support; a vector orthogonal to every row
+is its own residual.  E(x) goes back as an integer form over den(x)·L,
+for the L that clears the row's projection.  E(u_g) depends only on the
+index entries at g, so it is memoized once per distinct entry tuple.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ class SubalgebraSpec:
         self._distinct = distinct
         self.window = window
         self._span: _Span | None = None
-        self._unit_cache: dict[GroupElement, AlgebraElement] = {}
 
     # -- orthogonal structure ---------------------------------------------
 
@@ -108,12 +109,17 @@ class SubalgebraSpec:
         return self._orthogonal_basis().project(x)
 
     def expect_unit(self, g: GroupElement) -> AlgebraElement:
-        """E(u_g), memoized."""
-        cached = self._unit_cache.get(g)
-        if cached is None:
-            cached = self.project(unit(g))
-            self._unit_cache[g] = cached
-        return cached
+        """E(u_g) = Σ (conj(o_g)/N_o)·o over the rows o meeting g, memoized
+        by g's index entries.  A g that no row meets is projected on every
+        call, which keeps the family check on it."""
+        span = self._orthogonal_basis()
+        key = span.index.get(span.ids.get(g))
+        if key is None:
+            return self.project(unit(g))
+        out = span.unit_images.get(key)
+        if out is None:
+            out = span.unit_images[key] = self.project(unit(g))
+        return out
 
     def contains(self, x: AlgebraElement) -> bool:
         """Exact span membership."""
@@ -246,7 +252,8 @@ class _Span:
 
     Group elements map to int ids.  Each orthogonal vector o is a
     primitive Gaussian-integer row {id: (re, im)} stored with its norm
-    N = ⟨o,o⟩; ``index`` maps an id to the (row, re, im) entries at it.
+    N = ⟨o,o⟩; ``index`` maps an id to the tuple of (row, re, im)
+    entries at it, which keys ``unit_images``, the E(u_g) memo.
     ``pivots`` are the input vectors that gave a row, a basis of the
     span.  The length is the rank.
 
@@ -272,6 +279,9 @@ class _Span:
                     self.index.setdefault(i, []).append((k, a, c))
                 self.pivots.append(b)
         self.elements = list(ids)
+        # frozen, so each id's entries can key the E(u_g) memo
+        self.index = {i: tuple(entries) for i, entries in self.index.items()}
+        self.unit_images: dict[tuple, AlgebraElement] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -330,13 +340,15 @@ class _Span:
     def _reduce(self, row: dict) -> dict:
         """The primitive row along row − E(row); empty iff row is in the span."""
         scale, p = self._project(row)
-        r = {}
-        for i in row.keys() | p.keys():
-            c, d = row.get(i, (0, 0))
-            pr, pi = p.get(i, (0, 0))
-            re, im = scale * c - pr, scale * d - pi
-            if re or im:
-                r[i] = (re, im)
+        r = row
+        if p:
+            r = {}
+            for i in row.keys() | p.keys():
+                c, d = row.get(i, (0, 0))
+                pr, pi = p.get(i, (0, 0))
+                re, im = scale * c - pr, scale * d - pi
+                if re or im:
+                    r[i] = (re, im)
         g = gcd(*(part for v in r.values() for part in v))
         return {i: (re // g, im // g) for i, (re, im) in r.items()} if g > 1 else r
 

@@ -392,11 +392,16 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
         for d, b in zip(diff, bits):
             if phi & b:
                 phi_g ^= d
-        t = bits.copy()
+        # t is the identity beyond supp v ∪ supp phi, so these rows are
+        # canonical and the factor skips the constructor (inline: a helper's
+        # first call in a fresh process costs more than the trimming)
+        t = bits[: (v | phi).bit_length()]
         while v:
             low = v & -v
             i = low.bit_length() - 1
             t[i] ^= phi
             diff[i] ^= phi_g
             v ^= low
-        factors.append(F2Matrix(t))
+        f = object.__new__(F2Matrix)
+        object.__setattr__(f, "rows", tuple(t))
+        factors.append(f)

@@ -4,9 +4,11 @@ level-m payloads against an element-level search, the unit-span closure
 check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
-the uncached echelon, and the spec's Gram–Schmidt over its vectors
-distinct up to sign against the one that keeps the sign twins."""
+the uncached echelon, the spec's Gram–Schmidt over its vectors
+distinct up to sign against the one that keeps the sign twins, and
+E(u_g) memoized per row class against one projection per element."""
 
+import hashlib
 import itertools
 import random
 from itertools import chain
@@ -356,3 +358,42 @@ def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label, exact, kept):
         assert span.rows == whole.rows
         assert [id(b) for b in span.pivots] == [id(b) for b in whole.pivots]
 
+
+
+# ---------------------------------------------------------------------------
+# E(u_g) read off the row-class memo, against a projection of u_g
+
+SWEPT_SPECS = ["mexo:2", "mexo:3", "mq+:2", "mq+:3", "mq+:4", "mq-:2", "mq-:3", "mq-:4",
+               "mpart:2", "mpart:3", "mpart:4"]
+# sha256 of the spans of SWEPT_SPECS (rows as sorted items with their
+# norms, ids, pivot reprs), pinned from the Gram–Schmidt that ran the
+# residual pass on every vector
+SPAN_SHA256 = "9b07198d9ae9b29635f9676180ee26c8c8491bde9c82f142a7cb5ffccce56e11"
+
+
+def build(label):
+    name, n = label.split(":")
+    return BUILDERS[name](int(n))
+
+
+@pytest.mark.parametrize("label", SWEPT_SPECS)
+def test_memoized_unit_images_match_the_projection(label):
+    spec = build(label)
+    window = sorted(spec.window, key=lambda g: g.sort_key())
+    for g in window:
+        assert spec.expect_unit(g) == spec.project(unit(g))
+    # a second sweep reads the memo
+    assert all(spec.expect_unit(g) == spec.project(unit(g)) for g in window)
+
+
+def test_spans_match_the_pin():
+    h = hashlib.sha256()
+    for label in SWEPT_SPECS:
+        span = build(label)._orthogonal_basis()
+        h.update(repr((
+            label,
+            [(sorted(r.items()), norm) for r, norm in span.rows],
+            list(span.ids.items()),
+            [repr(b) for b in span.pivots],
+        )).encode())
+    assert h.hexdigest() == SPAN_SHA256

@@ -562,6 +562,34 @@ class TestESSubsetS:
             check_ES_subset_S(spec, a, s)
 
 
+class TestUnitMemo:
+    def test_wrong_family_after_a_zero_image(self):
+        window = enumerate_group("lamplighter", 4)
+        lamps = SubalgebraSpec("scalars", [unit(Lamplighter.identity(4))], window)
+        assert lamps.expect_unit(Lamplighter(4, 1, 0)).is_zero()
+        affine = vector_spec()
+        swap = Affine.matrix(F2Matrix.from_lists([[0, 1], [1, 0]]))
+        assert affine.expect_unit(swap).is_zero()
+        # Wreath.identity() hashes as Affine.identity(), which the span holds
+        for spec, stray in ((lamps, Lamplighter(5, 1, 0)), (lamps, Wreath.identity()),
+                            (affine, Wreath.identity()), (affine, Lamplighter(4, 1, 0))):
+            for _ in range(2):
+                with pytest.raises(FamilyMismatch):
+                    spec.expect_unit(stray)
+
+    def test_one_projection_per_row(self, monkeypatch):
+        spec = zoo.build_mexo(3)
+        calls = []
+        project = _Span.project
+        monkeypatch.setattr(_Span, "project", lambda self, x: calls.append(1) or project(self, x))
+        window = sorted(spec.window, key=lambda g: g.sort_key())
+        for _ in range(2):
+            for g in window:
+                spec.expect_unit(g)
+            # every g of the window meets exactly one row
+            assert (len(window), len(spec._orthogonal_basis()), len(calls)) == (1344, 336, 336)
+
+
 class TestCharacterOf:
     def test_identity(self):
         assert character_of(scalar_spec(), Wreath.identity()) == 1

@@ -219,11 +219,12 @@ def range_sum(factors):
 
 
 def check_factorization(g):
-    """Rank-1 involution factors recomposing to g, ranges summing to
-    R(g - I), and exactly rank(g - I) of them."""
+    """Rank-1 involution factors, each in canonical form, recomposing to
+    g, ranges summing to R(g - I), and exactly rank(g - I) of them."""
     factors = transvection_factorize(g)
     prod = I
     for s in factors:
+        assert s.rows == _canonical_rows(s.rows)
         assert rank_defect(s) == 1
         assert mat_mul(s, s) == I
         prod = mat_mul(prod, s)
