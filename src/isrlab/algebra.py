@@ -348,5 +348,10 @@ def ad(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     if not x.ints:
         return x
     _check_family(g, next(iter(x.ints)))
-    conj = g.conjugation()
+    return _moved(x, g.conjugation())
+
+
+def _moved(x: AlgebraElement, conj) -> AlgebraElement:
+    """x with each term at h moved to conj(h), for conj a bijection of
+    x's group such as a ``conjugation()`` map built once for many x."""
     return AlgebraElement._trusted(x.den, {conj(h): pair for h, pair in x.ints.items()})

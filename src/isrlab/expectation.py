@@ -12,8 +12,11 @@ its integer norm, and the update needs no fractions.  An inverted index
 from ids to the rows that touch them makes every dot product visit only
 the rows meeting the vector's support; a vector orthogonal to every row
 is its own residual.  E(x) goes back as an integer form over den(x)·L,
-for the L that clears the row's projection.  E(u_g) depends only on the
-index entries at g, so it is memoized once per distinct entry tuple.
+for the L that clears the row's projection.  One integer pass gives a
+conditional expectation's whole report: E(x) = P/(den·L), the residual
+‖x − E(x)‖² summed from L·x_g − P_g, and ⟨x, E(x)⟩ from conj(x_g)·P_g.
+E(u_g) depends only on the index entries at g, so it is memoized once
+per distinct entry tuple; a g that no row meets shares one stored zero.
 """
 
 from __future__ import annotations
@@ -27,15 +30,18 @@ from math import gcd, lcm
 from .algebra import (
     AlgebraElement,
     GaussianRational,
+    _gaussian,
     ad,
     inner_product,
-    norm_sq,
     trace,
     unit,
 )
 from .errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
 from .groups import GroupElement, _check_family, conjugate, inverse
 from .serialize import decode_algebra, decode_group, encode_algebra
+
+# E(u_g) for every g that no row of a span meets
+_ZERO = AlgebraElement._trusted(1, {})
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,13 @@ class SubalgebraSpec:
 
     def expect_unit(self, g: GroupElement) -> AlgebraElement:
         """E(u_g) = Σ (conj(o_g)/N_o)·o over the rows o meeting g, memoized
-        by g's index entries.  A g that no row meets is projected on every
-        call, which keeps the family check on it."""
+        by g's index entries.  A g that no row meets gets the one stored
+        zero, after the family check."""
         span = self._orthogonal_basis()
         key = span.index.get(span.ids.get(g))
         if key is None:
-            return self.project(unit(g))
+            _check_family(next(iter(self._distinct[0].ints)), g)
+            return _ZERO
         out = span.unit_images.get(key)
         if out is None:
             out = span.unit_images[key] = self.project(unit(g))
@@ -172,15 +179,11 @@ def verify_closure(spec: SubalgebraSpec) -> bool:
 
 
 def conditional_expectation(x: AlgebraElement, spec: SubalgebraSpec) -> ExpectationReport:
-    """Project x onto the span; report the exact residual and the
-    matrix coefficient ⟨x, E(x)⟩ (which is τ(g^{-1}E(g)) when x = u_g)."""
-    out = spec.project(x)
-    return ExpectationReport(
-        input=x,
-        output=out,
-        residual_norm_sq=norm_sq(x - out),
-        character_value=inner_product(x, out),
-    )
+    """Project x onto the span; report the exact residual ‖x − E(x)‖² and
+    the matrix coefficient ⟨x, E(x)⟩ (which is τ(g^{-1}E(g)) when x = u_g),
+    all three read off the integers of one projection pass."""
+    spec._distinct[0]._check(x)
+    return spec._orthogonal_basis().expect(x)
 
 
 def character_of(spec: SubalgebraSpec, g: GroupElement) -> GaussianRational:
@@ -293,10 +296,48 @@ class _Span:
         scale, p = self._project(
             {i: pair for g, pair in x.ints.items() if (i := ids.get(g)) is not None}
         )
+        return self._element(x.den * scale, p)
+
+    def expect(self, x: AlgebraElement) -> ExpectationReport:
+        """E(x) = P/(den·L) as ``project`` gives it, with the residual
+        Σ|L·x_g − P_g|² / (den·L)² over every g of x or P and
+        ⟨x, E(x)⟩ = Σ conj(x_g)·P_g / (den²·L), from the same integers."""
+        ids = self.ids
+        row: dict[int, tuple[int, int]] = {}
+        # Σ|den·x_g|² over the g of x where P is 0: first those no row touches
+        untouched = 0
+        for g, (c, d) in x.ints.items():
+            i = ids.get(g)
+            if i is None:
+                untouched += c * c + d * d
+            else:
+                row[i] = (c, d)
+        scale, p = self._project(row)
+        # |L·x_g − P_g|² over the g of P as if x were 0 there, then the g
+        # of x put right: few terms of x, many of P
+        residual = sum(a * a + b * b for a, b in p.values())
+        re = im = 0
+        for i, (c, d) in row.items():
+            pr, pi = p.get(i, (0, 0))
+            # conj(c + id)·(pr + i·pi)
+            re += c * pr + d * pi
+            im += c * pi - d * pr
+            a, b = scale * c - pr, scale * d - pi
+            residual += a * a + b * b - pr * pr - pi * pi
+        residual += untouched * scale * scale
+        den = x.den * scale
+        return ExpectationReport(
+            input=x,
+            output=self._element(den, p),
+            residual_norm_sq=Fraction(residual, den * den),
+            character_value=_gaussian(re, im, x.den * den),
+        )
+
+    def _element(self, den: int, p: dict) -> AlgebraElement:
+        """The AlgebraElement P/den of an integer row over ids."""
         elements = self.elements
         return AlgebraElement._trusted(
-            x.den * scale,
-            {elements[i]: (re, im) for i, (re, im) in p.items() if re or im},
+            den, {elements[i]: (re, im) for i, (re, im) in p.items() if re or im}
         )
 
     def contains(self, x: AlgebraElement) -> bool:

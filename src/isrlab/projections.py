@@ -140,11 +140,15 @@ def word_times_matrix(w: CylinderWord, ginv: F2Matrix) -> CylinderWord:
     return CylinderWord([STAR if stars >> j & 1 else ones >> j & 1 for j in range(n)])
 
 
-def _star_rows_are_units(w: CylinderWord, ginv: F2Matrix) -> bool:
-    """The hypothesis of the cylinder conjugation rule: every ⋆-row of
-    g^{-1} has exactly one nonzero entry."""
-    n = max(len(w), ginv.n)
-    return all(ginv.row(i).bit_count() == 1 for i in range(n) if w.letter(i + 1) == STAR)
+def _stars(w: CylinderWord, n: int) -> int:
+    """The bitmask of the ⋆ positions among w's first n letters."""
+    return sum(1 << i for i in range(n) if w.letter(i + 1) == STAR)
+
+
+def _unit_rows(ginv: F2Matrix, n: int) -> int:
+    """The bitmask of the rows of ginv, viewed in dimension n, that have
+    exactly one nonzero entry."""
+    return sum(1 << i for i in range(n) if ginv.row(i).bit_count() == 1)
 
 
 def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
@@ -154,7 +158,8 @@ def cylinder_conjugation_check(w: CylinderWord, g: F2Matrix) -> bool:
     nonzero entry; outside it the rule is not asserted.
     """
     ginv = mat_inverse(g)
-    if not _star_rows_are_units(w, ginv):
+    n = max(len(w), ginv.n)
+    if _stars(w, n) & ~_unit_rows(ginv, n):
         raise HypothesisViolated("a ⋆-row of the inverse has other than one nonzero entry")
     lhs = ad(Affine.matrix(g), make_cylinder(w))
     rhs = make_cylinder(word_times_matrix(w, ginv))

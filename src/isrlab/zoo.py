@@ -18,7 +18,16 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import AlgebraElement, GaussianRational, ad, combine, inner_product, trace, unit
+from .algebra import (
+    AlgebraElement,
+    GaussianRational,
+    _moved,
+    ad,
+    combine,
+    inner_product,
+    trace,
+    unit,
+)
 from .characters import (
     CharacterSpec,
     evaluate,
@@ -64,7 +73,8 @@ from .groups import (
 from .projections import (
     CylinderWord,
     PartitionSpec,
-    _star_rows_are_units,
+    _stars,
+    _unit_rows,
     cylinder_conjugation_check,
     half_projection,
     make_cylinder,
@@ -333,15 +343,19 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
     # key it depends on
     r, dom, conj = _f_calculus_keys(gl, n)
     f = {r[g]: make_f(g) for g in gl}
-    # every pair of subspaces occurs as (R_g, R_h)
-    products = {(a, b): f[a] * f[b] for a in f for b in f}
+    # every pair of subspaces occurs as (R_g, R_h); equal products are
+    # interned by (den, ints), so dominance is checked once per distinct
+    # (f_a·f_b, c) pair
+    interned: dict = {}
+    products = {(a, b): interned.setdefault(p := f[a] * f[b], p) for a in f for b in f}
+    dominance = {(id(p := products[a, b]), c): p for a, b, c in dom}
     # a key outside f marks a product row set that is not in GL(n, F2)
     yield (
         f"f_g f_h = f_h f_g ≤ f_gh and f_g u_h = u_h f_(h^-1 gh) on {pairs} pairs",
         True,
         all(p == products[b, a] for (a, b), p in products.items())
         # p ≤ q for projections means pq = p
-        and all(c in f and products[a, b] * f[c] == products[a, b] for a, b, c in dom)
+        and all(c in f and p * f[c] == p for (_, c), p in dominance.items())
         # f_g u_h = u_h f_{h^{-1}gh}, read as u_h f_{h^{-1}gh} u_h^{-1} = f_g
         and all(c in f and ad(Affine.matrix(h), f[c]) == f[a] for (a, h), c in conj.items()),
     )
@@ -403,13 +417,18 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_):
         for length in range(1, n + 1)
         for t in itertools.product(letters, repeat=length)
     ]
+    # cylinder_conjugation_check on each pair, with g's inverse, unit-row
+    # mask and conjugation made once per g and each word's ⋆-mask once
+    starred = [(w, _stars(w, n)) for w in words]
     for g in gl_elements(n):
         ginv = mat_inverse(g)
-        for w in words:
-            if not _star_rows_are_units(w, ginv):
+        units = _unit_rows(ginv, n)
+        conj = Affine.matrix(g).conjugation()
+        for w, stars in starred:
+            if stars & ~units:
                 continue
             conj_total += 1
-            if not cylinder_conjugation_check(w, g):
+            if _moved(make_cylinder(w), conj) != make_cylinder(word_times_matrix(w, ginv)):
                 conj_ok = False
     yield f"u_g[w]u_g* = [w·g^-1] on {conj_total} in-hypothesis pairs", True, conj_ok
     return (

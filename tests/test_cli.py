@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -17,6 +20,7 @@ from isrlab.algebra import unit
 from isrlab.expectation import SubalgebraSpec
 from isrlab.serialize import decode_group
 
+EXPECT_SHA256 = "5ae3c747bd09151c636515df5af8fc2105ae27784ad41593de81b82ab471d224"
 SWAP_JSON = '{"family": "affine", "g": "0110", "n": 2, "v": "00"}'
 
 
@@ -346,6 +350,21 @@ class TestExpect:
 
     def test_bad_element(self, capsys):
         assert main(["expect", "mexo:2", "not-json"]) == 2
+
+    def test_whole_windows_match_the_pin(self):
+        # sha256 over the exit code and stdout of `expect` for every g of
+        # four windows, in enumerate_group order, pinned from the report
+        # that projected, subtracted and took the inner product in turn
+        h = hashlib.sha256()
+        for spec, family, n in (("mexo:2", "affine", 2), ("mq:3", "wreath", 3),
+                                ("mq:3:-", "wreath", 3), ("mpart:3", "wreath", 3)):
+            for g in enumerate_group(family, n):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    rc = main(["expect", spec, json.dumps(g.to_json())])
+                h.update(repr(rc).encode())
+                h.update(out.getvalue().encode())
+        assert h.hexdigest() == EXPECT_SHA256
 
     def test_lamplighter_modulus_mismatch(self, tmp_path, capsys):
         window = enumerate_group("lamplighter", 4)

@@ -5,12 +5,15 @@ check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
 the uncached echelon, the spec's Gram–Schmidt over its vectors
-distinct up to sign against the one that keeps the sign twins, and
-E(u_g) memoized per row class against one projection per element."""
+distinct up to sign against the one that keeps the sign twins,
+E(u_g) memoized per row class against one projection per element, and
+the one-pass conditional expectation against the three calls
+project, norm_sq(x − E x) and inner_product(x, E x)."""
 
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -18,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isrlab import zoo
-from isrlab.algebra import AlgebraElement, ad, unit
-from isrlab.errors import Overflow
-from isrlab.expectation import SubalgebraSpec, _Span, verify_closure
+from isrlab.algebra import AlgebraElement, GaussianRational, ad, inner_product, norm_sq, unit
+from isrlab.errors import FamilyMismatch, Overflow
+from isrlab.expectation import SubalgebraSpec, _Span, conditional_expectation, verify_closure
 from isrlab.f2 import F2Matrix, F2Vector, _echelon, _range_basis, range_subgroup, rank_defect
 from isrlab.groups import (
     Affine,
@@ -397,3 +400,102 @@ def test_spans_match_the_pin():
             [repr(b) for b in span.pivots],
         )).encode())
     assert h.hexdigest() == SPAN_SHA256
+
+
+# ---------------------------------------------------------------------------
+# conditional_expectation in one pass, against the three-call formula
+
+REPORT_SPECS = ["mexo:2", "mexo:3", "mq+:3", "mq+:4", "mq-:3", "mq-:4", "mpart:3", "mpart:4"]
+
+
+def three_call_report(x, spec):
+    """The report as conditional_expectation formed it before the one pass."""
+    out = spec.project(x)
+    return out, norm_sq(x - out), inner_product(x, out)
+
+
+def coefficient(rng):
+    """A Gaussian rational with a nonzero imaginary part."""
+    im = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+    return GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), im)
+
+
+def combinations(spec, n, seed, count=40):
+    """Seeded combinations of window elements, elements that no row meets
+    and elements outside the window, with non-real coefficients; the zero
+    element first, then c·(u_g − u_h) for g, h of one row class, whose
+    terms rows meet but E leaves at 0."""
+    rng = random.Random(seed)
+    window = sorted(spec.window, key=lambda g: g.sort_key())
+    span = spec._orthogonal_basis()
+    unmet = [g for g in window if span.index.get(span.ids.get(g)) is None]
+    classes: dict = {}
+    for g in window:
+        classes.setdefault(span.index.get(span.ids.get(g)), []).append(g)
+    twins = [c[:2] for key, c in classes.items() if key is not None and len(c) > 1]
+    xs = [AlgebraElement({})]
+    for g, h in twins[:5]:
+        c = coefficient(rng)
+        xs.append(AlgebraElement({g: c, h: -c}))
+    # a vector on coordinate n + 1 moves any element of the rank-n window
+    # outside it
+    lift = type(window[0]).vector(F2Vector(1 << n))
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            pool = rng.choice([window, window, unmet or window, None])
+            g = multiply(lift, rng.choice(window)) if pool is None else rng.choice(pool)
+            terms[g] = coefficient(rng)
+        xs.append(AlgebraElement(terms))
+    return xs, bool(unmet)
+
+
+@pytest.mark.parametrize("label", REPORT_SPECS)
+def test_one_pass_report_matches_the_three_calls(label):
+    spec = build(label)
+    xs, has_unmet = combinations(spec, int(label[-1]), seed=REPORT_SPECS.index(label))
+    assert has_unmet == label.startswith("mpart")
+    outside = 0
+    for x in xs:
+        rep = conditional_expectation(x, spec)
+        out, residual, character = three_call_report(x, spec)
+        assert (rep.input, rep.output, rep.residual_norm_sq, rep.character_value) == (
+            x, out, residual, character)
+        assert type(rep.residual_norm_sq) is Fraction
+        assert type(rep.character_value.re) is type(rep.character_value.im) is Fraction
+        outside += any(g not in spec.window for g in x.ints)
+    assert outside
+
+
+@pytest.mark.parametrize("label", ["mexo:2", "mq+:3", "mpart:3"])
+def test_one_pass_report_checks_the_family(label):
+    spec = build(label)
+    strays = [Lamplighter.identity(4), Wreath.identity() if label == "mexo:2" else Affine.identity()]
+    for g in strays:
+        with pytest.raises(FamilyMismatch):
+            conditional_expectation(unit(g), spec)
+
+
+def test_residual_is_not_derived_from_pythagoras(monkeypatch):
+    # with one entry of P bumped, E(x) is no longer the orthogonal
+    # projection, and a residual summed from L·x_g − P_g sees it:
+    # ‖x‖² = ‖E x‖² + residual fails, where ‖x‖² − ‖E x‖² would hold
+    spec = build("mq+:3")
+    xs, _ = combinations(spec, 3, seed=5)
+    for x in xs:
+        rep = conditional_expectation(x, spec)
+        assert norm_sq(x) == norm_sq(rep.output) + rep.residual_norm_sq
+    project = _Span._project
+
+    def bumped(self, row):
+        scale, p = project(self, row)
+        for i, (re, im) in p.items():
+            p[i] = (re + 1, im)
+            break
+        return scale, p
+
+    xs = [x for x in xs if not spec.project(x).is_zero()]
+    assert xs
+    monkeypatch.setattr(_Span, "_project", bumped)
+    broken = [conditional_expectation(x, spec) for x in xs]
+    assert all(norm_sq(r.input) != norm_sq(r.output) + r.residual_norm_sq for r in broken)

@@ -589,6 +589,19 @@ class TestUnitMemo:
             # every g of the window meets exactly one row
             assert (len(window), len(spec._orthogonal_basis()), len(calls)) == (1344, 336, 336)
 
+    def test_unmet_elements_share_one_zero(self, monkeypatch):
+        # half of the mpart:4 window meets no row; those elements are not
+        # projected, on the first sweep or later
+        spec = zoo.build_mpart(4)
+        span = spec._orthogonal_basis()
+        unmet = [g for g in spec.window if span.index.get(span.ids.get(g)) is None]
+        calls = []
+        project = _Span.project
+        monkeypatch.setattr(_Span, "project", lambda self, x: calls.append(1) or project(self, x))
+        zeros = {id(spec.expect_unit(g)) for g in unmet}
+        assert (len(unmet), len(zeros), calls) == (192, 1, [])
+        assert spec.expect_unit(unmet[0]) == spec.project(unit(unmet[0])) == AlgebraElement({})
+
 
 class TestCharacterOf:
     def test_identity(self):

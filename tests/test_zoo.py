@@ -282,6 +282,14 @@ class TestMemosCannotHideFailures:
         monkeypatch.setattr(projections, "word_times_matrix", lambda word, ginv: word)
         assert projections.cylinder_conjugation_check(w, swap) is False
 
+    def test_cylinder_suite_fails_on_a_wrong_word(self, monkeypatch, cold_cylinders):
+        # the suite's pair loop reads the word map at call time too
+        assert zoo.report_passed(zoo.suite_cylinder(n=2))
+        monkeypatch.setattr(zoo, "word_times_matrix", lambda word, ginv: word)
+        rows = zoo.suite_cylinder(n=2)["checks"]
+        assert rows[1]["description"].startswith("u_g[w]u_g* = [w·g^-1]")
+        assert rows[0]["pass"] is True and rows[1]["pass"] is False
+
 
 class TestFCalculusKeys:
     """The packed-row pair loop against F2Matrix products."""
