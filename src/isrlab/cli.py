@@ -23,7 +23,7 @@ from .serialize import (
     encode_coefficient,
     encode_rational,
 )
-from .zoo import SUITES, build_mexo, build_mpart, build_mq, report_passed
+from .zoo import SUITES, report_passed
 from . import zoo
 
 
@@ -113,31 +113,35 @@ def cmd_run(args) -> int:
     return 0 if all(report_passed(r) for r in reports) else 1
 
 
-_BUILTIN_SPECS = {
-    "mexo": lambda n, sign, cap: build_mexo(n, cap),
-    "mq": lambda n, sign, cap: build_mq(n, sign, cap),
-    "mpart": lambda n, sign, cap: build_mpart(n, cap),
-}
+def _sign_marks(model) -> dict:
+    """The sign parts of a builtin spec name: + for 1, - for −1."""
+    return {mark: sign for mark, sign in (("+", 1), ("-", -1)) if sign in model.signs}
+
+
+def _usage(model) -> str:
+    marks = "|".join(_sign_marks(model))
+    return f"{model.name}[:n[:{marks}]]" if len(model.signs) > 1 else f"{model.name}[:n]"
 
 
 def _load_spec_arg(text: str, cap: int):
-    """A spec file path, or a builtin name, built under cap: mexo[:n],
-    mpart[:n] or mq[:n[:+|-]], with n = 2 by default."""
+    """A spec file path, or a model of ``zoo.MODELS`` built under cap as
+    its ``_usage`` reads, at its least size and first sign by default."""
     if os.path.exists(text):
         return load_spec(text)
     name, *rest = text.split(":")
-    if name not in _BUILTIN_SPECS:
+    model = zoo.MODELS.get(name)
+    if model is None:
         raise IsrlabError(f"no spec file or builtin named {text!r}")
-    if len(rest) > (2 if name == "mq" else 1):
-        usage = "mq[:n[:+|-]]" if name == "mq" else f"{name}[:n]"
-        raise IsrlabError(f"builtin spec {text!r} has too many parts; it reads {usage}")
+    marks = _sign_marks(model)
+    if len(rest) > 1 + (len(model.signs) > 1):
+        raise IsrlabError(f"builtin spec {text!r} has too many parts; it reads {_usage(model)}")
     try:
-        n = int(rest[0]) if rest else 2
+        n = int(rest[0]) if rest else model.sizes[0]
     except ValueError:
         raise IsrlabError(f"builtin spec {text!r}: size {rest[0]!r} is not an integer") from None
-    if rest[1:] and rest[1] not in ("+", "-"):
-        raise IsrlabError(f"builtin spec {text!r}: sign {rest[1]!r} is not + or -")
-    return _BUILTIN_SPECS[name](n, -1 if rest[1:] == ["-"] else 1, cap)
+    if rest[1:] and rest[1] not in marks:
+        raise IsrlabError(f"builtin spec {text!r}: sign {rest[1]!r} is not {' or '.join(marks)}")
+    return model.build(n, cap=cap, sign=marks[rest[1]] if rest[1:] else model.signs[0])
 
 
 def _load_element_arg(text: str):
@@ -225,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=cmd_run)
 
     exp = sub.add_parser("expect", help="project a group unitary onto a subalgebra spec")
-    exp.add_argument("spec", help="spec JSON file, or builtin (mexo:2, mq:3, mq:3:-, mpart:3)")
+    builtins = ", ".join(_usage(m) for m in zoo.MODELS.values())
+    exp.add_argument("spec", help=f"spec JSON file, or builtin ({builtins})")
     exp.add_argument("element", help="group element as JSON (inline or a file path)")
     exp.set_defaults(fn=cmd_expect)
 

@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -180,12 +181,11 @@ def _coset_basis(window, n: int, gens_of) -> list:
     return basis
 
 
-def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
+def build_mexo(n: int, cap: int = DEFAULT_CAP, sign: int = 1) -> SubalgebraSpec:
     """Span of {u_g·f_g·u_v : g ∈ GL(n,F2), v ∈ F2^n}; contains every u_v
-    (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h."""
-    if not 2 <= n <= 4:
-        raise DimensionOutOfRange(f"mexo truncation {n} not in [2, 4]")
-    window = enumerate_group("affine", n, cap)
+    (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h.
+    Its one sign is +1."""
+    window = MODELS["mexo"].window(n, sign, cap)
     basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.rows)])
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
@@ -445,14 +445,18 @@ def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_):
 def build_mq(n: int, sign: int = 1, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_s·Q^{supp(s)}·u_v : s ∈ S_n, v ∈ Z2^n};
     u_s·Q^{supp(s)} = ∏ ½(1 ± u_{(s, e_j)}) over the e_j that s moves."""
-    if not 2 <= n <= 4:
-        raise DimensionOutOfRange(f"mq truncation {n} not in [2, 4]")
-    window = enumerate_group("wreath", n, cap)
+    window = MODELS["mq"].window(n, sign, cap)
     basis = _coset_basis(
         window, n, lambda x: [(1 << i, sign) for i, j in enumerate(x.sigma) if i != j]
     )
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
+
+
+def mq_expected_expectation(x: Wreath, sign: int) -> AlgebraElement:
+    """u_s·Q^{supp(s)}·u_v — the closed form of E(u_{s·v}) on the mq span."""
+    moved = {j + 1 for j, i in enumerate(x.sigma) if i != j}
+    return unit(Wreath.perm(x.sigma)) * make_q_power(sign, moved) * unit(Wreath.vector(x.v))
 
 
 def _partitions_of(n: int):
@@ -480,18 +484,12 @@ def _block_preserving_perms(blocks, n: int):
         yield tuple(p)
 
 
-def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
+def build_mpart(n: int, cap: int = DEFAULT_CAP, sign: int = 1) -> SubalgebraSpec:
     """Span of the partition generators s·∏_K(P1^K + sign(s|_K)P2^K)
-    over partitions of {1..n} and block-preserving s.  At n = 4 only
-    partitions with at most two non-singleton blocks are enumerated
-    (the span is already attained)."""
-    if not 2 <= n <= 4:
-        raise DimensionOutOfRange(f"mpart truncation {n} not in [2, 4]")
-    window = enumerate_group("wreath", n, cap)
+    over partitions of {1..n} and block-preserving s.  Its one sign is +1."""
+    window = MODELS["mpart"].window(n, sign, cap)
     basis = []
     for blocks in _partitions_of(n):
-        if n >= 4 and sum(1 for b in blocks if len(b) > 1) > 2:
-            continue
         pspec = PartitionSpec(blocks)
         for s in _block_preserving_perms(blocks, n):
             basis.append(make_part_generator(s, pspec))
@@ -502,7 +500,7 @@ def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
 def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_):
     spec = build_mq(n, 1, cap)
     s12 = Wreath.perm(transposition(0, 1))
-    expected = unit(s12) * make_q_power(1, {1, 2})
+    expected = mq_expected_expectation(s12, 1)
     yield "closure of the span", True, verify_closure(spec)
     yield "E(u_(12)) = u_(12)·Q^{1,2}", expected, spec.expect_unit(s12)
     resid = unit(s12) - expected
@@ -1017,7 +1015,41 @@ def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# model table and suite registry
+
+
+class Model(NamedTuple):
+    """A builtin model: its window's family, the sizes n and signs it is
+    built at, its builder (n, cap=, sign=), the closed form
+    (x, sign) ↦ E(u_x) or None, and the rank of its span at size n."""
+
+    name: str
+    family: str
+    sizes: range
+    signs: tuple
+    build: Callable
+    expected: Callable | None
+    rank: Callable
+
+    def window(self, n: int, sign: int, cap: int) -> list:
+        """The window at size n; a size or a sign the model lacks is refused."""
+        if n not in self.sizes:
+            sizes = f"[{self.sizes[0]}, {self.sizes[-1]}]"
+            raise DimensionOutOfRange(f"{self.name} truncation {n} not in {sizes}")
+        if sign not in self.signs:
+            raise ValueError("sign must be " + " or ".join(f"{s:+d}" for s in self.signs))
+        return enumerate_group(self.family, n, cap)
+
+
+MODELS = {m.name: m for m in (
+    Model("mexo", "affine", range(2, 5), (1,), build_mexo,
+          lambda x, sign: mexo_expected_expectation(x),
+          lambda n: 2 * math.prod((1 << n) - (1 << k) for k in range(n))),
+    Model("mq", "wreath", range(2, 5), (1, -1), build_mq, mq_expected_expectation,
+          lambda n: sum(math.perm(n, k) for k in range(n + 1))),
+    Model("mpart", "wreath", range(2, 5), (1,), build_mpart, None,
+          lambda n: math.factorial(n + 1) // 2),
+)}
 
 
 SUITES = {

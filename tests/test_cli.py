@@ -323,7 +323,8 @@ class TestExpect:
 
     @pytest.mark.parametrize(
         "name",
-        ["mq:3:x", "mq:3:", "mq:2:+:1", "mpart:2:-", "mexo:2:-", "mexo:2:3:4", "mexo:x", "mexo:"],
+        ["mq:3:x", "mq:3:", "mq:3:0", "mq:2:+:1", "mpart:2:-", "mexo:2:-", "mexo:2:3:4", "mexo:x",
+         "mexo:"],
     )
     def test_strict_builtin_spec_name(self, capsys, name):
         assert main(["expect", name, SWAP_JSON]) == 2

@@ -330,24 +330,28 @@ def test_cached_range_kernel_matches_the_echelon():
 # ---------------------------------------------------------------------------
 # the spec's Gram–Schmidt without sign twins, against the one with them
 
-BUILDERS = {
-    "mexo": zoo.build_mexo,
-    "mq+": lambda n: zoo.build_mq(n, 1),
-    "mq-": lambda n: zoo.build_mq(n, -1),
-    "mpart": zoo.build_mpart,
+# every (model, sign, n) of zoo.MODELS, labelled mexo:2, …, mq+:2, …, mq-:4, …
+SPECS = {
+    f"{name}{'+-'[sign < 0] if len(m.signs) > 1 else ''}:{n}": (m, n, sign)
+    for name, m in zoo.MODELS.items() for sign in m.signs for n in m.sizes
 }
-# (spec, vectors distinct up to exact repeats, distinct up to sign)
-BUILTIN_SPECS = [
-    ("mexo:2", 12, 12), ("mq+:2", 5, 5), ("mq-:2", 6, 5), ("mpart:2", 3, 3),
-    ("mexo:3", 336, 336), ("mq+:3", 16, 16), ("mq-:3", 24, 16), ("mpart:3", 13, 13),
-    ("mexo:4", 40320, 40320), ("mq+:4", 65, 65), ("mq-:4", 114, 65), ("mpart:4", 73, 73),
-]
+# (vectors distinct up to exact repeats, distinct up to sign) per spec
+DISTINCT = {
+    "mexo:2": (12, 12), "mq+:2": (5, 5), "mq-:2": (6, 5), "mpart:2": (3, 3),
+    "mexo:3": (336, 336), "mq+:3": (16, 16), "mq-:3": (24, 16), "mpart:3": (13, 13),
+    "mexo:4": (40320, 40320), "mq+:4": (65, 65), "mq-:4": (114, 65), "mpart:4": (73, 73),
+}
 
 
-@pytest.mark.parametrize("label,exact,kept", BUILTIN_SPECS, ids=[row[0] for row in BUILTIN_SPECS])
-def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label, exact, kept):
-    name, n = label.split(":")
-    spec = BUILDERS[name](int(n))
+def build(label):
+    model, n, sign = SPECS[label]
+    return model.build(n, sign=sign)
+
+
+@pytest.mark.parametrize("label", SPECS)
+def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label):
+    exact, kept = DISTINCT[label]
+    spec = build(label)
     with_twins = list(dict.fromkeys(spec.basis))
     calls = []
     reduce = _Span._reduce
@@ -362,21 +366,23 @@ def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label, exact, kept):
         assert [id(b) for b in span.pivots] == [id(b) for b in whole.pivots]
 
 
+@pytest.mark.parametrize("label", SPECS)
+def test_rank_matches_the_table(label):
+    model, n, sign = SPECS[label]
+    assert len(build(label)._orthogonal_basis()) == model.rank(n)
+
+
 
 # ---------------------------------------------------------------------------
-# E(u_g) read off the row-class memo, against a projection of u_g
+# E(u_g) read off the row-class memo, against a projection of u_g and
+# against the model's closed form
 
-SWEPT_SPECS = ["mexo:2", "mexo:3", "mq+:2", "mq+:3", "mq+:4", "mq-:2", "mq-:3", "mq-:4",
-               "mpart:2", "mpart:3", "mpart:4"]
+# the mexo:4 window has 322,560 elements
+SWEPT_SPECS = [label for label in SPECS if label != "mexo:4"]
 # sha256 of the spans of SWEPT_SPECS (rows as sorted items with their
 # norms, ids, pivot reprs), pinned from the Gram–Schmidt that ran the
 # residual pass on every vector
 SPAN_SHA256 = "9b07198d9ae9b29635f9676180ee26c8c8491bde9c82f142a7cb5ffccce56e11"
-
-
-def build(label):
-    name, n = label.split(":")
-    return BUILDERS[name](int(n))
 
 
 @pytest.mark.parametrize("label", SWEPT_SPECS)
@@ -387,6 +393,14 @@ def test_memoized_unit_images_match_the_projection(label):
         assert spec.expect_unit(g) == spec.project(unit(g))
     # a second sweep reads the memo
     assert all(spec.expect_unit(g) == spec.project(unit(g)) for g in window)
+
+
+@pytest.mark.parametrize("label", [s for s in SWEPT_SPECS if SPECS[s][0].expected])
+def test_unit_images_match_the_closed_form(label):
+    model, n, sign = SPECS[label]
+    spec = build(label)
+    for g in spec.window:
+        assert spec.expect_unit(g) == model.expected(g, sign)
 
 
 def test_spans_match_the_pin():

@@ -462,10 +462,10 @@ class TestPivotChecks:
 # (builder, len(spec.basis), its exact-distinct count) on the project
 # workload's specs; spec._distinct further drops the sign twins of mq:4−
 REPEATING_SPECS = [
-    (lambda: zoo.build_mexo(3), 1344, 336),
-    (lambda: zoo.build_mq(4, 1), 384, 65),
-    (lambda: zoo.build_mq(4, -1), 384, 114),
-    (lambda: zoo.build_mpart(4), 73, 73),
+    (lambda: zoo.MODELS["mexo"].build(3), 1344, 336),
+    (lambda: zoo.MODELS["mq"].build(4, sign=1), 384, 65),
+    (lambda: zoo.MODELS["mq"].build(4, sign=-1), 384, 114),
+    (lambda: zoo.MODELS["mpart"].build(4), 73, 73),
 ]
 
 

@@ -276,11 +276,9 @@ class TestPartGeneratorClosedForm:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_build_mpart_basis_unchanged(self, n):
-        # build_mpart at n = 4 skips partitions with three or more non-singleton blocks
         expected = [
             part_generator_product(s, PartitionSpec(blocks))
             for blocks, s in block_preserving_pairs(n)
-            if sum(1 for b in blocks if len(b) > 1) <= 2
         ]
         assert list(zoo.build_mpart(n).basis) == expected
 
@@ -347,17 +345,12 @@ class TestWalshSum:
             unit(Wreath.identity()) * unit(Wreath.identity())
 
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: zoo.build_mexo(3),
-            lambda: zoo.build_mq(4, 1),
-            lambda: zoo.build_mq(4, -1),
-            lambda: zoo.build_mpart(4),
-        ],
+        "name,n,sign",
+        [("mexo", 3, 1), ("mq", 4, 1), ("mq", 4, -1), ("mpart", 4, 1)],
         ids=["mexo3", "mq4+", "mq4-", "mpart4"],
     )
-    def test_terms_share_two_coefficient_pairs(self, build):
-        pairs = [p for b in build().basis for p in b.ints.values()]
+    def test_terms_share_two_coefficient_pairs(self, name, n, sign):
+        pairs = [p for b in zoo.MODELS[name].build(n, sign=sign).basis for p in b.ints.values()]
         assert all(p is _PLUS or p is _MINUS for p in pairs)
 
 

@@ -1,6 +1,7 @@
-"""The repository's scripts: the demos run, and the two pins of the
-seed-7 report hash agree."""
+"""The repository's scripts: the demos run, the two pins of the seed-7
+report hash agree, and the benchmark builds only models of the table."""
 
+import inspect
 import os
 import pathlib
 import random
@@ -32,6 +33,23 @@ def test_seed7_pins_agree():
     ]
     assert len(pins[0]) == 1
     assert pins[0] == pins[1]
+
+
+def test_project_specs_build_table_models():
+    # the benchmark's project workload keeps its own list of builder
+    # calls; each names a model of zoo.MODELS at one of its sizes and signs
+    from isrlab import zoo
+
+    text = (ROOT / "perfbench" / "workloads.py").read_text()
+    block = text.split("\nPROJECT_SPECS = (\n", 1)[1].split("\n)\n", 1)[0]
+    calls = re.findall(r"zoo\.build_(\w+)\(([^)]*)\)", block)
+    assert len(calls) == block.count("\n") + 1 == 4
+    for name, args in calls:
+        model = zoo.MODELS[name]
+        assert model.build is getattr(zoo, f"build_{name}")
+        call = inspect.signature(model.build).bind(*(int(a) for a in args.split(",")))
+        call.apply_defaults()
+        assert call.arguments["n"] in model.sizes and call.arguments["sign"] in model.signs
 
 
 def test_factorize_fills_no_cache():
