@@ -181,11 +181,10 @@ def _coset_basis(window, n: int, gens_of) -> list:
     return basis
 
 
-def build_mexo(n: int, cap: int = DEFAULT_CAP, sign: int = 1) -> SubalgebraSpec:
+def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_g·f_g·u_v : g ∈ GL(n,F2), v ∈ F2^n}; contains every u_v
-    (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h.
-    Its one sign is +1."""
-    window = MODELS["mexo"].window(n, sign, cap)
+    (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h."""
+    window = MODELS["mexo"].window(n, 1, cap)
     basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.rows)])
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
@@ -484,10 +483,10 @@ def _block_preserving_perms(blocks, n: int):
         yield tuple(p)
 
 
-def build_mpart(n: int, cap: int = DEFAULT_CAP, sign: int = 1) -> SubalgebraSpec:
+def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of the partition generators s·∏_K(P1^K + sign(s|_K)P2^K)
-    over partitions of {1..n} and block-preserving s.  Its one sign is +1."""
-    window = MODELS["mpart"].window(n, sign, cap)
+    over partitions of {1..n} and block-preserving s."""
+    window = MODELS["mpart"].window(n, 1, cap)
     basis = []
     for blocks in _partitions_of(n):
         pspec = PartitionSpec(blocks)
@@ -1020,8 +1019,9 @@ def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
 
 class Model(NamedTuple):
     """A builtin model: its window's family, the sizes n and signs it is
-    built at, its builder (n, cap=, sign=), the closed form
-    (x, sign) ↦ E(u_x) or None, and the rank of its span at size n."""
+    built at, its builder (n, cap=, sign=) for one of those signs, the
+    closed form (x, sign) ↦ E(u_x) or None, and the rank of its span at
+    size n."""
 
     name: str
     family: str
@@ -1042,12 +1042,14 @@ class Model(NamedTuple):
 
 
 MODELS = {m.name: m for m in (
-    Model("mexo", "affine", range(2, 5), (1,), build_mexo,
+    Model("mexo", "affine", range(2, 5), (1,),
+          lambda n, cap=DEFAULT_CAP, sign=1: build_mexo(n, cap),
           lambda x, sign: mexo_expected_expectation(x),
           lambda n: 2 * math.prod((1 << n) - (1 << k) for k in range(n))),
     Model("mq", "wreath", range(2, 5), (1, -1), build_mq, mq_expected_expectation,
           lambda n: sum(math.perm(n, k) for k in range(n + 1))),
-    Model("mpart", "wreath", range(2, 5), (1,), build_mpart, None,
+    Model("mpart", "wreath", range(2, 5), (1,),
+          lambda n, cap=DEFAULT_CAP, sign=1: build_mpart(n, cap), None,
           lambda n: math.factorial(n + 1) // 2),
 )}
 
