@@ -338,6 +338,12 @@ def range_subgroup(g: F2Matrix) -> frozenset[F2Vector]:
     return frozenset(F2Vector(x) for x in _subset_sums(_range_basis(g.rows)))
 
 
+# the factors I + v·phi of transvection_factorize, keyed by (v, phi) and
+# emptied past the bound, which holds every transvection up to n = 8
+_TRANSVECTION_LIMIT = 1 << 15
+_transvections: dict[tuple[int, int], F2Matrix] = {}
+
+
 def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
     """Write g as an ordered product t1·t2·…·tk of rank-1 involutions
     whose ranges sum to R(g - I), with exactly k = rank(g - I) factors.
@@ -392,16 +398,26 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
         for d, b in zip(diff, bits):
             if phi & b:
                 phi_g ^= d
-        # t is the identity beyond supp v ∪ supp phi, so these rows are
-        # canonical and the factor skips the constructor (inline: a helper's
-        # first call in a fresh process costs more than the trimming)
-        t = bits[: (v | phi).bit_length()]
+        # t = I + v·phi is shared by every call that peels it (F2Matrix is
+        # immutable).  A miss builds it here, not in a helper: the first
+        # call in a fresh process misses on every step, and a helper's
+        # first call there costs more than this work.  t is the identity
+        # beyond supp v ∪ supp phi, so its rows are canonical.
+        f = _transvections.get((v, phi))
+        if f is None:
+            if len(_transvections) >= _TRANSVECTION_LIMIT:
+                _transvections.clear()
+            t = bits[: (v | phi).bit_length()]
+            w = v
+            while w:
+                low = w & -w
+                t[low.bit_length() - 1] ^= phi
+                w ^= low
+            f = object.__new__(F2Matrix)
+            object.__setattr__(f, "rows", tuple(t))
+            _transvections[v, phi] = f
+        factors.append(f)
         while v:
             low = v & -v
-            i = low.bit_length() - 1
-            t[i] ^= phi
-            diff[i] ^= phi_g
+            diff[low.bit_length() - 1] ^= phi_g
             v ^= low
-        f = object.__new__(F2Matrix)
-        object.__setattr__(f, "rows", tuple(t))
-        factors.append(f)

@@ -273,7 +273,7 @@ def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_
     )
     yield "exoticness witness", True, mexo_exoticness_witness(n, spec)
     return (
-        f"mexo:n={n}",
+        spec.label,
         "span{u_g f_g u_v} is an invariant subalgebra strictly between L(F2^n) and L(G)",
         {"n": n, "seed": seed, "basis_size": len(spec.basis)},
     )
@@ -509,7 +509,7 @@ def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_):
     quarter = GaussianRational(Fraction(1, 4))
     yield "expectation character at (12) is 1/4", quarter, character_of(spec, s12)
     return (
-        f"mq:n={n},sign=+",
+        spec.label,
         "span{u_s Q^{supp(s)} u_v} is invariant; E(u_s) = u_s Q^{supp(s)}",
         {"n": n, "sign": 1, "basis_size": len(spec.basis)},
     )
@@ -531,7 +531,7 @@ def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **
         center * b == b * center for b in sample
     )
     return (
-        f"mpart:n={n}",
+        spec.label,
         "the partition-generator span kills u_(12) under E and has P1+P2 central",
         {"n": n, "seed": seed, "basis_size": len(spec.basis)},
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from isrlab import f2
 from isrlab.errors import IdentityInput, SingularMatrix
 from isrlab.f2 import (
     F2Matrix,
@@ -338,6 +339,50 @@ class TestFactorizeGolden:
         messages = singular_messages(ms)
         assert messages == [f"matrix of dimension {g.n} is singular" for g in ms]
         assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == GOLDEN_SINGULAR4
+
+
+class _Watched(dict):
+    """A dict that records the largest size it ever reached."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class TestFactorizeShared:
+    """The factors are interned across calls; each call's list is its own."""
+
+    def test_calls_share_factors_not_lists(self):
+        a, b = transvection_factorize(T), transvection_factorize(T)
+        assert len(a) == 2 and a is not b
+        assert all(s is t for s, t in zip(a, b, strict=True))
+
+    def test_caller_edits_do_not_leak(self):
+        expected = list(transvection_factorize(T))
+        transvection_factorize(T).clear()
+        transvection_factorize(T).append(S)
+        assert transvection_factorize(T) == expected
+
+    def test_singular_after_interning(self, monkeypatch):
+        monkeypatch.setattr(f2, "_transvections", {})
+        ms = sample4(500, 29, invertible=False)
+        grew = 0
+        for g in ms:
+            before = len(f2._transvections)
+            with pytest.raises(SingularMatrix, match=f"^matrix of dimension {g.n} is singular$"):
+                transvection_factorize(g)
+            grew += len(f2._transvections) > before
+        assert grew > 0
+        assert factor_digest(sample4(2000, 23, invertible=True)) == GOLDEN_GL4
+
+    def test_bound_binds(self, monkeypatch):
+        table = _Watched()
+        monkeypatch.setattr(f2, "_transvections", table)
+        monkeypatch.setattr(f2, "_TRANSVECTION_LIMIT", 8)
+        assert factor_digest(sample4(2000, 23, invertible=True)) == GOLDEN_GL4
+        assert table.peak == 8 and len(table) <= 8
 
 
 @st.composite

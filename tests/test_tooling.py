@@ -54,7 +54,10 @@ def test_project_specs_build_table_models():
 
 def test_factorize_fills_no_cache():
     # factor-dim4's peak_rss_mb stays flat only while factoring leaves
-    # the inverse and range caches as they were
+    # the inverse and range caches as they were; its one table, the
+    # interned factors, is bounded by the 105 transvections of GL(4, F2),
+    # and sharing them is what lowers peak_rss_mb
+    from isrlab import f2
     from isrlab.f2 import (F2Matrix, _mat_inverse_cached, _range_basis, _rank_of_rows,
                            transvection_factorize)
 
@@ -65,9 +68,11 @@ def test_factorize_fills_no_cache():
         if not g.is_identity() and _rank_of_rows(g.rows) == g.n:
             sample.append(g)
     before = _mat_inverse_cached.cache_info(), _range_basis.cache_info()
-    for g in sample:
-        transvection_factorize(g)
+    interned = len(f2._transvections)
+    factors = [f for g in sample for f in transvection_factorize(g)]
     assert (_mat_inverse_cached.cache_info(), _range_basis.cache_info()) == before
+    assert len({id(f) for f in factors}) <= 105
+    assert len(f2._transvections) - interned <= 105
 
 
 def test_library_tour_names_live_code():
