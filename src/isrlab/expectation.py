@@ -15,8 +15,11 @@ is its own residual.  E(x) goes back as an integer form over den(x)·L,
 for the L that clears the row's projection.  One integer pass gives a
 conditional expectation's whole report: E(x) = P/(den·L), the residual
 ‖x − E(x)‖² summed from L·x_g − P_g, and ⟨x, E(x)⟩ from conj(x_g)·P_g.
-E(u_g) depends only on the index entries at g, so it is memoized once
-per distinct entry tuple; a g that no row meets shares one stored zero.
+The index is built straight into immutable tuples, shared by the ids
+of one row with one coefficient pair, so the build allocates few
+objects for the cyclic GC to track and walk.  E(u_g) depends only on
+the index entries at g, so it is memoized once per distinct entry
+tuple; a g that no row meets shares one stored zero.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class SubalgebraSpec:
                 _check_family(g0, w)
             except FamilyMismatch as exc:
                 raise FamilyMismatch(f"window leaves the basis group: {exc}") from None
-        if not any(g.is_identity() for g in window):
+        # the window is of g0's family now, so its identity is g0's
+        if g0.identity_like() not in window:
             raise ValueError("window must contain the identity")
         self.label = label
         self.family = distinct[0].family()
@@ -256,9 +260,14 @@ class _Span:
     Group elements map to int ids.  Each orthogonal vector o is a
     primitive Gaussian-integer row {id: (re, im)} stored with its norm
     N = ⟨o,o⟩; ``index`` maps an id to the tuple of (row, re, im)
-    entries at it, which keys ``unit_images``, the E(u_g) memo.
-    ``pivots`` are the input vectors that gave a row, a basis of the
-    span.  The length is the rank.
+    entries at it, in row order, which keys ``unit_images``, the E(u_g)
+    memo.  It is built immutable: the ids of one coefficient pair in a
+    row share one ``((k, re, im),)`` and a later row appends with
+    ``prev + entry``.  A list per id, frozen at the end, tracked one
+    object per id and per entry, and the cyclic GC they set off walked
+    the whole window (1,390 gen-0 collections in the mexo:4 first
+    projection, against 209).  ``pivots`` are the input vectors that
+    gave a row, a basis of the span.  The length is the rank.
 
     A vector already in the span reduces to nothing and leaves every
     row, id and pivot as it was, so passing each distinct vector once
@@ -271,19 +280,23 @@ class _Span:
         ids: dict[GroupElement, int] = {}
         self.ids = ids
         self.rows: list[tuple[dict, int]] = []
-        self.index: dict[int, list[tuple[int, int, int]]] = {}
+        index: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self.index = index
         self.pivots: list[AlgebraElement] = []
         for b in vectors:
             r = self._reduce({ids.setdefault(g, len(ids)): p for g, p in b.ints.items()})
             if r:
                 k = len(self.rows)
                 self.rows.append((r, sum(a * a + c * c for a, c in r.values())))
-                for i, (a, c) in r.items():
-                    self.index.setdefault(i, []).append((k, a, c))
+                shared: dict[tuple[int, int], tuple] = {}
+                for i, pair in r.items():
+                    entry = shared.get(pair)
+                    if entry is None:
+                        entry = shared[pair] = ((k, *pair),)
+                    prev = index.get(i)
+                    index[i] = entry if prev is None else prev + entry
                 self.pivots.append(b)
         self.elements = list(ids)
-        # frozen, so each id's entries can key the E(u_g) memo
-        self.index = {i: tuple(entries) for i, entries in self.index.items()}
         self.unit_images: dict[tuple, AlgebraElement] = {}
 
     def __len__(self) -> int:
@@ -390,7 +403,12 @@ class _Span:
                 re, im = scale * c - pr, scale * d - pi
                 if re or im:
                     r[i] = (re, im)
-        g = gcd(*(part for v in r.values() for part in v))
+        # the gcd is folded pair by pair and stops at 1, as in _trusted
+        g = 0
+        for re, im in r.values():
+            g = gcd(g, re, im)
+            if g == 1:
+                return r
         return {i: (re // g, im // g) for i, (re, im) in r.items()} if g > 1 else r
 
 

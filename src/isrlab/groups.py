@@ -172,8 +172,9 @@ class _Semidirect(_Element):
     def sort_key(self):
         return tuple(self)
 
-    # mul, inv and the conjugation maps build their results with
-    # tuple.__new__ inline, not through _of: they are the hot path
+    # mul, inv, the conjugation maps and each family's ``elements`` build
+    # their results with tuple.__new__ inline, not through _of: they are
+    # the hot path
     def mul(self, other):
         h1, v1 = self
         h2, v2 = other
@@ -247,7 +248,8 @@ class Affine(_Semidirect):
     @staticmethod
     def elements(n: int) -> list["Affine"]:
         """Cosets in ``gl_elements`` order, v ascending: (g_i, v) is at i·2^n + v."""
-        return [Affine._of(g.rows, bits) for g in gl_elements(n) for bits in range(1 << n)]
+        new = tuple.__new__
+        return [new(Affine, (g.rows, bits)) for g in gl_elements(n) for bits in range(1 << n)]
 
     @staticmethod
     def generators(n: int) -> list["Affine"]:
@@ -330,7 +332,7 @@ class Wreath(_Semidirect):
     def elements(n: int) -> list["Wreath"]:
         """Cosets in ``permutations`` order, v ascending: (σ_i, v) is at i·2^n + v."""
         perms = map(perm_canonical, itertools.permutations(range(n)))
-        return [Wreath._of(sigma, bits) for sigma in perms for bits in range(1 << n)]
+        return [tuple.__new__(Wreath, (sigma, bits)) for sigma in perms for bits in range(1 << n)]
 
     @staticmethod
     def generators(n: int) -> list["Wreath"]:
@@ -784,12 +786,25 @@ def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
 
 @lru_cache(maxsize=None)
 def gl_elements(n: int) -> tuple[F2Matrix, ...]:
-    """All of GL(n, F2), in a fixed deterministic order."""
-    out = []
-    for rows in itertools.product(range(1 << n), repeat=n):
-        if _rank_of_rows(rows) == n:
-            out.append(F2Matrix(rows))
-    return tuple(out)
+    """All of GL(n, F2), with the row tuples in lexicographic order.
+
+    Built row by row: each prefix of independent rows is extended by
+    every row, ascending, outside the span of the rows above it.  A
+    prefix of independent rows always extends to an invertible matrix
+    and a dependent one never does, so this lists, in the same order,
+    exactly the rows of ``itertools.product(range(2^n), repeat=n)`` of
+    rank n, without testing the other 2^{n²} − |GL(n, F2)| candidates.
+    """
+    prefixes = [()]
+    for _ in range(n):
+        extended = []
+        for rows in prefixes:
+            span = [0]
+            for x in rows:
+                span += [s ^ x for s in span]
+            extended += [rows + (r,) for r in range(1 << n) if r not in span]
+        prefixes = extended
+    return tuple([F2Matrix(rows) for rows in prefixes])
 
 
 def capped_count(log2_floor: int, count, cap: int, refusal) -> int:

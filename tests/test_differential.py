@@ -5,7 +5,8 @@ check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
 the uncached echelon, the spec's Gram–Schmidt over its vectors
-distinct up to sign against the one that keeps the sign twins,
+distinct up to sign against the one that keeps the sign twins, the
+span's shared-tuple index against a list per id frozen at the end,
 E(u_g) memoized per row class against one projection per element, and
 the one-pass conditional expectation against the three calls
 project, norm_sq(x − E x) and inner_product(x, E x)."""
@@ -380,10 +381,23 @@ SWEPT_SPECS = [label for label in SPECS if label != "mexo:4"]
 SPAN_SHA256 = "9b07198d9ae9b29635f9676180ee26c8c8491bde9c82f142a7cb5ffccce56e11"
 
 
+def listed_index(span):
+    """The index as the build formed it before the shared tuples: a list
+    of (row, re, im) per id, rows in order, each frozen at the end."""
+    index: dict = {}
+    for k, (r, _) in enumerate(span.rows):
+        for i, (a, c) in r.items():
+            index.setdefault(i, []).append((k, a, c))
+    return {i: tuple(entries) for i, entries in index.items()}
+
+
 @pytest.mark.parametrize("label", SWEPT_SPECS)
 def test_memoized_unit_images_match_the_projection(label):
     model, _, sign = SPECS[label]
     spec = build(label)
+    # the memo keys, value for value, so every row class is as it was
+    span = spec._orthogonal_basis()
+    assert span.index == listed_index(span)
     window = sorted(spec.window, key=lambda g: g.sort_key())
     for g in window:
         assert spec.expect_unit(g) == spec.project(unit(g))

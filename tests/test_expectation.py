@@ -149,6 +149,18 @@ class TestProjection:
             with pytest.raises(FamilyMismatch):
                 SubalgebraSpec("x", [unit(lamp)], [lamp, stray])
 
+    @pytest.mark.parametrize("family,n", [("affine", 2), ("wreath", 2), ("lamplighter", 3),
+                                          ("cantor", 1)])
+    def test_window_without_the_identity(self, family, n):
+        # the identity is looked up in the window by the basis group's own
+        # identity, read after the family check
+        window = enumerate_group(family, n)
+        rest = [g for g in window if not g.is_identity()]
+        assert len(rest) == len(window) - 1
+        with pytest.raises(ValueError, match="^window must contain the identity$"):
+            SubalgebraSpec("x", [unit(rest[0])], rest)
+        assert SubalgebraSpec("x", [unit(rest[0])], window).window == frozenset(window)
+
 
 # ---------------------------------------------------------------------------
 # projection laws on random specs, against an exact dense solve of the Gram

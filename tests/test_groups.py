@@ -10,7 +10,7 @@ import pytest
 from isrlab import groups, zoo
 from isrlab.algebra import AlgebraElement, GaussianRational, convolve, unit
 from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
-from isrlab.f2 import F2Matrix, F2Vector
+from isrlab.f2 import F2Matrix, F2Vector, _rank_of_rows
 from isrlab.groups import (
     FAMILIES,
     Affine,
@@ -323,6 +323,17 @@ class TestElementOrder:
         assert elements == [
             Affine(g, F2Vector(v)) for g in groups.gl_elements(n) for v in range(1 << n)
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_gl_elements_match_the_rank_filter(self, n):
+        # the rank filter over all 2^{n²} row tuples that the row-by-row
+        # construction replaced, kept here as the reference order
+        reference = [
+            F2Matrix(rows)
+            for rows in itertools.product(range(1 << n), repeat=n)
+            if _rank_of_rows(rows) == n
+        ]
+        assert list(groups.gl_elements(n)) == reference
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_wreath_cosets_are_contiguous(self, n):
