@@ -44,9 +44,6 @@ class GaussianRational:
     def __sub__(self, other):
         return self + (-as_gaussian(other))
 
-    def __rsub__(self, other):
-        return as_gaussian(other) + (-self)
-
     def __mul__(self, other):
         other = as_gaussian(other)
         if not self.im and not other.im:

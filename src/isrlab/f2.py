@@ -56,16 +56,9 @@ class F2Vector:
         """Minimal n with all later coordinates zero."""
         return self.bits.bit_length()
 
-    def get(self, i: int) -> int:
-        """Coordinate i (1-indexed)."""
-        return (self.bits >> (i - 1)) & 1
-
     def support(self):
         """Sorted 1-indexed coordinates equal to 1."""
         return [i + 1 for i in range(self.dim) if (self.bits >> i) & 1]
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         return F2Vector(self.bits ^ other.bits)

@@ -613,25 +613,6 @@ class Cantor(_Element):
         sigma, mask = self._lift(m)
         return (bytes(sigma) if m <= 8 else sigma), mask
 
-    def conjugation(self):
-        """The map x -> self·x·self^{-1}: x's payload at the higher of
-        the two levels, through that level's ``_conjugation_at`` (built
-        once, on the first x that needs it), made canonical."""
-        at_level: dict = {}
-        own = self.m
-
-        def conj(x: "Cantor") -> "Cantor":
-            m = x.m
-            if m < own:
-                m = own
-            f = at_level.get(m)
-            if f is None:
-                f = at_level[m] = self._conjugation_at(m)
-            sigma, mask = f(x._payload(m))
-            return _cantor(m, tuple(sigma), mask)
-
-        return conj
-
     def _conjugation_at(self, m: int):
         """self's conjugation as a map on level-m payloads, m ≥ self.m,
         touching only the points τ moves and those of B or its complement,

@@ -26,7 +26,6 @@ from .algebra import (
     ad,
     combine,
     inner_product,
-    trace,
     unit,
 )
 from .characters import (
@@ -195,10 +194,13 @@ def mexo_expected_expectation(x: Affine) -> AlgebraElement:
 
 
 def mexo_exoticness_witness(n: int, spec: SubalgebraSpec | None = None) -> bool:
-    """x = u_t(u_{v0} − u_{v1}) with t = I+E12, v0 = 0, v1 = e1 is
-    orthogonal to the whole mexo basis but pairs nontrivially with u_t,
-    so u_t lies outside the span; the span also differs from the group
-    algebras of the three normal-subgroup candidates {e}, F2^n, G.
+    """True only if the span is none of L({e}), L(F2^n), L(G), the group
+    algebras of the normal-subgroup candidates, read off three
+    memberships.  With t = I+E12, x = u_t(u_0 − u_{e1}) is orthogonal to
+    the span and ⟨x, u_t⟩ = 1, so u_t lies outside it: not L(G).  u_{e1},
+    of trace 0, lies in it: not the scalars.  u_t·f_t, whose support
+    holds (t, 0) with t ≠ I, lies in it: not L(F2^n).  Those three fixed
+    facts are pinned in the tests, not recomputed here.
 
     ``spec`` is build_mexo(n), built here when not given.  The pairings
     τ(x*b) are read as ⟨x, b⟩, with no product, once per distinct b."""
@@ -211,18 +213,7 @@ def mexo_exoticness_witness(n: int, spec: SubalgebraSpec | None = None) -> bool:
     x = ut * (unit(Affine.vector(F2Vector(0))) - unit(Affine.vector(F2Vector.basis(1))))
     if any(not inner_product(x, b).is_zero() for b in spec._distinct):
         return False
-    if inner_product(x, ut) != 1:
-        return False
-    # span distinctions: not the scalars (u_{e1} is in the span with zero
-    # trace), not L(F2^n) (a basis element has a nontrivial matrix part),
-    # not L(G) (u_t is outside, by the witness just computed)
-    ue1 = unit(Affine.vector(F2Vector.basis(1)))
-    if not spec.contains(ue1) or not trace(ue1).is_zero():
-        return False
-    bt = ut * make_f(t)
-    if all(g.g.is_identity() for g in bt.support()):
-        return False
-    return not spec.contains(ut)
+    return spec.contains(unit(Affine.vector(F2Vector.basis(1)))) and spec.contains(ut * make_f(t))
 
 
 def mexo_fproduct_identity(g: F2Matrix) -> bool:
@@ -249,10 +240,11 @@ def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_
     spec = build_mexo(n, cap)
     if n == 2:
         yield "closure of the span", True, verify_closure(spec)
-        conj = [Affine.matrix(g) for g in gl_elements(n)] + [
-            Affine.vector(F2Vector(b)) for b in range(1 << n)
-        ]
-        yield "invariance under the full truncation", True, verify_invariance(spec, conj)
+        # the generators suffice: each element has finite order, so the
+        # group they generate is their positive words
+        yield "invariance under the full truncation", True, verify_invariance(
+            spec, Affine.generators(n)
+        )
         pool = enumerate_group("affine", n, cap)
     else:
         rng = random.Random(seed)
@@ -544,8 +536,9 @@ def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **
 def cantor_case3_witness() -> bool:
     """At level 3, with g the embedded swap of the level-2 cylinders
     [10] and [11], A = [000] ∪ [100] and B = [10] ∪ [11]: for both signs
-    the candidate E(g) = ½·u_g(1 ± f̃_B) fails to commute with f̃_A, and
-    both products match their displayed closed forms."""
+    the candidate E(g) = ½·u_g(1 ± f̃_B) fails to commute with f̃_A:
+    both products match their displayed closed forms, and those differ
+    (pinned in the tests, not recomputed here)."""
     sw = list(range(4))
     sw[1], sw[3] = 3, 1
     g = Cantor.perm(2, tuple(sw))
@@ -567,7 +560,7 @@ def cantor_case3_witness() -> bool:
             sgn * half,
             unit(Cantor.indicator(3, {0, 1, 5, 7})),
         )
-        if left != exp_left or right != exp_right or left == right:
+        if left != exp_left or right != exp_right:
             return False
     return True
 

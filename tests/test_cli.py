@@ -15,7 +15,7 @@ from isrlab.characters import parse_character
 from isrlab.cli import main
 from isrlab.expectation import spec_to_dict
 from isrlab.f2 import F2Vector
-from isrlab.groups import Affine, enumerate_group
+from isrlab.groups import Affine, Cantor, enumerate_group
 from isrlab.algebra import unit
 from isrlab.expectation import SubalgebraSpec
 from isrlab.serialize import decode_group
@@ -292,6 +292,21 @@ class TestExpect:
         doc = json.loads(capsys.readouterr().out)
         assert doc["character"] == {"re": "1/1", "im": "0/1"}
         assert doc["residual_norm_sq"] == "0/1"
+
+    def test_cantor_spec_and_element_files(self, tmp_path, capsys):
+        # span{1 + f̃} on the level-1 Cantor truncation: E(f̃) = ½(1 + f̃),
+        # two terms that encode_algebra orders by Cantor.sort_key
+        one, f = Cantor.identity(), Cantor.indicator(1, {1})
+        spec = SubalgebraSpec("f-span", [unit(one) + unit(f)], Cantor.elements(1))
+        spec_path, elem_path = tmp_path / "spec.json", tmp_path / "elem.json"
+        spec_path.write_text(json.dumps(spec_to_dict(spec)))
+        elem_path.write_text(json.dumps(f.to_json()))
+        assert main(["expect", str(spec_path), str(elem_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        half = {"re": "1/2", "im": "0/1"}
+        assert doc["expectation"] == [{"g": one.to_json(), **half}, {"g": f.to_json(), **half}]
+        assert doc["character"] == half
+        assert doc["residual_norm_sq"] == "1/2"
 
     @pytest.mark.parametrize("name", MALFORMED_SPECS)
     def test_malformed_spec_file(self, tmp_path, capsys, name):

@@ -268,14 +268,18 @@ def recorded_calls(monkeypatch, module, name, run):
 
 
 class TestCantorConjugationAcrossLevels:
+    # the payload kernel ``_conjugation_at(m)`` against two products, at
+    # the top level of the pair: the conjugate's payload, bit 0 of the
+    # mask cleared by complement
     def test_every_pair_up_to_level_2(self):
         # the pool holds elements of levels 0, 1 and 2, so x is below, at
-        # and above c's level; one map per c serves every x
+        # and above c's level; one map per c and level serves every x
         pool = enumerate_group("cantor", 2)
         for c in pool:
-            conj = c.conjugation()
+            maps = {m: c._conjugation_at(m) for m in range(c.m, 3)}
             for x in pool:
-                assert conj(x) == plain_conjugate(c, x)
+                m = max(c.m, x.m)
+                assert maps[m](x._payload(m)) == plain_conjugate(c, x)._payload(m)
 
     def test_fpc_level_4_orbits(self, monkeypatch):
         calls = recorded_calls(monkeypatch, zoo, "orbit_under", zoo.fpc_growth_suite)
@@ -284,10 +288,10 @@ class TestCantorConjugationAcrossLevels:
             conjugators = list(conjugators)
             if h.family != "cantor" or max(c.m for c in conjugators) != 4:
                 continue
-            maps = [(c, c.conjugation()) for c in conjugators]
+            maps = [(c, c._conjugation_at(4)) for c in conjugators]
             for x in orbit_under(h, conjugators):
                 for c, conj in maps:
-                    assert conj(x) == plain_conjugate(c, x)
+                    assert conj(x._payload(4)) == plain_conjugate(c, x)._payload(4)
                     checked += 1
         assert checked > 10_000
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from isrlab.algebra import AlgebraElement, unit
+from isrlab.algebra import AlgebraElement, combine, inner_product, trace, unit
 from isrlab.errors import DimensionOutOfRange, ModulusOutOfRange, Overflow
 from isrlab.expectation import SubalgebraSpec, verify_closure, verify_invariance
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
-from isrlab.groups import Affine, Wreath, enumerate_group, gl_elements, transposition
+from isrlab.groups import Affine, Cantor, Wreath, enumerate_group, gl_elements, transposition
 from isrlab.projections import CylinderWord, make_f, make_q_power
 from isrlab import cli, projections, zoo
 
@@ -115,8 +115,41 @@ class TestMexo:
         assert e == unit(s) * make_f(F2Matrix.swap(1, 2))
         assert e.coefficient(s) == Fraction(1, 2)
 
-    def test_exoticness_witness(self):
-        assert zoo.mexo_exoticness_witness(2)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "span, exotic", [("mexo", True), ("L(F2^n)", False), ("scalars", False), ("L(G)", False)]
+    )
+    def test_exoticness_witness(self, span, exotic, n):
+        # the witness tells the mexo span apart from the group algebras of
+        # {e}, F2^n and G, each given on the mexo window
+        spec = zoo.build_mexo(n)
+        basis = {
+            "mexo": spec.basis,
+            "L(F2^n)": [unit(Affine.vector(F2Vector(b))) for b in range(1 << n)],
+            "scalars": [unit(Affine.identity())],
+            "L(G)": [unit(g) for g in spec.window],
+        }[span]
+        candidate = SubalgebraSpec(span, basis, spec.window)
+        assert zoo.mexo_exoticness_witness(n, candidate) is exotic
+
+    def test_witness_fixed_facts(self):
+        # the facts the witness's argument reads and does not recompute:
+        # ⟨x, u_t⟩ = 1, τ(u_{e1}) = 0, and u_t·f_t has a term off F2^n
+        t = F2Matrix.transvection(1, 2)
+        ut = unit(Affine.matrix(t))
+        ue1 = unit(Affine.vector(F2Vector.basis(1)))
+        x = ut * (unit(Affine.vector(F2Vector(0))) - ue1)
+        assert inner_product(x, ut) == 1
+        assert trace(ue1).is_zero()
+        assert any(not g.g.is_identity() for g in (ut * make_f(t)).support())
+
+    def test_suite_samples_50_elements_at_n3(self):
+        report = zoo.suite_mexo(n=3)
+        assert [c["description"] for c in report["checks"]][:2] == [
+            "E(u_g·v) = u_g f_g u_v on 50 elements",
+            "expectation character is 2^{-rank(g-I)}",
+        ]
+        assert all(c["pass"] for c in report["checks"])
 
     def test_witness_guard(self):
         with pytest.raises(DimensionOutOfRange):
@@ -201,6 +234,19 @@ class TestMpart:
 class TestWitnesses:
     def test_cantor_case3(self):
         assert zoo.cantor_case3_witness()
+
+    @pytest.mark.parametrize("sgn", [1, -1])
+    def test_cantor_case3_closed_forms_differ(self, sgn):
+        # the witness matches E(g)·f̃_A and f̃_A·E(g) to these two forms;
+        # that they differ is what makes the two products differ
+        def ind(*pts):
+            return unit(Cantor.indicator(3, set(pts)))
+
+        ug = unit(Cantor.perm(2, (0, 3, 2, 1)))
+        half = Fraction(1, 2)
+        left = ug * combine(half, ind(0, 1), sgn * half, ind(0, 3, 5, 7))
+        right = ug * combine(half, ind(0, 3), sgn * half, ind(0, 1, 5, 7))
+        assert left != right
 
     def test_e12_vanishing(self):
         assert zoo.affine_e12_vanishing_check()
