@@ -109,12 +109,19 @@ class F2Matrix:
 
     Row ``i`` (0-indexed) is an int bitmask whose bit ``j`` is entry
     (i+1, j+1).  The stored block is minimal: the last stored row/column
-    pair is not an identity row/column.
+    pair is not an identity row/column.  Every row of an n-row matrix is
+    below 2^n; the constructor raises ValueError naming the first that
+    is not.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
+        rows = tuple(rows)
+        n = len(rows)
+        for i, r in enumerate(rows):
+            if r >> n:  # a bit at or above n; a negative row has them all
+                raise ValueError(f"row {i} of a {n}-row matrix has a bit outside its block: {r}")
         object.__setattr__(self, "rows", _canonical_rows(rows))
 
     def __setattr__(self, *a):
@@ -209,6 +216,19 @@ class F2Matrix:
 # group elements both go through them.
 
 
+class _SetBits(dict):
+    """x -> the ascending tuple of the set-bit indices of x, each entry
+    filled on first use.  Past n = 8 the kernels read a fresh one per
+    call; up to n = 8 they read its 256 byte entries, ``_SET_BITS``."""
+
+    def __missing__(self, x):
+        t = self[x] = tuple([i for i in range(x.bit_length()) if x >> i & 1])
+        return t
+
+
+_SET_BITS = tuple(map(_SetBits().__getitem__, range(256)))
+
+
 def _mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical rows of the product a·b: row i of a·b is the sum of
     the rows of b selected by the set bits of row i of a."""
@@ -217,13 +237,12 @@ def _mul_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         a += tuple([1 << i for i in range(la, lb)])
     elif lb < la:
         b += tuple([1 << i for i in range(lb, la)])
+    set_bits = _SET_BITS if len(a) <= 8 else _SetBits()
     out = []
     for r in a:
         acc = 0
-        while r:
-            low = r & -r
-            acc ^= b[low.bit_length() - 1]
-            r ^= low
+        for i in set_bits[r]:
+            acc ^= b[i]
         out.append(acc)
     n = len(out)
     if n and out[-1] != 1 << (n - 1):  # the last row alone shows it canonical
@@ -346,10 +365,17 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
     D with phi(v) = 0 and phi(x) = 1.  Then t = I + v·phi is a rank-1
     involution with range in R(g - I), and t·g - I = D + v·(phi·g) has
     rank one less: it kills x, and it kills ker D, where phi·g = phi
-    and phi, a sum of rows of D, vanishes.
+    and phi, a sum of rows of D, vanishes.  So a zero column of D stays
+    zero, and the lowest nonzero column only moves right.
     Such phi is the row of D at an index in supp v ∖ supp D·v or, failing
     that, the sum of the rows at an index in supp v and one in
     supp D·v ∖ supp v.
+
+    D is kept both as rows and as columns, each a bitmask.  Then v is
+    column j, D·v the sum of the columns at supp v, and phi·D the sum of
+    the rows at supp phi; the update D += v·(phi·g) adds phi·g to the
+    rows at supp v and v to the columns at supp phi·g.  Every walk over
+    set bits reads ``_SET_BITS`` (or, for n > 8, its per-call fill).
 
     Singular g is found inside the loop, with no rank pass up front.
     When neither choice exists, D·v = v, so g·v = 0 and g is singular.
@@ -361,36 +387,35 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
     if g.is_identity():
         raise IdentityInput("cannot factorize the identity")
     n = g.n
-    bits = [1 << i for i in range(n)]
-    diff = [r ^ b for r, b in zip(g.rows, bits)]  # the rows of D
+    set_bits = _SET_BITS if n <= 8 else _SetBits()
+    diff = [r ^ (1 << i) for i, r in enumerate(g.rows)]  # the rows of D
+    cols = [0] * n  # the columns of D
+    for i, d in enumerate(diff):
+        for k in set_bits[d]:
+            cols[k] |= 1 << i
     factors: list[F2Matrix] = []
+    j = 0
     while True:
-        cols = 0
-        for d in diff:
-            cols |= d
-        if not cols:
-            return factors
-        low = cols & -cols
-        v = dv = 0
-        for d, b in zip(diff, bits):
-            if d & low:
-                v |= b
-        for d, b in zip(diff, bits):
-            if (d & v).bit_count() & 1:
-                dv |= b
+        while not cols[j]:
+            j += 1
+            if j == n:
+                return factors
+        v = cols[j]
+        dv = 0
+        for i in set_bits[v]:
+            dv ^= cols[i]
         m = v & ~dv
         if m:
-            phi = diff[(m & -m).bit_length() - 1]
+            phi = diff[set_bits[m][0]]
         else:
             m = dv ^ v  # supp D·v ∖ supp v, as v ⊆ D·v here
             if not m:
                 raise SingularMatrix(f"matrix of dimension {n} is singular")
-            phi = diff[(v & -v).bit_length() - 1] ^ diff[(m & -m).bit_length() - 1]
+            phi = diff[set_bits[v][0]] ^ diff[set_bits[m][0]]
         # t·g - I = D + v·(phi·g), and phi·g = phi + phi·D
         phi_g = phi
-        for d, b in zip(diff, bits):
-            if phi & b:
-                phi_g ^= d
+        for i in set_bits[phi]:
+            phi_g ^= diff[i]
         # t = I + v·phi is shared by every call that peels it (F2Matrix is
         # immutable).  A miss builds it here, not in a helper: the first
         # call in a fresh process misses on every step, and a helper's
@@ -400,17 +425,14 @@ def transvection_factorize(g: F2Matrix) -> list[F2Matrix]:
         if f is None:
             if len(_transvections) >= _TRANSVECTION_LIMIT:
                 _transvections.clear()
-            t = bits[: (v | phi).bit_length()]
-            w = v
-            while w:
-                low = w & -w
-                t[low.bit_length() - 1] ^= phi
-                w ^= low
+            t = [1 << i for i in range((v | phi).bit_length())]
+            for i in set_bits[v]:
+                t[i] ^= phi
             f = object.__new__(F2Matrix)
             object.__setattr__(f, "rows", tuple(t))
             _transvections[v, phi] = f
         factors.append(f)
-        while v:
-            low = v & -v
-            diff[low.bit_length() - 1] ^= phi_g
-            v ^= low
+        for i in set_bits[v]:
+            diff[i] ^= phi_g
+        for k in set_bits[phi_g]:
+            cols[k] ^= v

@@ -1,6 +1,7 @@
 """Differential tests of the fast paths against the forms they replaced,
 which are kept here as the references: the Cantor orbit search on
-level-m payloads against an element-level search, the unit-span closure
+level-m payloads against an element-level search, the Cantor conjugate
+against the product law on (σ, A) set payloads, the unit-span closure
 check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
@@ -120,10 +121,29 @@ def test_drawn_orbits_match_the_element_search(h, cs):
         assert orbit_under(h, conjugators, cap) == expected
 
 
+def set_product(a, b):
+    """(σ1, A1)·(σ2, A2) = (σ1∘σ2, A2 Δ σ2⁻¹(A1)), on the at_level
+    payloads at the higher of the two levels."""
+    m = max(a.m, b.m)
+    s1, a1 = a.at_level(m)
+    s2, a2 = b.at_level(m)
+    points = range(1 << m)
+    return Cantor(m, [s1[s2[i]] for i in points], a2 ^ {i for i in points if s2[i] in a1})
+
+
+def set_inverse(c):
+    """(σ, A)⁻¹ = (σ⁻¹, σ(A))."""
+    sigma, a = c.at_level(c.m)
+    inverse = [0] * len(sigma)
+    for i, p in enumerate(sigma):
+        inverse[p] = i
+    return Cantor(c.m, inverse, {sigma[p] for p in a})
+
+
 @given(x=any_cantor, c=any_cantor, up=st.integers(0, 1))
 @settings(max_examples=100, deadline=None)
 def test_drawn_conjugations_match_products(x, c, up):
-    y = product_conjugate(c, x)
+    y = set_product(set_product(c, x), set_inverse(c))
     assert conjugate(c, x) == y
     # the kernel maps payloads to payloads: the conjugate's own, bit 0
     # of the mask cleared by complement, at the top level and above it

@@ -29,6 +29,8 @@ T = F2Matrix.from_lists([[0, 1], [1, 1]])
 GOLDEN_GL3 = "adb4738ca7a14783bef2762e21be84afd4a4dc137b37cdc07304e6a4409b8eb4"
 GOLDEN_GL4 = "bb7cb47e03ef5b75384081afe41a00adc663f1d71bd747e4c27421966fb92e31"
 GOLDEN_SINGULAR4 = "95602dcc0e67f99d162f261578ed569e216b061dc6c12c893f78da62edb23941"
+GOLDEN_GL9 = "bd299ab69473ef11c4ff6e67cf6360401648385f1b842dc1ad6e1047275d7457"
+GOLDEN_GL10 = "f06785688793cb46b7096dc32c22d11a5dcb2fb2da18ee17c1254f61f3c0b146"
 
 
 def all_gl(n):
@@ -97,6 +99,25 @@ class TestMatMul:
         assert mat_mul(a4, T) == mat_mul(S, T)
 
 
+class TestRowsInsideTheBlock:
+    """Every row of an n-row matrix is below 2^n: the set-bit kernels
+    index by it, and a row past the block would store I + E13 as (5,)."""
+
+    @pytest.mark.parametrize("rows, i", [((5, 2), 0), ((1, 6), 1), ((0b100,), 0), ((1, -1), 1)])
+    def test_row_outside_the_block_raises(self, rows, i):
+        with pytest.raises(ValueError, match=f"^row {i} of a {len(rows)}-row matrix has a bit outside its block: "):
+            F2Matrix(rows)
+
+    def test_from_lists_checks_too(self):
+        with pytest.raises(ValueError, match="^row 0 "):
+            F2Matrix.from_lists([[0, 0, 1]])
+
+    def test_padded_rows_give_the_one_form(self):
+        e13 = F2Matrix((5, 2, 4))
+        assert e13 == F2Matrix.transvection(1, 3) and e13.rows == (5, 2, 4)
+        assert mat_mul(e13, e13) == I
+
+
 def entrywise_product(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """a·b from the entry formula (ab)_ij = Σ_k a_ik b_kj, at the larger
     of the two stored dimensions."""
@@ -124,9 +145,10 @@ class TestMulRowsKernel:
         return [m.rows for m in out]
 
     def test_every_pair_of_dimensions(self):
+        # every small dimension, and both sides of the byte-wide table
         rng = random.Random(13)
         checked = trimmed = 0
-        for da, db in itertools.product(range(6), repeat=2):
+        for da, db in itertools.product((*range(6), 8, 9, 10), repeat=2):
             for a in self.samples(da, rng):
                 for b in self.samples(db, rng):
                     got = _mul_rows(a, b)
@@ -273,7 +295,7 @@ class TestFactorize:
             check_factorization(g)
             done += 1
 
-    @given(st.integers(min_value=5, max_value=8).flatmap(matrices).filter(is_invertible))
+    @given(st.integers(min_value=5, max_value=10).flatmap(matrices).filter(is_invertible))
     @settings(max_examples=60)
     def test_large_dims(self, g):
         assume(g != I)
@@ -292,16 +314,20 @@ class TestFactorize:
         assert count == 10 + 344
 
 
-def sample4(count, seed, invertible):
-    """count seeded uniform draws of 4 x 4 matrices: from GL(4, F2) minus
+def sample(n, count, seed, invertible):
+    """count seeded uniform draws of n x n matrices: from GL(n, F2) minus
     the identity, or singular ones."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        g = F2Matrix([rng.randrange(16) for _ in range(4)])
+        g = F2Matrix([rng.randrange(1 << n) for _ in range(n)])
         if g != I and is_invertible(g) == invertible:
             out.append(g)
     return out
+
+
+def sample4(count, seed, invertible):
+    return sample(4, count, seed, invertible)
 
 
 def factor_digest(ms):
@@ -339,6 +365,18 @@ class TestFactorizeGolden:
         messages = singular_messages(ms)
         assert messages == [f"matrix of dimension {g.n} is singular" for g in ms]
         assert hashlib.sha256("\n".join(messages).encode()).hexdigest() == GOLDEN_SINGULAR4
+
+
+class TestFactorizePastAByte:
+    """Seeded GL(9) and GL(10) samples, whose rows do not fit the
+    byte-wide set-bit table, pinned from the single-copy peel loop that
+    walked set bits one lowest bit at a time."""
+
+    @pytest.mark.parametrize("n, seed, golden", [(9, 31, GOLDEN_GL9), (10, 37, GOLDEN_GL10)])
+    def test_gl_sample(self, n, seed, golden):
+        ms = sample(n, 300, seed, invertible=True)
+        assert min(g.n for g in ms) == n
+        assert factor_digest(ms) == golden
 
 
 class _Watched(dict):
@@ -387,9 +425,9 @@ class TestFactorizeShared:
 
 @st.composite
 def rank_deficient(draw):
-    """An n x n matrix, 5 <= n <= 8, one of whose rows is the sum of a
+    """An n x n matrix, 5 <= n <= 10, one of whose rows is the sum of a
     subset of the others (the empty sum included)."""
-    n = draw(st.integers(min_value=5, max_value=8))
+    n = draw(st.integers(min_value=5, max_value=10))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     k = draw(st.integers(0, n - 1))
     subset = draw(st.integers(0, (1 << n) - 1)) & ~(1 << k)

@@ -117,17 +117,21 @@ class TestMexo:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
-        "span, exotic", [("mexo", True), ("L(F2^n)", False), ("scalars", False), ("L(G)", False)]
+        "span, exotic",
+        [("mexo", True), ("L(F2^n)", False), ("scalars", False), ("L(G)", False), ("u_t*f_t", False)],
     )
     def test_exoticness_witness(self, span, exotic, n):
         # the witness tells the mexo span apart from the group algebras of
-        # {e}, F2^n and G, each given on the mexo window
+        # {e}, F2^n and G, each given on the mexo window; span{u_t·f_t}
+        # passes every clause but u_{e1} ∈ span
         spec = zoo.build_mexo(n)
+        t = F2Matrix.transvection(1, 2)
         basis = {
             "mexo": spec.basis,
             "L(F2^n)": [unit(Affine.vector(F2Vector(b))) for b in range(1 << n)],
             "scalars": [unit(Affine.identity())],
             "L(G)": [unit(g) for g in spec.window],
+            "u_t*f_t": [unit(Affine.matrix(t)) * make_f(t)],
         }[span]
         candidate = SubalgebraSpec(span, basis, spec.window)
         assert zoo.mexo_exoticness_witness(n, candidate) is exotic
