@@ -10,8 +10,9 @@ projection does not change when a vector is rescaled, so each
 orthogonal vector is kept primitive (its entries share no factor) with
 its integer norm, and the update needs no fractions.  An inverted index
 from ids to the rows that touch them makes every dot product visit only
-the rows meeting the vector's support; a vector orthogonal to every row
-is its own residual.  E(x) goes back as an integer form over den(x)·L,
+the rows meeting the vector's support; a vector whose elements no
+earlier vector touched is orthogonal to every row, and its row is taken
+with no projection pass.  E(x) goes back as an integer form over den(x)·L,
 for the L that clears the row's projection.  One integer pass gives a
 conditional expectation's whole report: E(x) = P/(den·L), the residual
 ‖x − E(x)‖² summed from L·x_g − P_g, and ⟨x, E(x)⟩ from conj(x_g)·P_g.
@@ -40,7 +41,7 @@ from .algebra import (
     unit,
 )
 from .errors import FamilyMismatch, HypothesisViolated, WindowNotNormalized
-from .groups import GroupElement, _check_family, conjugate, inverse
+from .groups import GroupElement, Truncation, _check_family, conjugate, inverse
 from .serialize import decode_algebra, decode_group, encode_algebra
 
 # E(u_g) for every g that no row of a span meets
@@ -69,11 +70,18 @@ class SubalgebraSpec:
     equal to an earlier one (equal ``(den, ints)``) or to the negation
     of an earlier one lies in the span that one already gave and
     touches no new element.
+
+    A ``Truncation`` window (what ``Model.window`` and
+    ``groups.truncation`` return) is kept as it is, shared with every
+    spec on the same truncation, and its family is checked on one
+    element: it holds one family by construction.  Any other window is
+    copied into a frozenset and checked element by element.
     """
 
     def __init__(self, label: str, basis, window):
-        basis = tuple(b for b in basis if not b.is_zero())
-        window = frozenset(window)
+        basis = tuple(b for b in basis if b.ints)
+        if type(window) is not Truncation:
+            window = frozenset(window)
         if not basis:
             raise ValueError("spec needs at least one nonzero basis element")
         # x and −x share a support, so a vector is compared only with the
@@ -81,17 +89,22 @@ class SubalgebraSpec:
         supports: dict[frozenset, list[AlgebraElement]] = {}
         distinct = []
         for b in {id(b): b for b in basis}.values():
-            same = supports.setdefault(frozenset(b.ints), [])
+            support = frozenset(b.ints)
+            same = supports.setdefault(support, [])
             if not same or (b not in same and -b not in same):
                 same.append(b)
                 distinct.append(b)
+                # set against set, so the support's stored hashes are read;
+                # a vector inside the window is of the window's family,
+                # which the loop below checks, so only one outside it is
+                # checked against the basis group
+                if not window.issuperset(support):
+                    distinct[0]._check(b)
+                    raise ValueError(f"basis element escapes the window: {b!r}")
         distinct = tuple(distinct)
-        for b in distinct:
-            distinct[0]._check(b)
-            if not window.issuperset(b.ints):
-                raise ValueError(f"basis element escapes the window: {b!r}")
         g0 = next(iter(distinct[0].ints))
-        for w in window:
+        # a Truncation holds one family, so its first element speaks for all
+        for w in window.elements[:1] if type(window) is Truncation else window:
             try:
                 _check_family(g0, w)
             except FamilyMismatch as exc:
@@ -269,6 +282,14 @@ class _Span:
     projection, against 209).  ``pivots`` are the input vectors that
     gave a row, a basis of the span.  The length is the rank.
 
+    Each vector's row comes from ``_row``.  A vector whose ids are all
+    new to ``ids`` (read off the map's growth) meets no row, so it is
+    orthogonal to the span and its row is its primitive form, taken with
+    no projection pass: every distinct vector of mexo and mq± goes this
+    way.  A vector that meets an earlier one (in mpart) takes the
+    Gram–Schmidt step, row − E(row) made primitive.  The skip changes no
+    row: E of a vector that meets no row is 0, so its residual is itself.
+
     A vector already in the span reduces to nothing and leaves every
     row, id and pivot as it was, so passing each distinct vector once
     (as ``SubalgebraSpec`` does) gives the same rows, ids, pivots and
@@ -284,7 +305,7 @@ class _Span:
         self.index = index
         self.pivots: list[AlgebraElement] = []
         for b in vectors:
-            r = self._reduce({ids.setdefault(g, len(ids)): p for g, p in b.ints.items()})
+            r = self._row(b)
             if r:
                 k = len(self.rows)
                 self.rows.append((r, sum(a * a + c * c for a, c in r.values())))
@@ -357,7 +378,7 @@ class _Span:
         ids = self.ids
         if any(g not in ids for g in x.ints):
             return False
-        return not self._reduce({ids[g]: pair for g, pair in x.ints.items()})
+        return not self._residual({ids[g]: pair for g, pair in x.ints.items()})
 
     def _project(self, row: dict) -> tuple[int, dict]:
         """(L, P) with E(row) = P / L and P a Gaussian-integer row:
@@ -391,25 +412,41 @@ class _Span:
                 out[i] = (pr + re * a - im * b, pi + re * b + im * a)
         return scale, out
 
-    def _reduce(self, row: dict) -> dict:
-        """The primitive row along row − E(row); empty iff row is in the span."""
+    def _row(self, b: AlgebraElement) -> dict:
+        """The primitive row along b − E(b) over the rows so far, with ids
+        given to b's new elements.  When every id of b is new, no row
+        meets b, so E(b) = 0 and b's row is its primitive form: the
+        projection pass is skipped."""
+        ids = self.ids
+        fresh = len(ids) + len(b.ints)
+        row = {ids.setdefault(g, len(ids)): p for g, p in b.ints.items()}
+        return _primitive(row if len(ids) == fresh else self._residual(row))
+
+    def _residual(self, row: dict) -> dict:
+        """L·row − P for E(row) = P/L, without its zero entries: empty iff
+        row is in the span."""
         scale, p = self._project(row)
-        r = row
-        if p:
-            r = {}
-            for i in row.keys() | p.keys():
-                c, d = row.get(i, (0, 0))
-                pr, pi = p.get(i, (0, 0))
-                re, im = scale * c - pr, scale * d - pi
-                if re or im:
-                    r[i] = (re, im)
-        # the gcd is folded pair by pair and stops at 1, as in _trusted
-        g = 0
-        for re, im in r.values():
-            g = gcd(g, re, im)
-            if g == 1:
-                return r
-        return {i: (re // g, im // g) for i, (re, im) in r.items()} if g > 1 else r
+        if not p:
+            return row
+        r = {}
+        for i in row.keys() | p.keys():
+            c, d = row.get(i, (0, 0))
+            pr, pi = p.get(i, (0, 0))
+            re, im = scale * c - pr, scale * d - pi
+            if re or im:
+                r[i] = (re, im)
+        return r
+
+
+def _primitive(r: dict) -> dict:
+    """r divided by the gcd of its entries.  The gcd is folded pair by
+    pair and stops at 1, as in _trusted."""
+    g = 0
+    for re, im in r.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return r
+    return {i: (re // g, im // g) for i, (re, im) in r.items()} if g > 1 else r
 
 
 # -- JSON spec files -------------------------------------------------------

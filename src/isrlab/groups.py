@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from functools import lru_cache
 from operator import itemgetter
 
@@ -440,8 +441,13 @@ class Lamplighter(_Element):
 
     @staticmethod
     def from_json(d: dict) -> "Lamplighter":
-        v = F2Vector.from_bitstring(_bits(d.get("v"), "v"))
-        return Lamplighter(_int(d.get("m"), "m"), v.bits, _int(d.get("t"), "t"))
+        """The element the JSON names; t is read mod m, but a lamp at or
+        beyond position m is refused, not masked away."""
+        m = _int(d.get("m"), "m")
+        v = F2Vector.from_bitstring(_bits(d.get("v"), "v")).bits
+        if m > 0 and v >> m:
+            raise ValueError(f"v lights a lamp at or beyond position m = {m}")
+        return Lamplighter(m, v, _int(d.get("t"), "t"))
 
 
 def _lamplighter(m: int, v: int, t: int) -> Lamplighter:
@@ -807,8 +813,32 @@ def capped_count(log2_floor: int, count, cap: int, refusal) -> int:
     raise refusal(f"at least 2^{log2_floor}")
 
 
-def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupElement]:
-    """All elements of the truncated group, deterministically ordered."""
+class Truncation(frozenset):
+    """The elements of one family's truncation at one level, as a
+    frozenset, with ``elements`` the tuple of them in the family's
+    ``elements`` order.  Only ``truncation`` builds one, so it holds a
+    single family (and, for the lamplighter, a single modulus)."""
+
+    __slots__ = ("elements",)
+
+    def __new__(cls, elements: tuple):
+        self = super().__new__(cls, elements)
+        self.elements = elements
+        return self
+
+    def __reduce__(self):
+        return Truncation, (self.elements,)
+
+
+# (family, n) -> its Truncation while anything else holds it: a spec
+# keeps its window alive, and the 322,560 elements of affine:4 go with
+# the last spec built on them
+_TRUNCATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def truncation(family: str, n: int, cap: int = DEFAULT_CAP) -> Truncation:
+    """The truncated group, shared by every caller while one holds it;
+    the cap binds on every call."""
     cls = FAMILIES.get(family)
     if cls is None:
         raise FamilyMismatch(f"unknown family {family!r}")
@@ -819,7 +849,16 @@ def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupEl
         cap,
         lambda text: GroupTooLarge(f"{family} truncation {n} has {text} elements, above cap {cap}"),
     )
-    return cls.elements(n)
+    t = _TRUNCATIONS.get((family, n))
+    if t is None:
+        t = _TRUNCATIONS[family, n] = Truncation(tuple(cls.elements(n)))
+    return t
+
+
+def enumerate_group(family: str, n: int, cap: int = DEFAULT_CAP) -> list[GroupElement]:
+    """All elements of the truncated group, deterministically ordered, in
+    a list of the caller's own."""
+    return list(truncation(family, n, cap).elements)
 
 
 def _reach(start: GroupElement, maps, cap: int, what: str) -> set[GroupElement]:

@@ -229,7 +229,7 @@ def make_part_generator(s, partition: PartitionSpec) -> AlgebraElement:
         gens += [((1 << (k - 1)) | (1 << (j - 1)), 1) for j in rest]
         if _restricted_sign(s, block) < 0:
             shift ^= 1 << (k - 1)
-    return walsh_sum(lambda z: Wreath(s, F2Vector(z ^ shift)), gens)
+    return walsh_sum(lambda z: Wreath._of(s, z ^ shift), gens)
 
 
 def mu_fix(g: Cantor) -> Fraction:

@@ -57,6 +57,7 @@ from .groups import (
     Affine,
     Cantor,
     Lamplighter,
+    Truncation,
     Wreath,
     affine_vector_centralizer_gens,
     cantor_indicator_centralizer_gens,
@@ -69,6 +70,7 @@ from .groups import (
     normal_closure,
     orbit_under,
     transposition,
+    truncation,
 )
 from .projections import (
     CylinderWord,
@@ -184,7 +186,7 @@ def build_mexo(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     """Span of {u_g·f_g·u_v : g ∈ GL(n,F2), v ∈ F2^n}; contains every u_v
     (g = I gives f_I = 1) and is closed by f_{h^{-1}gh}·f_h = f_{gh}·f_h."""
     window = MODELS["mexo"].window(n, 1, cap)
-    basis = _coset_basis(window, n, lambda x: [(b, 1) for b in _range_basis(x.rows)])
+    basis = _coset_basis(window.elements, n, lambda x: [(b, 1) for b in _range_basis(x.rows)])
     return SubalgebraSpec(f"mexo:n={n}", basis, window)
 
 
@@ -438,7 +440,7 @@ def build_mq(n: int, sign: int = 1, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
     u_s·Q^{supp(s)} = ∏ ½(1 ± u_{(s, e_j)}) over the e_j that s moves."""
     window = MODELS["mq"].window(n, sign, cap)
     basis = _coset_basis(
-        window, n, lambda x: [(1 << i, sign) for i, j in enumerate(x.sigma) if i != j]
+        window.elements, n, lambda x: [(1 << i, sign) for i, j in enumerate(x.sigma) if i != j]
     )
     label = f"mq:n={n},sign={'+' if sign > 0 else '-'}"
     return SubalgebraSpec(label, basis, window)
@@ -709,7 +711,7 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_):
         cap,
         lambda text: Overflow(f"lamplighter at m={m} checks {text} window products, above cap {cap}"),
     )
-    window = enumerate_group("lamplighter", m, cap)
+    window = truncation("lamplighter", m, cap)
     shift = Lamplighter.shift(m, 1)
     lamp0 = Lamplighter.lamp(m, 0)
 
@@ -1024,14 +1026,15 @@ class Model(NamedTuple):
     expected: Callable | None
     rank: Callable
 
-    def window(self, n: int, sign: int, cap: int) -> list:
-        """The window at size n; a size or a sign the model lacks is refused."""
+    def window(self, n: int, sign: int, cap: int) -> Truncation:
+        """The shared truncation at size n; a size or a sign the model
+        lacks is refused."""
         if n not in self.sizes:
             sizes = f"[{self.sizes[0]}, {self.sizes[-1]}]"
             raise DimensionOutOfRange(f"{self.name} truncation {n} not in {sizes}")
         if sign not in self.signs:
             raise ValueError("sign must be " + " or ".join(f"{s:+d}" for s in self.signs))
-        return enumerate_group(self.family, n, cap)
+        return truncation(self.family, n, cap)
 
 
 MODELS = {m.name: m for m in (

@@ -9,10 +9,11 @@ import hashlib
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
-from isrlab import algebra, zoo
+from isrlab import algebra, groups, zoo
 from isrlab.algebra import AlgebraElement, unit
 from isrlab.cli import main
 from isrlab.expectation import character_of, check_E_properties, check_ES_subset_S
@@ -212,3 +213,14 @@ def test_criterion_12_seed31_report(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED31_REPORT_SHA256
     dt = time.perf_counter() - t0
     print(f"criterion 12 (seed-31 report): PASS in {dt:.1f}s")
+
+
+def test_criterion_13_mexo4_build_and_first_projection(monkeypatch):
+    # a truncation map of this test's own, so the window is enumerated here
+    monkeypatch.setattr(groups, "_TRUNCATIONS", weakref.WeakValueDictionary())
+    t0 = time.perf_counter()
+    spec = zoo.build_mexo(4)
+    one = unit(Affine.identity())
+    assert spec.project(one) == one
+    assert len(spec._orthogonal_basis()) == zoo.MODELS["mexo"].rank(4) == 40320
+    _finish(13, "mexo:4 build and first projection", t0, 3)

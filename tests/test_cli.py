@@ -15,7 +15,7 @@ from isrlab.characters import parse_character
 from isrlab.cli import main
 from isrlab.expectation import spec_to_dict
 from isrlab.f2 import F2Vector
-from isrlab.groups import Affine, Cantor, enumerate_group
+from isrlab.groups import Affine, Cantor, Lamplighter, enumerate_group
 from isrlab.algebra import unit
 from isrlab.expectation import SubalgebraSpec
 from isrlab.serialize import decode_group
@@ -189,6 +189,8 @@ MALFORMED_ELEMENTS = {
     "cantor-level": '{"family":"cantor","m":1000000000000,"perm":[1,2],"a":[]}',
     "unhashable-family": '{"family":["affine"],"g":"1","v":"0"}',
     "unknown-family": '{"family":"heisenberg","g":"1","v":"0"}',
+    "lamp-at-m": '{"family":"lamplighter","m":3,"v":"0001","t":0}',
+    "lamps-past-m": '{"family":"lamplighter","m":3,"v":"11111","t":0}',
 }
 
 
@@ -331,6 +333,22 @@ class TestExpect:
         assert capsys.readouterr().err == (
             "error: window leaves the basis group: affine vs lamplighter\n"
         )
+
+    def test_window_lamp_beyond_the_modulus(self, tmp_path, capsys):
+        # a window entry with a lamp at position m is refused, not read as
+        # the element without that lamp
+        lamps = Lamplighter.elements(3)
+        spec = SubalgebraSpec("lamps", [unit(g) for g in lamps[:8]], lamps)
+        d = spec_to_dict(spec)
+        d["window"][-1]["v"] += "1"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(d))
+        elem = json.dumps(Lamplighter(3, 1, 0).to_json())
+        assert main(["expect", str(path), elem]) == 2
+        assert capsys.readouterr().err == "error: v lights a lamp at or beyond position m = 3\n"
+        d["window"][-1]["v"] = d["window"][-1]["v"][:-1]
+        path.write_text(json.dumps(d))
+        assert main(["expect", str(path), elem]) == 0
 
     def test_bad_spec_name(self, capsys):
         assert main(["expect", "nope:2", SWAP_JSON]) == 2

@@ -378,10 +378,10 @@ def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label):
     spec = build(label)
     with_twins = list(dict.fromkeys(spec.basis))
     calls = []
-    reduce = _Span._reduce
-    monkeypatch.setattr(_Span, "_reduce", lambda self, row: calls.append(1) or reduce(self, row))
+    row = _Span._row
+    monkeypatch.setattr(_Span, "_row", lambda self, b: calls.append(1) or row(self, b))
     span = spec._orthogonal_basis()
-    # one reduction per vector kept: 65 for mq:4−, not 114
+    # one row step per vector kept: 65 for mq:4−, not 114
     assert (len(with_twins), len(calls)) == (exact, kept)
     model, n, _ = SPECS[label]
     assert len(span) == model.rank(n)

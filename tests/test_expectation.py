@@ -149,6 +149,16 @@ class TestProjection:
             with pytest.raises(FamilyMismatch):
                 SubalgebraSpec("x", [unit(lamp)], [lamp, stray])
 
+    def test_mixed_window_built_from_a_truncation(self):
+        # a caller's window is checked element by element, even when it is
+        # a shared truncation's elements or members with one stray added
+        spec = zoo.build_mq(3)
+        stray = Lamplighter(3, 1, 0)
+        for window in (list(spec.window.elements) + [stray], spec.window | {stray}):
+            with pytest.raises(FamilyMismatch, match="^window leaves the basis group: wreath vs lamplighter$"):
+                SubalgebraSpec("mixed", spec.basis, window)
+        assert SubalgebraSpec("same", spec.basis, list(spec.window.elements)).window == spec.window
+
     @pytest.mark.parametrize("family,n", [("affine", 2), ("wreath", 2), ("lamplighter", 3),
                                           ("cantor", 1)])
     def test_window_without_the_identity(self, family, n):
@@ -600,6 +610,24 @@ class TestUnitMemo:
                 spec.expect_unit(g)
             # every g of the window meets exactly one row
             assert (len(window), len(spec._orthogonal_basis()), len(calls)) == (1344, 336, 336)
+
+    @pytest.mark.parametrize("name,sign,n,disjoint", [
+        ("mexo", 1, 3, True), ("mq", -1, 4, True), ("mpart", 1, 4, False)])
+    def test_fresh_vectors_skip_the_projection_pass(self, monkeypatch, name, sign, n, disjoint):
+        # a vector whose support no earlier vector touched takes its row
+        # with no projection pass; only the overlapping ones are projected
+        model = zoo.MODELS[name]
+        spec = model.build(n, sign=sign)
+        seen, meets = set(), 0
+        for b in spec._distinct:
+            meets += not seen.isdisjoint(b.ints)
+            seen.update(b.ints)
+        assert (meets == 0) == disjoint
+        calls = []
+        project = _Span._project
+        monkeypatch.setattr(_Span, "_project", lambda self, row: calls.append(1) or project(self, row))
+        assert len(spec._orthogonal_basis()) == model.rank(n)
+        assert len(calls) == meets
 
     def test_unmet_elements_share_one_zero(self, monkeypatch):
         # half of the mpart:4 window meets no row; those elements are not

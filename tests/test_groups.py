@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,50 @@ class TestCaps:
         gl4 = Affine.order(4) >> 4
         assert gl4 == 20160
         assert groups._mat_inverse_cached.cache_info().maxsize > gl4
+
+
+class TestSharedTruncation:
+    def test_cap_binds_after_the_default_cap_build(self):
+        spec = zoo.build_mq(4)
+        for call in (
+            lambda: enumerate_group("wreath", 4, cap=10),
+            lambda: groups.truncation("wreath", 4, cap=10),
+            lambda: zoo.MODELS["mq"].window(4, 1, 10),
+            lambda: zoo.build_mpart(4, cap=10),
+        ):
+            with pytest.raises(GroupTooLarge, match="above cap 10"):
+                call()
+        assert zoo.MODELS["mpart"].window(4, 1, 384) is spec.window
+
+    def test_enumerate_group_lists_are_the_callers_own(self):
+        spec = zoo.build_mq(3)
+        first = enumerate_group("wreath", 3)
+        expected = list(spec.window.elements)
+        assert first == expected
+        first.reverse()
+        first[0] = None
+        first.append(Affine.identity())
+        assert enumerate_group("wreath", 3) == expected
+        assert spec.window.elements == tuple(expected)
+
+    @pytest.mark.parametrize("family,n", [("affine", 2), ("wreath", 3), ("lamplighter", 3), ("cantor", 1)])
+    def test_elements_in_family_order(self, family, n):
+        t = groups.truncation(family, n)
+        assert t.elements == tuple(FAMILIES[family].elements(n))
+        assert t == frozenset(t.elements) and len(t) == len(t.elements)
+        assert groups.truncation(family, n) is t
+        for round_trip in ROUND_TRIPS.values():
+            y = round_trip(t)
+            assert type(y) is groups.Truncation and y.elements == t.elements
+
+    def test_the_cache_keeps_no_truncation_alive(self, monkeypatch):
+        # a map of this test's own, so no spec held elsewhere shares t
+        monkeypatch.setattr(groups, "_TRUNCATIONS", weakref.WeakValueDictionary())
+        t = groups.truncation("affine", 3)
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+        assert ("affine", 3) not in groups._TRUNCATIONS
 
 
 # every name an element answers to, fields of the tuple first, in order

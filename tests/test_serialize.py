@@ -45,3 +45,17 @@ TRUNCATIONS = [
 def test_round_trip_exhaustive(family, n):
     for g in enumerate_group(family, n):
         assert decode_group(json.loads(json.dumps(g.to_json()))) == g
+
+
+@pytest.mark.parametrize("v", ["0001", "11111", "1000001"])
+def test_lamplighter_refuses_lamps_at_or_beyond_m(v):
+    # masked to m bits, "0001" would read as the identity and "11111" as v = 7
+    with pytest.raises(ValueError, match="beyond position m = 3"):
+        decode_group({"family": "lamplighter", "m": 3, "v": v, "t": 0})
+
+
+def test_lamplighter_keeps_short_words_and_reduces_t():
+    assert decode_group({"family": "lamplighter", "m": 3, "v": "1", "t": 0}) == Lamplighter(3, 1, 0)
+    # a trailing 0 at position m names no lamp
+    assert decode_group({"family": "lamplighter", "m": 3, "v": "1110", "t": 5}) == Lamplighter(3, 7, 2)
+    assert decode_group({"family": "lamplighter", "m": 3, "v": "011", "t": -1}) == Lamplighter(3, 6, 2)

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from isrlab.expectation import SubalgebraSpec, verify_closure, verify_invariance
 from isrlab.f2 import F2Matrix, F2Vector, mat_inverse, range_subgroup, rank_defect
 from isrlab.groups import Affine, Cantor, Wreath, enumerate_group, gl_elements, transposition
 from isrlab.projections import CylinderWord, make_f, make_q_power
-from isrlab import cli, projections, zoo
+from isrlab import cli, groups, projections, zoo
 
 
 @pytest.mark.parametrize("name", zoo.MODELS)
@@ -235,6 +236,18 @@ class TestMpart:
         assert not spec.contains(unit(Wreath.vector(F2Vector.basis(1))))
 
 
+def test_wreath4_specs_share_one_enumeration(monkeypatch):
+    # mq+:4, mq−:4 and mpart:4 read one truncation while a spec holds it;
+    # a map of this test's own, so no spec held elsewhere serves it
+    monkeypatch.setattr(groups, "_TRUNCATIONS", weakref.WeakValueDictionary())
+    calls = []
+    elements = Wreath.elements
+    monkeypatch.setattr(Wreath, "elements", staticmethod(lambda n: calls.append(n) or elements(n)))
+    specs = [zoo.build_mq(4, 1), zoo.build_mq(4, -1), zoo.build_mpart(4)]
+    assert calls == [4]
+    assert specs[0].window is specs[1].window is specs[2].window
+
+
 class TestWitnesses:
     def test_cantor_case3(self):
         assert zoo.cantor_case3_witness()
@@ -440,6 +453,24 @@ class TestLamplighter:
             f"lamp:{y},k={k}" for y in ("scalars", "full", "shift-orbit-sums") for k in (1, 5)
         ]
         assert ("lamp:full,k=1", 160, True) in calls
+
+    def test_span_ranks_at_m4(self, monkeypatch):
+        # span(Y ∪ u_{s^k}·Y) has rank |Y|·m/k: the m/k shifts of Y are
+        # independent, and |Y| is 1, 2^m, and the 6 shift orbits of 4-bit
+        # lamp words
+        ranks = {}
+
+        def record(spec):
+            ranks[spec.label] = len(spec._orthogonal_basis())
+            return verify_closure(spec)
+
+        monkeypatch.setattr(zoo, "verify_closure", record)
+        zoo.lamplighter_scenarios(4)
+        sizes = {"scalars": 1, "full": 16, "shift-orbit-sums": 6}
+        assert ranks == {
+            f"lamp:{y},k={k}": size * 4 // k for y, size in sizes.items() for k in (1, 2, 4)
+        }
+        assert list(ranks.values()) == [4, 2, 1, 64, 32, 16, 24, 12, 6]
 
     def test_closure_observations(self):
         rep = zoo.lamplighter_scenarios(4)
