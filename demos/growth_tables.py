@@ -6,7 +6,7 @@ claimed members sit at constant orbit size <= 2 while everything else
 grows strictly with the truncation level.
 """
 
-from isrlab.zoo import closure_table, fpc_growth_suite
+from isrlab.zoo import CLOSURE_TABLES, closure_table, fpc_growth_suite
 
 
 def main():
@@ -18,7 +18,7 @@ def main():
         print(f"  {c['description']:<{width}}  [{sizes}]")
 
     print("\nnormal-closure sizes")
-    for family, n in (("affine", 3), ("wreath", 4), ("cantor", 2)):
+    for family, n in CLOSURE_TABLES:
         for label, size in closure_table(family, n):
             print(f"  {family} level {n}: <<{label}>> has {size} elements")
 

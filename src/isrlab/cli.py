@@ -8,6 +8,7 @@ report is still written), 2 unknown suite or bad input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -47,13 +48,9 @@ def _resolve_cap(args) -> int:
 
 
 def _suite_kwargs(args) -> dict:
-    kw: dict = {}
-    if args.n is not None:
-        kw["n"] = args.n
-    if args.m is not None:
-        kw["m"] = args.m
-    if args.seed is not None:
-        kw["seed"] = args.seed
+    """The options given to ``run``, and the cap; ``cmd_run`` passes each
+    suite those its signature names."""
+    kw = {k: getattr(args, k) for k in ("n", "m", "seed") if getattr(args, k) is not None}
     kw["cap"] = _resolve_cap(args)
     return kw
 
@@ -98,7 +95,12 @@ def cmd_run(args) -> int:
     if args.out:
         _check_writable(args.out)
     kw = _suite_kwargs(args)
-    reports = [SUITES[name](**kw) for name in names]
+    takes = {name: inspect.signature(SUITES[name]).parameters for name in names}
+    if args.suite != "all":
+        stray = [f"--{k}" for k in kw if k != "cap" and k not in takes[args.suite]]
+        if stray:
+            raise IsrlabError(f"suite {args.suite} takes no {', '.join(stray)}")
+    reports = [SUITES[name](**{k: v for k, v in kw.items() if k in takes[name]}) for name in names]
     doc = {
         "suite": args.suite,
         "seed": args.seed if args.seed is not None else zoo.DEFAULT_SEED,
@@ -209,7 +211,7 @@ def cmd_tables(args) -> int:
         )
     if which in ("closures", "all"):
         _say("# normal-closure sizes")
-        for family, n in (("affine", 3), ("wreath", 4), ("cantor", 2)):
+        for family, n in zoo.CLOSURE_TABLES:
             for label, size in zoo.closure_table(family, n, cap):
                 _say(f"{family}:{n}\t{label}\t{size}")
     return 0

@@ -21,10 +21,6 @@ class GroupTooLarge(IsrlabError):
     """Raised when a truncated group exceeds the enumeration cap."""
 
 
-class NotSymmetric(IsrlabError):
-    """Raised when a conjugator set is not closed under inverse."""
-
-
 class Overflow(IsrlabError):
     """Raised when an orbit, a closure BFS or a pair enumeration exceeds its cap."""
 

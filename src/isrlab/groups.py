@@ -28,7 +28,7 @@ import weakref
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, NotSymmetric, Overflow
+from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, Overflow
 from .f2 import F2Matrix, F2Vector, _apply_rows, _mat_inverse_cached, _mul_rows, _rank_of_rows
 
 DEFAULT_CAP = 10**6
@@ -129,8 +129,8 @@ class _Element(tuple):
         return conj
 
     def _orbit(self, conjugators, cap: int) -> set:
-        """The BFS of ``orbit_under``: self under the conjugations by the
-        conjugators."""
+        """The BFS of ``orbit_under``: self under conjugation by each
+        conjugator alone, whose inverse is one of its powers."""
         return _reach(self, [c.conjugation() for c in conjugators], cap, "conjugation orbit")
 
 
@@ -663,8 +663,8 @@ class Cantor(_Element):
         return conj
 
     def _orbit(self, conjugators, cap: int) -> set["Cantor"]:
-        """The BFS of ``orbit_under`` on payloads at the top level of self
-        and the conjugators, each orbit element made canonical once."""
+        """``_Element._orbit`` on payloads at the top level of self and the
+        conjugators, each orbit element made canonical once."""
         m = max([self.m] + [c.m for c in conjugators])
         maps = [c._conjugation_at(m) for c in conjugators]
         seen = _reach(self._payload(m), maps, cap, "conjugation orbit")
@@ -891,27 +891,17 @@ def _right_multiplications(gens) -> list:
 def orbit_under(
     h: GroupElement, conjugators, cap: int = DEFAULT_CAP
 ) -> set[GroupElement]:
-    """Conjugation orbit of h under the group generated by the conjugators.
+    """Conjugation orbit of h under the group the conjugators generate:
+    ``orbit_under(x, type(x).generators(n))`` is x's conjugacy class.
 
-    When the conjugator set is a subgroup this is exactly
-    {t^{-1} h t : t in C}.  The set must be closed under inverse.
-
-    The search conjugates by one of each pair {c, c^{-1}}: the elements
-    lie in a finite truncation, so each c has finite order k and
-    conjugation by c^{-1} is conjugation by c done k − 1 times.
+    Any generating set will do.  The search conjugates by each distinct
+    conjugator alone: each c has finite order k in a finite truncation,
+    so conjugation by c^{-1} is conjugation by c done k − 1 times.
     """
-    conjugators = list(conjugators)
-    cset = set(conjugators)
-    steps, paired = [], set()
+    conjugators = list(dict.fromkeys(conjugators))
     for c in conjugators:
         _check_family(c, h)
-        c_inv = inverse(c)
-        if c_inv not in cset:
-            raise NotSymmetric(f"conjugator set lacks the inverse of {c!r}")
-        if c not in paired:
-            paired.update((c, c_inv))
-            steps.append(c)
-    return h._orbit(steps, cap)
+    return h._orbit(conjugators, cap)
 
 
 def subgroup_closure(gens, cap: int = DEFAULT_CAP) -> set[GroupElement]:
@@ -964,10 +954,9 @@ def affine_vector_centralizer_gens(n: int) -> list[GroupElement]:
     affine truncation: the e1-stabilizer in GL times all of F2^n.
 
     Stab(e1) ≅ F2^{n-1} ⋊ GL(n-1).  GL(n-1) on coordinates 2..n is
-    generated by I + E_23 and the cycle of 2..n with its inverse (the
-    kind of pair ``Affine.generators`` uses), and it is transitive on the
-    nonzero first rows, so its conjugates of I + E_12 give the F2^{n-1}
-    part.  Stab(e1) is transitive on F2^n minus {0, e1}, so e1 and e2
+    generated by I + E_23 and the cycle of 2..n (the kind of pair
+    ``Affine.generators`` uses), and it is transitive on the nonzero
+    first rows, so its conjugates of I + E_12 give the F2^{n-1} part.  Stab(e1) is transitive on F2^n minus {0, e1}, so e1 and e2
     give every vector.
     """
     gens: list[GroupElement] = [Affine.vector(F2Vector.basis(1))]
@@ -978,9 +967,8 @@ def affine_vector_centralizer_gens(n: int) -> list[GroupElement]:
         gens.append(Affine.matrix(F2Matrix.transvection(2, 3)))
         # row i of the cycle of coordinates 2..n, 0-indexed 1..n-1
         rows = [1] + [1 << (1 + i % (n - 1)) for i in range(1, n)]
-        cyc = Affine.matrix(F2Matrix(rows))
-        gens += [cyc, cyc.inv()]
-    return list(dict.fromkeys(gens))
+        gens.append(Affine.matrix(F2Matrix(rows)))
+    return gens
 
 
 def _cantor_perm(m: int, mapping: dict) -> Cantor:
@@ -992,9 +980,9 @@ def _cantor_perm(m: int, mapping: dict) -> Cantor:
 
 
 def _cantor_sym_gens(m: int, items: list[tuple[int, ...]]) -> list[Cantor]:
-    """A transposition and the cycle of the items with its inverse: they
-    generate Sym(items), moving the points of each item (tuples of one
-    length) in parallel."""
+    """A transposition and the cycle of the items: they generate
+    Sym(items), moving the points of each item (tuples of one length) in
+    parallel."""
     if len(items) < 2:
         return []
 
@@ -1002,7 +990,7 @@ def _cantor_sym_gens(m: int, items: list[tuple[int, ...]]) -> list[Cantor]:
         return _cantor_perm(m, {x: y for p, q in pairs for x, y in zip(p, q)})
 
     cyc = move(zip(items, items[1:] + items[:1]))
-    return [move([(items[0], items[1]), (items[1], items[0])]), cyc, cyc.inv()]
+    return [move([(items[0], items[1]), (items[1], items[0])]), cyc]
 
 
 def cantor_indicator_centralizer_gens(m: int, a) -> list[GroupElement]:
@@ -1028,7 +1016,7 @@ def cantor_indicator_centralizer_gens(m: int, a) -> list[GroupElement]:
         swap = dict(zip(a_sorted, comp))
         swap.update(zip(comp, a_sorted))
         gens.append(_cantor_perm(m, swap))
-    return list(dict.fromkeys(gens))
+    return gens
 
 
 def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
@@ -1041,8 +1029,8 @@ def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
 
     The pair-preserving group Z2 ≀ Sym(pairs) is generated by the swap
     inside one pair and Sym(pairs): the swap of pairs 0 and 1 and the
-    pair cycle with its inverse.  Sym(fixed) takes a transposition and
-    the cycle of the fixed points.  These move pair 0 onto every pair
+    pair cycle.  Sym(fixed) takes a transposition and the cycle of the
+    fixed points.  These move pair 0 onto every pair
     and one fixed point onto every fixed point, so one pair indicator
     and one fixed-point indicator give the whole abelian part.
     """
@@ -1067,4 +1055,4 @@ def cantor_involution_centralizer_gens(m: int, s: Cantor) -> list[GroupElement]:
         gens.append(Cantor.indicator(m, {a0, b0}))
     gens += _cantor_sym_gens(m, [(x,) for x in fixed])
     gens.append(Cantor.indicator(m, {fixed[0]}))
-    return list(dict.fromkeys(gens))
+    return gens

@@ -238,7 +238,7 @@ def mexo_fproduct_identity(g: F2Matrix) -> bool:
 
 
 @suite
-def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
+def suite_mexo(n: int = 2, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP):
     spec = build_mexo(n, cap)
     if n == 2:
         yield "closure of the span", True, verify_closure(spec)
@@ -317,7 +317,7 @@ def _f_calculus_keys(gl, n: int) -> tuple[dict, set, dict]:
 
 
 @suite
-def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
+def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP):
     """f_g f_h = f_h f_g ≤ f_{gh} on all GL(n,F2) pairs, plus recomposition
     and range-sum checks of transvection_factorize and the conjugated
     f-product identity, for every non-identity element.  The pair check
@@ -379,7 +379,7 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP, **_):
 
 
 @suite
-def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP, **_):
+def suite_cylinder(n: int = 3, cap: int = DEFAULT_CAP):
     """Fully specified words match their signed-sum form; the conjugation
     rule u_g[w]u_g* = [w·g^{-1}] holds on every in-hypothesis pair.  The
     pair loop is refused when GL(n,F2) × the words has more than cap
@@ -490,7 +490,7 @@ def build_mpart(n: int, cap: int = DEFAULT_CAP) -> SubalgebraSpec:
 
 
 @suite
-def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_):
+def suite_mq(n: int = 3, cap: int = DEFAULT_CAP):
     spec = build_mq(n, 1, cap)
     s12 = Wreath.perm(transposition(0, 1))
     expected = mq_expected_expectation(s12, 1)
@@ -510,7 +510,7 @@ def suite_mq(n: int = 3, cap: int = DEFAULT_CAP, **_):
 
 
 @suite
-def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
+def suite_mpart(n: int = 3, seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP):
     spec = build_mpart(n, cap)
     yield "closure of the span", True, verify_closure(spec)
     yield "E(u_(12)) = 0", AlgebraElement({}), spec.expect_unit(Wreath.perm(transposition(0, 1)))
@@ -568,7 +568,7 @@ def cantor_case3_witness() -> bool:
 
 
 @suite
-def suite_cantor(**_):
+def suite_cantor():
     yield "both signed candidates fail to commute with f̃_A", True, cantor_case3_witness()
     return (
         "cantor-case3",
@@ -655,7 +655,7 @@ def affine_e12_vanishing_check() -> bool:
 
 
 @suite
-def suite_e12(**_):
+def suite_e12():
     yield "both symbolic expansions match the displayed monomial lists", True, (
         affine_e12_vanishing_check()
     )
@@ -691,7 +691,7 @@ def _shift_orbits(m: int) -> list[list[int]]:
 
 
 @suite
-def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_):
+def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP):
     """Finite-cyclic analog suites: shift-invariant function subalgebras
     joined with a shift subgroup, and the normal closure of the lamp-shift
     generator.  The infinite statement concerns the integer lamplighter;
@@ -796,7 +796,7 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP, **_):
 
 
 @suite
-def fpc_growth_suite(cap: int = DEFAULT_CAP, **_):
+def fpc_growth_suite(cap: int = DEFAULT_CAP):
     """Orbit sizes under centralizer conjugation, across truncations.
 
     Claimed members of each fpc set must have constant orbit size ≤ 2;
@@ -889,38 +889,41 @@ def fpc_growth_suite(cap: int = DEFAULT_CAP, **_):
 # normal-closure truncation shadows
 
 
+# the normal-closure tables, each a family and a truncation level, and
+# the representative seeds of each family's table at level n
+CLOSURE_TABLES = (("affine", 3), ("wreath", 4), ("cantor", 2))
+_CLOSURE_SEEDS = {
+    "affine": lambda n: [
+        ("e", Affine.identity()),
+        ("e1", Affine.vector(F2Vector.basis(1))),
+        ("swap(1,2)", Affine.matrix(F2Matrix.swap(1, 2))),
+    ],
+    "wreath": lambda n: [
+        ("e", Wreath.identity()),
+        ("z1", Wreath.vector(F2Vector.basis(1))),
+        ("(12)", Wreath.perm(transposition(0, 1))),
+    ],
+    "cantor": lambda n: [
+        ("e", Cantor.identity()),
+        ("f̃_{1}", Cantor.indicator(n, {1})),
+        ("swap(0,1)", Cantor.perm(n, (1, 0) + tuple(range(2, 1 << n)))),
+    ],
+}
+
+
 def closure_table(family: str, n: int, cap: int = DEFAULT_CAP) -> list[tuple[str, int]]:
     """Normal-closure sizes of representative seeds in the truncation."""
-    if family == "affine":
-        seeds = [
-            ("e", Affine.identity()),
-            ("e1", Affine.vector(F2Vector.basis(1))),
-            ("swap(1,2)", Affine.matrix(F2Matrix.swap(1, 2))),
-        ]
-    elif family == "wreath":
-        seeds = [
-            ("e", Wreath.identity()),
-            ("z1", Wreath.vector(F2Vector.basis(1))),
-            ("(12)", Wreath.perm(transposition(0, 1))),
-        ]
-    elif family == "cantor":
-        seeds = [
-            ("e", Cantor.identity()),
-            ("f̃_{1}", Cantor.indicator(n, {1})),
-            ("swap(0,1)", Cantor.perm(n, (1, 0) + tuple(range(2, 1 << n)))),
-        ]
-    else:
+    seeds = _CLOSURE_SEEDS.get(family)
+    if seeds is None:
         raise ValueError(f"no closure table for family {family!r}")
-    return [(label, len(normal_closure([g], n, cap))) for label, g in seeds]
+    return [(label, len(normal_closure([g], n, cap))) for label, g in seeds(n)]
 
 
 @suite
-def suite_closures(cap: int = DEFAULT_CAP, **_):
-    affine = dict(closure_table("affine", 3, cap))
+def suite_closures(cap: int = DEFAULT_CAP):
+    affine, wreath, cantor = (dict(closure_table(f, n, cap)) for f, n in CLOSURE_TABLES)
     yield "affine n=3 closure sizes are {1, 8, 1344}", [1, 8, 1344], list(affine.values())
-    wreath = dict(closure_table("wreath", 4, cap))
     yield "wreath n=4 closure table computed under cap", "no overflow", wreath, True
-    cantor = dict(closure_table("cantor", 2, cap))
     yield "cantor m=2 closure table computed under cap", "no overflow", cantor, True
     return (
         "normal-closures",
@@ -936,7 +939,7 @@ def suite_closures(cap: int = DEFAULT_CAP, **_):
 
 
 @suite
-def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
+def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP):
     rng = random.Random(seed)
     specs = [(CharacterSpec("affine", k=k, d=d), 3) for k in (1, 2) for d in (0, 1)]
     specs += [(CharacterSpec("cantor", k=k), 2) for k in (1, 2)]
@@ -968,7 +971,7 @@ def suite_characters(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
 
 
 @suite
-def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP, **_):
+def suite_properties(seed: int = DEFAULT_SEED, cap: int = DEFAULT_CAP):
     yield (
         "expectation identities hold on mexo:n=2, full truncation",
         True,

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -36,6 +37,32 @@ class TestRun:
     def test_unknown_suite(self, capsys):
         assert main(["run", "--suite", "mystery"]) == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--suite", "characters", "--n", "5"], "suite characters takes no --n"),
+            (["--suite", "mq", "--seed", "3"], "suite mq takes no --seed"),
+            (["--suite", "cantor", "--n", "2", "--m", "3"], "suite cantor takes no --n, --m"),
+            (["--suite", "lamplighter", "--n", "3"], "suite lamplighter takes no --n"),
+        ],
+    )
+    def test_option_the_suite_does_not_take(self, capsys, monkeypatch, argv, err):
+        # refused before the suite runs, not ignored
+        @functools.wraps(zoo.SUITES[argv[1]])
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran with an option it does not take")
+
+        monkeypatch.setitem(zoo.SUITES, argv[1], never)
+        assert main(["run", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_cap_is_ignored_by_suites_without_one(self, capsys):
+        # cantor and e12 take no cap: --cap still binds the suites that
+        # name it and is not refused as an option these two do not take
+        assert main(["run", "--suite", "e12", "--cap", "0"]) == 0
+        assert main(["run", "--suite", "cantor", "--cap", "0"]) == 0
+        capsys.readouterr()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

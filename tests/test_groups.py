@@ -10,7 +10,7 @@ import pytest
 
 from isrlab import groups, zoo
 from isrlab.algebra import AlgebraElement, GaussianRational, convolve, unit
-from isrlab.errors import FamilyMismatch, GroupTooLarge, NotSymmetric
+from isrlab.errors import FamilyMismatch, GroupTooLarge
 from isrlab.f2 import F2Matrix, F2Vector, _rank_of_rows
 from isrlab.groups import (
     FAMILIES,
@@ -198,22 +198,45 @@ class TestOrbit:
         assert orbit_under(e1, c) == {e1}
 
     def test_not_symmetric(self):
-        # a coordinate 3-cycle is not its own inverse
+        # a coordinate 3-cycle is not its own inverse; the search needs
+        # no inverse, as the 3-cycle's inverse is its square
         three = Affine.matrix(F2Matrix([0b010, 0b100, 0b001]))
         assert inverse(three) != three
-        with pytest.raises(NotSymmetric):
-            orbit_under(Affine.matrix(S), {three})
+        assert orbit_under(Affine.matrix(S), {three}) == reference_orbit(
+            Affine.matrix(S), [three, inverse(three)]
+        )
 
     def test_not_symmetric_after_a_full_pair(self):
-        # the search keeps one of each {c, c^-1}; a later conjugator whose
-        # inverse is missing is still refused
+        # a pair {c, c^-1} and a later conjugator without its inverse
         three = Affine.matrix(F2Matrix([0b010, 0b100, 0b001]))
         four = Affine.matrix(F2Matrix([0b0010, 0b0100, 0b1000, 0b0001]))
-        with pytest.raises(NotSymmetric):
-            orbit_under(Affine.matrix(S), [three, inverse(three), four])
+        assert orbit_under(Affine.matrix(S), [three, inverse(three), four]) == reference_orbit(
+            Affine.matrix(S), [three, inverse(three), four, inverse(four)]
+        )
         assert orbit_under(Affine.matrix(S), [three, inverse(three)]) == reference_orbit(
             Affine.matrix(S), [three, inverse(three)]
         )
+
+    @pytest.mark.parametrize(
+        "family,n,classes",
+        [("affine", 2, 5), ("affine", 3, 11), ("wreath", 3, 10), ("lamplighter", 4, 13),
+         ("cantor", 2, 14)],
+    )
+    def test_generators_give_the_conjugacy_class(self, family, n, classes):
+        # the truncation's own generating set, which need not be closed
+        # under inverse (a cycle of three or more points is not),
+        # conjugates x through its whole class
+        elems = enumerate_group(family, n)
+        gens = FAMILIES[family].generators(n)
+        seen, reps = set(), 0
+        for x in elems:
+            if x in seen:
+                continue
+            cls = {plain_conjugate(t, x) for t in elems}
+            assert orbit_under(x, gens) == cls
+            seen |= cls
+            reps += 1
+        assert reps == classes
 
 
 def plain_conjugate(c, x):

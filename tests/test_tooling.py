@@ -101,3 +101,28 @@ def test_library_tour_names_live_code():
             names.add(m.group(1).rpartition(".")[2])
     assert len(names) > 50
     assert sorted(w for w in names if not re.search(rf"\b{re.escape(w)}\b", source)) == []
+
+
+def test_every_error_type_is_raised_or_caught():
+    # an error type outlives the contract that raised it only by mistake:
+    # each subclass of IsrlabError is built (raised, or handed to a raiser)
+    # or caught by name somewhere in the library outside errors.py
+    from isrlab import errors
+
+    source = "\n".join(
+        line
+        for p in sorted((ROOT / "src" / "isrlab").glob("*.py")) if p.name != "errors.py"
+        for line in p.read_text().splitlines()
+        if not line.lstrip().startswith(("from ", "import "))
+    )
+    names = [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.IsrlabError)
+        and obj is not errors.IsrlabError
+    ]
+    assert len(names) >= 9
+    unused = [
+        name for name in names
+        if not re.search(rf"\b{name}\(|\bexcept\b[^\n]*\b{name}\b", source)
+    ]
+    assert unused == []

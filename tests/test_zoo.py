@@ -544,7 +544,7 @@ class TestSuites:
             params = inspect.signature(fn).parameters.values()
             named = {p.name for p in params if p.kind is not p.VAR_KEYWORD}
             assert named <= passed, (name, named - passed)
-            assert any(p.kind is p.VAR_KEYWORD for p in params), name
+            assert not any(p.kind is p.VAR_KEYWORD for p in params), name
 
     def test_report_schema(self):
         rep = zoo.suite_cantor()
