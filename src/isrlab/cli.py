@@ -2,7 +2,7 @@
 expectations, print tables.
 
 Exit codes for ``run``: 0 all checks passed, 1 a check failed (the
-report is still written), 2 unknown suite or bad input.
+report is still written), 2 unknown suite, bad input or unwritable output.
 """
 
 from __future__ import annotations
@@ -73,11 +73,15 @@ def _say(text: str) -> None:
     """Print one chunk of output.  A reader that closes the pipe early
     (``| head``) is no error: stdout then points at os.devnull, so the
     rest of the output and the interpreter's final flush go nowhere,
-    and the command still returns its own status."""
+    and the command still returns its own status.  Any other failed
+    write (a full disk) points stdout there too and is raised."""
     try:
         print(text)
     except BrokenPipeError:
         _drop_stdout()
+    except OSError:
+        _drop_stdout()
+        raise
 
 
 def _drop_stdout() -> None:
@@ -101,11 +105,10 @@ def cmd_run(args) -> int:
         if stray:
             raise IsrlabError(f"suite {args.suite} takes no {', '.join(stray)}")
     reports = [SUITES[name](**{k: v for k, v in kw.items() if k in takes[name]}) for name in names]
-    doc = {
-        "suite": args.suite,
-        "seed": args.seed if args.seed is not None else zoo.DEFAULT_SEED,
-        "reports": reports,
-    }
+    doc = {"suite": args.suite, "reports": reports}
+    # the report names a seed only when a suite of the run drew with one
+    if any("seed" in takes[name] for name in names):
+        doc["seed"] = kw.get("seed", zoo.DEFAULT_SEED)
     blob = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)
     if args.out:
         with open(args.out, "w") as fh:
@@ -249,13 +252,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         status = args.fn(args)
-    except IsrlabError as exc:
+    except (IsrlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     try:
         sys.stdout.flush()
     except BrokenPipeError:
         _drop_stdout()
+    except OSError as exc:
+        # output that cannot be written (a full disk) is no failed check
+        _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
     return status
 
 

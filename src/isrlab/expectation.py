@@ -2,19 +2,20 @@
 spanned invariant subalgebra, within a declared support window.
 
 The expectation is the orthogonal projection in the ⟨x,y⟩ = τ(x*y)
-inner product onto the exact linear span of the spec's basis.  The
-basis may be linearly dependent; a rank-revealing Gram–Schmidt absorbs
-redundancy.  It runs once per basis on sparse Gaussian-integer rows
-over int ids, read straight from each element's integer form: a
-projection does not change when a vector is rescaled, so each
-orthogonal vector is kept primitive (its entries share no factor) with
-its integer norm, and the update needs no fractions.  An inverted index
-from ids to the rows that touch them makes every dot product visit only
-the rows meeting the vector's support; a vector whose elements no
-earlier vector touched is orthogonal to every row, and its row is taken
-with no projection pass.  E(x) goes back as an integer form over den(x)·L,
-for the L that clears the row's projection.  One integer pass gives a
-conditional expectation's whole report: E(x) = P/(den·L), the residual
+inner product onto the exact linear span of the spec's basis.  A
+rank-revealing Gram–Schmidt is the one place where a vector (a repeat,
+a negation, any dependent one) is found to add nothing.  It runs once
+per basis on sparse Gaussian-integer rows over int ids, read straight
+from each element's integer form: a projection does not change when a
+vector is rescaled, so each orthogonal vector is kept primitive (its
+entries share no factor) with its integer norm, and the update needs no
+fractions.  An inverted index from ids to the rows that touch them
+makes every dot product visit only the rows meeting the vector's
+support; a vector whose elements no earlier vector touched is
+orthogonal to every row, and its row is taken with no projection pass.
+E(x) goes back as an integer form over den(x)·L, for the L that clears
+the row's projection.  One integer pass gives a conditional
+expectation's whole report: E(x) = P/(den·L), the residual
 ‖x − E(x)‖² summed from L·x_g − P_g, and ⟨x, E(x)⟩ from conj(x_g)·P_g.
 The index is built straight into immutable tuples, shared by the ids
 of one row with one coefficient pair, so the build allocates few
@@ -66,10 +67,9 @@ class SubalgebraSpec:
 
     ``basis`` keeps the generating family as given, repeats included.
     The family and window checks and the Gram–Schmidt run over
-    ``_distinct``, the basis with repeats up to sign dropped: a vector
-    equal to an earlier one (equal ``(den, ints)``) or to the negation
-    of an earlier one lies in the span that one already gave and
-    touches no new element.
+    ``_distinct``, the basis with each object once.  An equal vector
+    under another object, or a negation, is left to the Gram–Schmidt:
+    it lies in the span, so ``_Span`` finds it adds nothing.
 
     A ``Truncation`` window (what ``Model.window`` and
     ``groups.truncation`` return) is kept as it is, shared with every
@@ -84,24 +84,15 @@ class SubalgebraSpec:
             window = frozenset(window)
         if not basis:
             raise ValueError("spec needs at least one nonzero basis element")
-        # x and −x share a support, so a vector is compared only with the
-        # earlier ones of its support; a repeated object is dropped first
-        supports: dict[frozenset, list[AlgebraElement]] = {}
-        distinct = []
-        for b in {id(b): b for b in basis}.values():
-            support = frozenset(b.ints)
-            same = supports.setdefault(support, [])
-            if not same or (b not in same and -b not in same):
-                same.append(b)
-                distinct.append(b)
-                # set against set, so the support's stored hashes are read;
-                # a vector inside the window is of the window's family,
-                # which the loop below checks, so only one outside it is
-                # checked against the basis group
-                if not window.issuperset(support):
-                    distinct[0]._check(b)
-                    raise ValueError(f"basis element escapes the window: {b!r}")
-        distinct = tuple(distinct)
+        # each object once: 282,240 of mexo:4's 322,560 vectors are repeats
+        distinct = tuple({id(b): b for b in basis}.values())
+        for b in distinct:
+            # a vector inside the window is of the window's family, which
+            # the loop below checks, so only one outside it is checked
+            # against the basis group
+            if not window.issuperset(b.ints):
+                distinct[0]._check(b)
+                raise ValueError(f"basis element escapes the window: {b!r}")
         g0 = next(iter(distinct[0].ints))
         # a Truncation holds one family, so its first element speaks for all
         for w in window.elements[:1] if type(window) is Truncation else window:
@@ -285,16 +276,15 @@ class _Span:
     Each vector's row comes from ``_row``.  A vector whose ids are all
     new to ``ids`` (read off the map's growth) meets no row, so it is
     orthogonal to the span and its row is its primitive form, taken with
-    no projection pass: every distinct vector of mexo and mq± goes this
-    way.  A vector that meets an earlier one (in mpart) takes the
-    Gram–Schmidt step, row − E(row) made primitive.  The skip changes no
+    no projection pass: every vector of mexo and mq+ goes this way.  A
+    vector that meets an earlier one (in mpart, and the sign twins of
+    mq−) takes the Gram–Schmidt step, row − E(row) made primitive.  The skip changes no
     row: E of a vector that meets no row is 0, so its residual is itself.
 
-    A vector already in the span reduces to nothing and leaves every
-    row, id and pivot as it was, so passing each distinct vector once
-    (as ``SubalgebraSpec`` does) gives the same rows, ids, pivots and
-    projections as passing the repeats too, with none of their
-    reductions.
+    This is the one place where a vector is found to add nothing: one
+    already in the span (a repeat, a negation, a sum of earlier ones)
+    reduces to an empty residual and leaves every row, id and pivot as
+    it was.
     """
 
     def __init__(self, vectors):

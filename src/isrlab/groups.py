@@ -30,6 +30,7 @@ from operator import itemgetter
 
 from .errors import DimensionOutOfRange, FamilyMismatch, GroupTooLarge, Overflow
 from .f2 import F2Matrix, F2Vector, _apply_rows, _mat_inverse_cached, _mul_rows, _rank_of_rows
+from .f2 import _subset_sums
 
 DEFAULT_CAP = 10**6
 
@@ -786,9 +787,7 @@ def gl_elements(n: int) -> tuple[F2Matrix, ...]:
     for _ in range(n):
         extended = []
         for rows in prefixes:
-            span = [0]
-            for x in rows:
-                span += [s ^ x for s in span]
+            span = _subset_sums(rows)
             extended += [rows + (r,) for r in range(1 << n) if r not in span]
         prefixes = extended
     return tuple([F2Matrix(rows) for rows in prefixes])

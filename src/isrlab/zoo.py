@@ -356,12 +356,10 @@ def f_calculus_report(n: int = 3, cap: int = DEFAULT_CAP):
     yield "factorizations recompose to g", True, all(
         math.prod(factors, start=F2Matrix.identity()) == g for g, factors in factored.items()
     )
-
-    def add(span, s):  # the subgroup sum span + R(s - I)
-        return {a + b for a in span for b in range_subgroup(s)}
-
+    # the subgroup sum of the R(t - I) is spanned by their bases together
     yield "factor ranges sum to R(g-I)", True, all(
-        functools.reduce(add, factors, {F2Vector(0)}) == range_subgroup(g)
+        set(_subset_sums([v for t in factors for v in _range_basis(t.rows)]))
+        == set(_subset_sums(_range_basis(g.rows)))
         for g, factors in factored.items()
     )
     yield "conjugated f-product equals f_g for every g ≠ I", True, all(

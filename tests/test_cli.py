@@ -77,6 +77,18 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"][0]["name"] == "cantor-case3"
 
+    @pytest.mark.parametrize(
+        "argv,seed",
+        [(["--suite", "mq"], None), (["--suite", "mexo"], 7),
+         (["--suite", "properties", "--seed", "3"], 3)],
+        ids=["mq", "mexo", "properties"],
+    )
+    def test_report_names_a_seed_only_when_a_suite_takes_one(self, capsys, argv, seed):
+        assert main(["run", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("seed", None) == seed
+        assert ("seed" in doc) == (seed is not None)
+
     def test_cap_flag_propagates(self):
         # a tiny cap makes the closure BFS overflow, surfaced as exit 2
         assert main(["run", "--suite", "closures", "--cap", "10"]) == 2
@@ -276,6 +288,32 @@ class TestModuleEntry:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--suite", "cantor", "--out", "/dev/full"],
+            ["run", "--suite", "cantor"],
+            ["tables", "--table", "closures"],
+            ["tables", "--table", "characters", "--n", "3"],
+        ],
+        ids=["out", "stdout", "tables-small", "tables-large"],
+    )
+    def test_output_that_cannot_be_written_exits_2(self, argv):
+        # a full disk is bad output, not a failed check: one error line and
+        # status 2, whether the report goes to --out or stdout, and whether
+        # stdout meets it in print (a large output) or in the final flush
+        src = pathlib.Path(zoo.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "isrlab", *argv], env=env,
+                                  stdout=subprocess.DEVNULL if "--out" in argv else full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "No space left on device" in proc.stderr
+
 
 class TestExpect:
     @pytest.mark.parametrize("text", MALFORMED_ELEMENTS.values(), ids=MALFORMED_ELEMENTS)
@@ -345,6 +383,12 @@ class TestExpect:
         path.write_text(json.dumps(MALFORMED_SPECS[name](spec_to_dict(spec))))
         elem = '{"family":"affine","g":"1","v":"0","n":1}'
         assert main(["expect", str(path), elem]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_spec_path_that_cannot_be_read(self, tmp_path, capsys):
+        # a directory passes the exists test of a spec path, then fails to open
+        assert main(["expect", str(tmp_path), SWAP_JSON]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -5,8 +5,8 @@ against the product law on (σ, A) set payloads, the unit-span closure
 check against the pivot-product check, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
-the uncached echelon, the spec's Gram–Schmidt over its vectors
-distinct up to sign against the one that keeps the sign twins, the
+the uncached echelon, the spec's Gram–Schmidt, which meets the sign
+twins, against one over the vectors distinct up to sign, the
 span's shared-tuple index against a list per id frozen at the end,
 E(u_g) memoized per row class against one projection per element, and
 the one-pass conditional expectation against the three calls
@@ -352,7 +352,8 @@ def test_cached_range_kernel_matches_the_echelon():
 
 
 # ---------------------------------------------------------------------------
-# the spec's Gram–Schmidt without sign twins, against the one with them
+# the spec's Gram–Schmidt, which meets the sign twins, against one
+# without them
 
 # every (model, sign, n) of zoo.MODELS, labelled mexo:2, …, mq+:2, …, mq-:4, …
 SPECS = {
@@ -377,19 +378,27 @@ def test_sign_twins_leave_the_span_as_it_was(monkeypatch, label):
     exact, kept = DISTINCT[label]
     spec = build(label)
     with_twins = list(dict.fromkeys(spec.basis))
+    # the reference drops each vector whose negation came earlier
+    seen, without = set(), []
+    for b in with_twins:
+        if -b not in seen:
+            without.append(b)
+        seen.add(b)
     calls = []
     row = _Span._row
     monkeypatch.setattr(_Span, "_row", lambda self, b: calls.append(1) or row(self, b))
     span = spec._orthogonal_basis()
-    # one row step per vector kept: 65 for mq:4−, not 114
-    assert (len(with_twins), len(calls)) == (exact, kept)
+    # one row step per exact-distinct vector: 114 for mq:4−, whose 49
+    # sign twins reduce to nothing
+    assert (len(with_twins), len(without), len(calls)) == (exact, kept, exact)
     model, n, _ = SPECS[label]
     assert len(span) == model.rank(n)
     if exact != kept:
-        whole = _Span(with_twins)
-        assert span.ids == whole.ids
-        assert span.rows == whole.rows
-        assert [id(b) for b in span.pivots] == [id(b) for b in whole.pivots]
+        for ref in (_Span(with_twins), _Span(without)):
+            assert span.ids == ref.ids
+            assert span.rows == ref.rows
+            assert span.index == ref.index
+            assert [id(b) for b in span.pivots] == [id(b) for b in ref.pivots]
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,8 @@ class TestPivotChecks:
 
 
 # (builder, len(spec.basis), its exact-distinct count) on the project
-# workload's specs; spec._distinct further drops the sign twins of mq:4−
+# workload's specs; their builders repeat a vector only as one object, so
+# spec._distinct, one entry per object, has that count too
 REPEATING_SPECS = [
     (lambda: zoo.MODELS["mexo"].build(3), 1344, 336),
     (lambda: zoo.MODELS["mq"].build(4, sign=1), 384, 65),
@@ -492,10 +493,10 @@ REPEATING_SPECS = [
 
 
 class TestRepeatsSkipped:
-    """The spec orthogonalizes only the vectors distinct up to sign; a
-    repeat or a negated repeat lies in the span already, so the
-    Gram–Schmidt over the whole basis (kept here as the reference) ends
-    the same."""
+    """The spec orthogonalizes each basis object once; an equal vector
+    under another object, or a negated one, lies in the span already, so
+    the Gram–Schmidt over the whole basis (kept here as the reference)
+    ends the same."""
 
     @pytest.mark.parametrize("build,size,distinct", REPEATING_SPECS)
     def test_same_span_as_the_whole_basis(self, build, size, distinct):
@@ -511,20 +512,21 @@ class TestRepeatsSkipped:
     def test_basis_keeps_its_repeats(self, build, size, distinct):
         spec = build()
         assert len(spec.basis) == size
-        assert len(set(spec.basis)) == distinct
-        kept = set(spec._distinct)
-        assert len(kept) == len(spec._distinct)
-        assert kept <= set(spec.basis) <= kept | {-b for b in kept}
-        assert not any(-b in kept for b in kept)
+        assert len(set(spec.basis)) == len(spec._distinct) == distinct
+        # each basis object once, in the order the basis first gives it
+        kept = [id(b) for b in spec._distinct]
+        assert kept == list(dict.fromkeys(id(b) for b in spec.basis))
 
     def test_equal_vectors_are_one_whatever_their_object(self):
         v = Affine.vector(F2Vector.basis(1))
         b = unit(Affine.identity()) + unit(v)
         spec = SubalgebraSpec("twice", [b, unit(v) + unit(Affine.identity()), -b],
                               [Affine.identity(), v])
-        # equal (den, ints) is one vector, and so is its negation −b
-        assert spec._distinct == (b,)
-        assert len(spec._orthogonal_basis()) == 1
+        # equal (den, ints) under another object, and the negation −b,
+        # reach the Gram–Schmidt and add nothing to the span b gives
+        span = spec._orthogonal_basis()
+        assert len(span) == 1
+        assert len(span.pivots) == 1 and span.pivots[0] is b
 
     def test_checks_still_raise_past_repeats(self):
         v = Affine.vector(F2Vector.basis(1))
@@ -612,7 +614,7 @@ class TestUnitMemo:
             assert (len(window), len(spec._orthogonal_basis()), len(calls)) == (1344, 336, 336)
 
     @pytest.mark.parametrize("name,sign,n,disjoint", [
-        ("mexo", 1, 3, True), ("mq", -1, 4, True), ("mpart", 1, 4, False)])
+        ("mexo", 1, 3, True), ("mq", -1, 4, False), ("mpart", 1, 4, False)])
     def test_fresh_vectors_skip_the_projection_pass(self, monkeypatch, name, sign, n, disjoint):
         # a vector whose support no earlier vector touched takes its row
         # with no projection pass; only the overlapping ones are projected

@@ -1,6 +1,7 @@
 """The repository's scripts: the demos run, the two pins of the seed-7
 report hash agree, and the benchmark builds only models of the table."""
 
+import ast
 import inspect
 import os
 import pathlib
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -126,3 +128,28 @@ def test_every_error_type_is_raised_or_caught():
         if not re.search(rf"\b{name}\(|\bexcept\b[^\n]*\b{name}\b", source)
     ]
     assert unused == []
+
+
+def test_every_private_helper_has_a_caller():
+    # a function, class or method named with one leading underscore is
+    # named (called, read, decorated with, subclassed) somewhere in the
+    # library outside its own definition, so a private helper cannot
+    # outlive its last caller unseen; an import alone names nothing
+    def named(node):
+        out = Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                out[n.attr] += 1
+        return out
+
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "isrlab").glob("*.py"))]
+    everywhere = sum((named(t) for t in trees), Counter())
+    private = [
+        node for t in trees for node in ast.walk(t)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and re.fullmatch(r"_[^_]\w*", node.name)
+    ]
+    assert len(private) > 50
+    assert [n.name for n in private if everywhere[n.name] == named(n)[n.name]] == []
