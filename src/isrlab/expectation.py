@@ -170,16 +170,31 @@ def verify_closure(spec: SubalgebraSpec) -> bool:
     it lie in it: the span's pivots are checked, rank² products instead
     of |basis|².
 
-    When every pivot is a multiple of one unit, the span is C[S] for S
-    the pivots' supports, which lie in the window, and u_a·u_b = u_ab,
-    u_a* = u_{a^{-1}}: it is closed iff S·S ⊆ S and S^{-1} ⊆ S, read on
-    group elements.  S is finite and every element of a truncation has
-    finite order, so S·S ⊆ S already puts each a^{-1} = a^{k-1} in S.
+    The input picks one of three routes:
+
+    - Every pivot a multiple of one unit: the span is C[S] for S the
+      pivots' supports, which lie in the window, and u_a·u_b = u_ab,
+      u_a* = u_{a^{-1}}, so it is closed iff S·S ⊆ S and S^{-1} ⊆ S,
+      read on group elements.  S is finite and every element of a
+      truncation has finite order, so S·S ⊆ S already puts each
+      a^{-1} = a^{k-1} in S.  (A unit is dense in Walsh coordinates.)
+    - A ``Truncation`` window of the affine, wreath or lamplighter
+      family with every pivot in one coset of the normal 2-group:
+      ``fourier.closure`` decides it block by block in Walsh
+      coordinates and forms no group-algebra product.
+    - Anything else (Cantor, spec-file or other frozenset windows, a
+      pivot meeting several cosets): the pivots' adjoints and pairwise
+      products are formed and checked against the window and the span.
     """
     pivots = spec._orthogonal_basis().pivots
     if all(len(b.ints) == 1 for b in pivots):
         s = {g for b in pivots for g in b.ints}
         return all(a.mul(b) in s for a in s for b in s)
+    from .fourier import closure  # compiled only by a run that checks such a span
+
+    verdict = closure(spec.window, pivots)
+    if verdict is not None:
+        return verdict
     return all(
         x.support() <= spec.window and spec.contains(x)
         for x in chain((b.adjoint() for b in pivots), (a * b for a in pivots for b in pivots))
@@ -261,7 +276,8 @@ def check_ES_subset_S(spec: SubalgebraSpec, a_basis, s_basis) -> bool:
 class _Span:
     """An orthogonal basis of span(vectors), built once by Gram–Schmidt.
 
-    Group elements map to int ids.  Each orthogonal vector o is a
+    Group elements (or, for ``fourier``, Walsh characters) map to int
+    ids.  Each orthogonal vector o is a
     primitive Gaussian-integer row {id: (re, im)} stored with its norm
     N = ⟨o,o⟩; ``index`` maps an id to the tuple of (row, re, im)
     entries at it, in row order, which keys ``unit_images``, the E(u_g)

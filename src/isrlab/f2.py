@@ -328,15 +328,15 @@ def _rank_of_rows(rows) -> int:
 def _range_basis(rows: tuple[int, ...]) -> tuple[int, ...]:
     """An echelon basis of R(g - I) as vector bitmasks (``_echelon``),
     for g given by its canonical rows; cached, like the inverse, over
-    all of GL(4, F2), and a tuple, so no caller can change the cache."""
+    all of GL(4, F2), and a tuple, so no caller can change the cache.
+    The columns of g - I are filled by walking each row's set bits, as
+    ``transvection_factorize`` does: every process starts this cold."""
     n = len(rows)
-    cols = []
-    for j in range(n):
-        c = 0
-        for i in range(n):
-            if (rows[i] ^ (1 << i)) >> j & 1:
-                c |= 1 << i
-        cols.append(c)
+    set_bits = _SET_BITS if n <= 8 else _SetBits()
+    cols = [0] * n
+    for i, r in enumerate(rows):
+        for j in set_bits[r ^ (1 << i)]:
+            cols[j] |= 1 << i
     return tuple(_echelon(cols))
 
 

@@ -144,7 +144,9 @@ class _Semidirect(_Element):
     The product rule, the inverse and the conjugation closed forms are
     written here once; a family supplies four hooks: H's product
     ``_h_mul``, H's inverse ``_h_inv``, and H's action on a bitmask,
-    ``_push(h, v)`` = h(v) and ``_pull(h, v)`` = h^{-1}(v).
+    ``_push(h, v)`` = h(v) and ``_pull(h, v)`` = h^{-1}(v).  For
+    ``fourier``, ``_coset`` splits an element at its coset and each family
+    adds ``_dual``, its action on characters.
     """
 
     __slots__ = ()
@@ -190,6 +192,11 @@ class _Semidirect(_Element):
             return self
         return tuple.__new__(self.__class__, (self._h_inv(h), self._push(h, v)))
 
+    def _coset(self):
+        """(u_h, v) for self = u_h·u_v: the coset's element (h, 0) and v's bits."""
+        h, v = self
+        return tuple.__new__(self.__class__, (h, 0)), v
+
     def conjugation(self):
         """The map x -> self·x·self^{-1}, in closed form where self is a
         vector (e, a): (h, w) -> (h, w + h^{-1}(a) + a); and where self is
@@ -222,6 +229,13 @@ class Affine(_Semidirect):
     @staticmethod
     def _pull(rows, v: int) -> int:
         return _apply_rows(_mat_inverse_cached(rows), v)
+
+    def _dual(self, n: int) -> list[int]:
+        """[gᵀw for w < 2^n], gᵀ the transpose of ``_pull(g, ·)``, whose
+        matrix is g^{-1}: the XOR of the rows of g^{-1} at supp w, read
+        off one subset-sum table."""
+        rows = _mat_inverse_cached(self.rows)
+        return _subset_sums(rows + tuple([1 << i for i in range(len(rows), n)]))
 
     def __new__(cls, g: F2Matrix, v: F2Vector):
         return cls._of(g.rows, v.bits)
@@ -309,6 +323,11 @@ class Wreath(_Semidirect):
         for i in range(n):
             out |= ((v >> i) & 1) << sigma[i]
         return out
+
+    def _dual(self, n: int) -> list[int]:
+        """[σᵀw for w < 2^n]: ``_pull(σ, ·)`` permutes coordinates, so its
+        transpose is its inverse, ``_push(σ, ·)``."""
+        return [self._push(self.sigma, w) for w in range(1 << n)]
 
     def __new__(cls, sigma, v: F2Vector):
         return cls._of(perm_canonical(sigma), v.bits)
@@ -413,6 +432,17 @@ class Lamplighter(_Element):
     def inv(self) -> "Lamplighter":
         m, v, t = self
         return _lamplighter(m, _shift_bits(v, t, m), -t % m)
+
+    def _coset(self):
+        """(u_{s^t}, v) for self = u_{s^t}·u_v, as ``_Semidirect._coset``."""
+        m, v, t = self
+        return _lamplighter(m, 0, t), v
+
+    def _dual(self, n: int) -> list[int]:
+        """[w shifted by t, for w < 2^n]: a product pulls lamps back by
+        the shift, a permutation, whose transpose is its inverse."""
+        m, _, t = self
+        return [_shift_bits(w, t, m) for w in range(1 << n)]
 
     @staticmethod
     def order(m: int) -> int:
@@ -815,18 +845,20 @@ def capped_count(log2_floor: int, count, cap: int, refusal) -> int:
 class Truncation(frozenset):
     """The elements of one family's truncation at one level, as a
     frozenset, with ``elements`` the tuple of them in the family's
-    ``elements`` order.  Only ``truncation`` builds one, so it holds a
-    single family (and, for the lamplighter, a single modulus)."""
+    ``elements`` order and ``level`` that level.  Only ``truncation``
+    builds one, so it holds a single family (and, for the lamplighter, a
+    single modulus)."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("elements", "level")
 
-    def __new__(cls, elements: tuple):
+    def __new__(cls, elements: tuple, level: int):
         self = super().__new__(cls, elements)
         self.elements = elements
+        self.level = level
         return self
 
     def __reduce__(self):
-        return Truncation, (self.elements,)
+        return Truncation, (self.elements, self.level)
 
 
 # (family, n) -> its Truncation while anything else holds it: a spec
@@ -850,7 +882,7 @@ def truncation(family: str, n: int, cap: int = DEFAULT_CAP) -> Truncation:
     )
     t = _TRUNCATIONS.get((family, n))
     if t is None:
-        t = _TRUNCATIONS[family, n] = Truncation(tuple(cls.elements(n)))
+        t = _TRUNCATIONS[family, n] = Truncation(tuple(cls.elements(n)), n)
     return t
 
 

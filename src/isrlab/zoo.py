@@ -698,7 +698,9 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP):
     The work is refused when it is above cap.  It is estimated as the
     (m·2^m)² products of the window, once for each of the 3·d(m) spans
     (d(m) the number of divisors of m): 153,600 at m = 5 and 1,769,472
-    at m = 6, so the default cap runs m ≤ 5.
+    at m = 6, so the default cap runs m ≤ 5.  That bounds the group
+    products of the unit spans' C[S] check; the shift-orbit-sum spans
+    are checked in Walsh coordinates (``fourier``), with no product.
     """
     if not 3 <= m <= 8:
         raise ModulusOutOfRange(f"lamplighter modulus {m} not in [3, 8]")
@@ -731,10 +733,10 @@ def lamplighter_scenarios(m: int = 4, cap: int = DEFAULT_CAP):
                 for y in y_basis
             ]
             spec = SubalgebraSpec(f"lamp:{y_name},k={k}", basis, window)
-            # the basis is independent: the exact check convolves its
-            # |basis|² pivot pairs, or, for the unit spans (Y=scalars and
-            # Y=full), makes |basis|² group products; the cap estimate
-            # above counts (m·2^m)² for every span alike
+            # the unit spans (Y=scalars and Y=full) are checked by their
+            # |basis|² group products, which the cap estimate above
+            # bounds; the orbit-sum spans coset by coset in Walsh
+            # coordinates
             closed = verify_closure(spec)
             inv_shift = verify_invariance(spec, [shift])
             inv_lamp = verify_invariance(spec, [lamp0])

@@ -2,7 +2,8 @@
 which are kept here as the references: the Cantor orbit search on
 level-m payloads against an element-level search, the Cantor conjugate
 against the product law on (σ, A) set payloads, the unit-span closure
-check against the pivot-product check, the row-mask ⋆-product against
+check against the pivot-product check, the Walsh-coordinate closure check
+against the same pivot products, the row-mask ⋆-product against
 the entry loop, the conjugation law of the f-calculus read through
 ``ad`` against its two-product form, the cached R(g − I) kernel against
 the uncached echelon, the spec's Gram–Schmidt, which meets the sign
@@ -22,11 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isrlab import zoo
+from isrlab import algebra, zoo
 from isrlab.algebra import AlgebraElement, GaussianRational, ad, inner_product, norm_sq, unit
 from isrlab.errors import FamilyMismatch, Overflow
 from isrlab.expectation import SubalgebraSpec, _Span, conditional_expectation, verify_closure
 from isrlab.f2 import F2Matrix, F2Vector, _echelon, _range_basis, range_subgroup, rank_defect
+from isrlab.fourier import closure
 from isrlab.groups import (
     Affine,
     Cantor,
@@ -43,8 +45,9 @@ from isrlab.groups import (
     orbit_under,
     subgroup_closure,
     transposition,
+    truncation,
 )
-from isrlab.projections import STAR, CylinderWord, make_f, word_times_matrix
+from isrlab.projections import STAR, CylinderWord, make_f, walsh_sum, word_times_matrix
 
 # ---------------------------------------------------------------------------
 # Cantor orbits on payloads against the element-level search
@@ -257,12 +260,233 @@ def test_inverse_and_product_failures(elements, closed):
     assert verify_closure(spec) is closure_over_basis(spec) is closed
 
 
-def test_mixed_spans_keep_the_pivot_check():
-    # one pivot with two terms sends the check down the general path
-    window = enumerate_group("affine", 2)
+def test_mixed_spans_keep_the_pivot_check(monkeypatch):
+    # a pivot that meets two cosets of A has no Walsh block, so even on a
+    # truncation the check forms the pivots' products
+    window = truncation("affine", 2)
     half = AlgebraElement({Affine.identity(): 1, Affine.vector(F2Vector(1)): 1})
-    spec = SubalgebraSpec("mixed", [half, unit(Affine.matrix(F2Matrix.swap(1, 2)))], window)
-    assert verify_closure(spec) == closure_over_basis(spec)
+    swap = unit(Affine.matrix(F2Matrix.swap(1, 2)))
+    spec = SubalgebraSpec("mixed", [half + swap, swap], window)
+    assert closure(window, spec._orthogonal_basis().pivots) is None
+    calls, verdict = convolutions(monkeypatch, lambda: verify_closure(spec))
+    assert calls and verdict == closure_over_basis(spec)
+
+
+# ---------------------------------------------------------------------------
+# closure in Walsh coordinates against the pivot-product check
+
+
+def convolutions(monkeypatch, f):
+    """(the number of ``convolve`` calls f() makes, f())."""
+    calls = []
+    real = algebra.convolve
+
+    def counted(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "convolve", counted)
+    out = f()
+    monkeypatch.undo()
+    return len(calls), out
+
+
+def orbit_sum_specs(m):
+    """The lamplighter suite's Y = shift-orbit-sums spans at m, one per
+    divisor k of m, on the shared truncation."""
+    window = truncation("lamplighter", m)
+    sums = [
+        sum((zoo._lamp_cylinder(m, x) for x in orbit), AlgebraElement({}))
+        for orbit in zoo._shift_orbits(m)
+    ]
+    return [
+        SubalgebraSpec(
+            f"orbit-sums:m={m},k={k}",
+            [unit(Lamplighter.shift(m, k * t)) * y for t in range(m // k) for y in sums],
+            window,
+        )
+        for k in range(1, m + 1)
+        if m % k == 0
+    ]
+
+
+def mq_with_flipped_head(n):
+    """mq+ at n with the (12) coset's head built with sign −1."""
+    s12 = transposition(0, 1)
+    window = zoo.MODELS["mq"].window(n, 1, 10**6)
+    basis = zoo._coset_basis(window.elements, n, lambda x: [
+        (1 << i, -1 if x.sigma == s12 else 1) for i, j in enumerate(x.sigma) if i != j
+    ])
+    return SubalgebraSpec(f"mq:n={n},(12) head −", basis, window)
+
+
+def without(spec, drop):
+    """spec less the basis vectors that drop(i, b) picks."""
+    basis = [b for i, b in enumerate(spec.basis) if not drop(i, b)]
+    return SubalgebraSpec(spec.label + "-broken", basis, spec.window)
+
+
+# label -> (the specs, the verdict pinned for each); the n = 4 rows are
+# Tier-1's closure checks at that size
+GRADED = {
+    "mexo:2": (lambda: [zoo.build_mexo(2)], True),
+    "mq+:3": (lambda: [zoo.build_mq(3, 1)], True),
+    "mq-:3": (lambda: [zoo.build_mq(3, -1)], True),
+    "mq+:4": (lambda: [zoo.build_mq(4, 1)], True),
+    "mq-:4": (lambda: [zoo.build_mq(4, -1)], True),
+    "mpart:3": (lambda: [zoo.build_mpart(3)], True),
+    "mpart:4": (lambda: [zoo.build_mpart(4)], True),
+    "orbit-sums:3": (lambda: orbit_sum_specs(3), True),
+    "orbit-sums:4": (lambda: orbit_sum_specs(4), True),
+    "orbit-sums:5": (lambda: orbit_sum_specs(5), True),
+    # basis[1] is u_{e1}, which no other vector of the identity coset meets
+    "mq+:3 without basis[1]": (lambda: [without(zoo.build_mq(3), lambda i, b: i == 1)], False),
+    "orbit-sums:4,k=1 without the last of its 24 vectors": (
+        lambda: [without(orbit_sum_specs(4)[0], lambda i, b: i == 23)], False),
+    "mexo:2 without swap(1, 2)": (lambda: [without(zoo.build_mexo(2), lambda i, b: (
+        next(iter(b.ints)).rows == F2Matrix.swap(1, 2).rows))], False),
+    "mq+:4 with the (12) head −": (lambda: [mq_with_flipped_head(4)], False),
+}
+
+
+@pytest.mark.parametrize("label", GRADED)
+def test_graded_closure_matches_the_pivot_products(label):
+    build, closed = GRADED[label]
+    for spec in build():
+        assert closure(spec.window, spec._orthogonal_basis().pivots) is closed, spec.label
+        assert verify_closure(spec) is closure_over_basis(spec) is closed, spec.label
+
+
+def gaussian_vector(rng, coset, terms):
+    return AlgebraElement({
+        g: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+        for g in rng.sample(coset, terms)
+    })
+
+
+@pytest.mark.parametrize("family, n", [("affine", 2), ("wreath", 3), ("lamplighter", 3)])
+def test_drawn_coset_spans_match_the_pivot_products(family, n):
+    # Gaussian coefficients, so the imaginary parts go through the
+    # transform; full blocks over a cyclic subgroup K of H span
+    # C[K ⋉ A], which is closed, and a few vectors in a few cosets
+    # rarely are
+    window = truncation(family, n)
+    cosets = {}
+    for g in window.elements:
+        cosets.setdefault(g._coset()[0], []).append(g)
+    reps = list(cosets)
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(6):
+        group = subgroup_closure([rng.choice(reps)])
+        full = [gaussian_vector(rng, cosets[h], 3) for h in group for _ in range(2 << n)]
+        few = [gaussian_vector(rng, cosets[h], rng.randint(1, 3))
+               for h in rng.sample(reps, 3) for _ in range(rng.randint(1, 3))]
+        for basis in (full, [unit(window.elements[0])] + few):
+            spec = SubalgebraSpec("drawn", basis, window)
+            verdict = closure(window, spec._orthogonal_basis().pivots)
+            assert verdict is not None and verdict == closure_over_basis(spec)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_adjoints_are_checked_in_walsh_coordinates():
+    # span{p, u_s·p} for the minimal idempotent p = ½(1 − u_{e1})·½(1 + u_{e2})
+    # and s = (12): every product of two of them is 0, p or u_s·p, but
+    # (u_s·p)* = u_s·½(1 + u_{e1})·½(1 − u_{e2})
+    window = truncation("wreath", 2)
+    p = walsh_sum(lambda z: Wreath.vector(F2Vector(z)), [(1, -1), (2, 1)])
+    sp = unit(Wreath.perm(transposition(0, 1))) * p
+    spec = SubalgebraSpec("no-star", [p, sp], window)
+    assert all(spec.contains(a * b) for a in (p, sp) for b in (p, sp))
+    assert not spec.contains(sp.adjoint())
+    assert closure(window, spec._orthogonal_basis().pivots) is False
+    assert not verify_closure(spec)
+
+
+def character_idempotent(vector, n, w):
+    """p_w = 2^{-n} Σ_v (−1)^{w·v} u_v, with vector(v) the element u_v."""
+    return walsh_sum(vector, [(1 << j, -1 if w >> j & 1 else 1) for j in range(n)])
+
+
+@pytest.mark.parametrize("family, n, k", [
+    ("affine", 2, Affine.matrix(F2Matrix([2, 3]))),
+    ("wreath", 3, Wreath.perm((1, 2, 0))),
+    ("lamplighter", 3, Lamplighter.shift(3, 1)),
+])
+def test_characters_move_by_the_family_action(family, n, k):
+    # k has order 3 and moves the character w0 = e1 around an orbit of
+    # three.  C[A] + u_k·p_{w0} + u_{k²}·p_{w1} is closed for exactly the
+    # w1 that k's action sends w0 to, so reading the action through
+    # k⁻¹, or not at all, flips a verdict
+    window = truncation(family, n)
+    vector = {g._coset()[1]: g for g in window.elements if g._coset()[0].is_identity()}.get
+    units = [unit(vector(v)) for v in range(1 << n)]
+    head = unit(k) * character_idempotent(vector, n, 1)
+    verdicts = []
+    for w1 in range(1 << n):
+        spec = SubalgebraSpec("orbit", units + [
+            head, unit(k.mul(k)) * character_idempotent(vector, n, w1)], window)
+        verdict = closure(window, spec._orthogonal_basis().pivots)
+        assert verdict == closure_over_basis(spec), w1
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 1
+
+
+def test_adjoints_conjugate_the_walsh_coefficients():
+    # span{1, u_s·y} for s = (12) and y with Walsh coefficients
+    # (1, i, −i, 1): (u_s y)² = 1 and (u_s y)* = u_s y, which holds only
+    # because the adjoint conjugates i to −i as s swaps w = e1 and e2
+    window = truncation("wreath", 2)
+    half, ihalf = Fraction(1, 2), GaussianRational(0, Fraction(1, 2))
+    y = AlgebraElement({Wreath.identity(): half, Wreath.vector(F2Vector(1)): -ihalf,
+                        Wreath.vector(F2Vector(2)): ihalf, Wreath.vector(F2Vector(3)): half})
+    sy = unit(Wreath.perm(transposition(0, 1))) * y
+    spec = SubalgebraSpec("conjugated", [unit(Wreath.identity()), sy], window)
+    assert sy * sy == unit(Wreath.identity()) and sy.adjoint() == sy
+    assert closure(window, spec._orthogonal_basis().pivots) is True
+    assert closure_over_basis(spec) is True
+
+
+ROUTE_SPECS = [
+    (name, n, sign)
+    for name, model in zoo.MODELS.items()
+    for n in model.sizes
+    for sign in model.signs
+    # mexo:4's 40,320 pivots make 1.6·10⁹ block products on either route
+    if (name, n) != ("mexo", 4)
+]
+
+
+@pytest.mark.parametrize("name, n, sign", ROUTE_SPECS)
+def test_model_closures_form_no_product(monkeypatch, name, n, sign):
+    spec = zoo.MODELS[name].build(n, sign=sign)
+    spec._orthogonal_basis()
+    assert convolutions(monkeypatch, lambda: verify_closure(spec)) == (0, True)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_orbit_sum_closures_form_no_product(monkeypatch, m):
+    for spec in orbit_sum_specs(m):
+        spec._orthogonal_basis()
+        assert convolutions(monkeypatch, lambda: verify_closure(spec)) == (0, True)
+
+
+def cantor_spec():
+    window = truncation("cantor", 1)
+    e, x = window.elements[:2]
+    return SubalgebraSpec("cantor", [unit(e), unit(e) + unit(x)], window)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubalgebraSpec("frozenset", zoo.build_mq(3).basis, frozenset(zoo.build_mq(3).window)),
+    cantor_spec,
+], ids=["frozenset window", "cantor"])
+def test_other_windows_keep_the_product_route(monkeypatch, build):
+    spec = build()
+    assert closure(spec.window, spec._orthogonal_basis().pivots) is None
+    calls, verdict = convolutions(monkeypatch, lambda: verify_closure(spec))
+    assert calls and verdict == closure_over_basis(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,17 @@ def test_library_tour_names_live_code():
     assert sorted(w for w in names if not re.search(rf"\b{re.escape(w)}\b", source)) == []
 
 
+def test_every_module_has_a_tour_row():
+    # each library module but the package's __init__ and __main__ has a
+    # row `isrlab.<name>` in the README's library tour
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `isrlab\.(\w+)` \|", tour, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "isrlab").glob("*.py")} - {"__init__", "__main__"}
+    assert len(rows) > 5
+    assert sorted(modules - rows) == []
+
+
 def test_every_error_type_is_raised_or_caught():
     # an error type outlives the contract that raised it only by mistake:
     # each subclass of IsrlabError is built (raised, or handed to a raiser)
